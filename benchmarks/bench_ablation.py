@@ -1,17 +1,14 @@
-"""E8 — ablation of the traversal mix (Section 4 design choices).
+"""E8 — ablation of path halving (Section 4.2 design choice).
 
 Documented in ``docs/benchmarks.md`` (E8).
 
-The phase/stage machinery is what keeps the number of rounds poly-logarithmic:
-
-* disabling *path halving* (walking to the nearer endpoint instead) makes the
-  leftover path shrink by O(1) per round, so rounds blow up on long paths;
-* disabling the *heavy-subtree scenarios* (treating the heavy case like a
-  disintegrating traversal) can break the C1/C2 invariant; the engine repairs
-  it with the counted fallback, trading parallelism for correctness.
-
-The harness quantifies both effects; the full engine must show zero fallbacks
-and the smallest round counts.
+Path halving is what keeps the number of rounds poly-logarithmic on long
+paths: when the component root lies on the component path, the traversal
+walks to the *farther* endpoint, so the leftover path at least halves.
+Disabling it (``enable_path_halving=False`` walks to the nearer endpoint
+instead) makes the leftover path shrink by O(1) per round.  The harness
+reroots caterpillars of growing spine length both ways; the output stays a
+valid DFS tree, and the full engine must need fewer rounds.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from repro.constants import VIRTUAL_ROOT
 from repro.core.queries import BruteForceQueryService
 from repro.core.reduction import RerootTask
 from repro.core.reroot_parallel import ParallelRerootEngine
-from repro.graph.generators import caterpillar_graph, gnp_random_graph
+from repro.graph.generators import caterpillar_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
@@ -34,11 +31,7 @@ def _run(graph, task, **kwargs):
     tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
     metrics = MetricsRecorder()
     engine = ParallelRerootEngine(
-        tree,
-        BruteForceQueryService(graph, tree),
-        adjacency=graph.neighbor_list,
-        metrics=metrics,
-        **kwargs,
+        tree, BruteForceQueryService(graph, tree), metrics=metrics, **kwargs
     )
     assignment = engine.reroot_many([task])
     parent = tree.parent_map()
@@ -68,42 +61,4 @@ def test_path_halving_ablation(benchmark):
 
     graph = caterpillar_graph(spines[-1], 2)
     task = RerootTask(subtree_root=0, new_root=spines[-1] - 1, attach=VIRTUAL_ROOT)
-    benchmark(lambda: _run(graph, task))
-
-
-@pytest.mark.benchmark(group="E8-ablation")
-def test_heavy_scenarios_ablation(benchmark):
-    sizes = scale_sizes([200, 400], [100])
-    full_fallbacks, ablated_fallbacks = [], []
-    full_rounds, ablated_rounds = [], []
-    for n in sizes:
-        graph = gnp_random_graph(n, 5.0 / n, seed=7, connected=True)
-        tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
-        root = tree.children(VIRTUAL_ROOT)[0]
-        deep = max(tree.vertices(), key=lambda v: tree.level(v))
-        task = RerootTask(subtree_root=root, new_root=deep, attach=VIRTUAL_ROOT)
-        full = _run(graph, task)
-        ablated = _run(graph, task, enable_heavy=False)
-        full_fallbacks.append(full.get("fallback_components", 0))
-        ablated_fallbacks.append(ablated.get("fallback_components", 0))
-        full_rounds.append(full["traversal_rounds"])
-        ablated_rounds.append(ablated["traversal_rounds"])
-        assert full.get("fallback_components", 0) == 0
-    record_table(
-        benchmark,
-        "E8_heavy_scenarios_ablation",
-        sizes,
-        {
-            "full_engine_rounds": full_rounds,
-            "heavy_disabled_rounds": ablated_rounds,
-            "full_engine_fallbacks": full_fallbacks,
-            "heavy_disabled_fallbacks": ablated_fallbacks,
-        },
-    )
-
-    graph = gnp_random_graph(sizes[-1], 5.0 / sizes[-1], seed=7, connected=True)
-    tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
-    root = tree.children(VIRTUAL_ROOT)[0]
-    deep = max(tree.vertices(), key=lambda v: tree.level(v))
-    task = RerootTask(subtree_root=root, new_root=deep, attach=VIRTUAL_ROOT)
     benchmark(lambda: _run(graph, task))

@@ -1,9 +1,9 @@
-"""Shared helpers for the benchmark harnesses (see EXPERIMENTS.md).
+"""Shared helpers for the benchmark harnesses (see docs/benchmarks.md).
 
-Each benchmark module regenerates one experiment from the index in DESIGN.md §5:
-it measures wall-clock time with pytest-benchmark *and* prints the model-level
-scaling table (query rounds, passes, CONGEST rounds, ...) that corresponds to
-the theorem being reproduced.  The tables are also attached to the benchmark
+Each benchmark module regenerates one experiment from the index in
+docs/benchmarks.md: it measures wall-clock time with pytest-benchmark *and*
+prints the model-level scaling table (query rounds, passes, CONGEST rounds,
+...) that corresponds to the theorem being reproduced.  The tables are also attached to the benchmark
 records via ``benchmark.extra_info`` so ``--benchmark-json`` keeps them.
 
 Machine-readable trajectories

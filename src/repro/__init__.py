@@ -19,8 +19,8 @@ Public API highlights
   readers query lock-free (batched/async via
   :class:`repro.service.BatchingQueryFront`).
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the experiment
-index mapping every theorem/figure to a benchmark.
+See docs/architecture.md for the module map and docs/benchmarks.md for the
+experiment index mapping every theorem/figure to a benchmark.
 """
 
 from repro._version import __version__

@@ -269,8 +269,7 @@ class FullyDynamicDFS:
         ``d_rebase_trigger_segments`` / ``d_rebase_trigger_pinned``.
     validate:
         Check after every update that the maintained tree is a valid DFS forest
-        and raise :class:`NotADFSTree` otherwise.  Also enables the strict
-        invariant checks inside the parallel engine.
+        and raise :class:`NotADFSTree` otherwise.
     metrics:
         Optional shared recorder; every model quantity (query rounds, queries,
         traversal rounds, ``D`` rebuild work, overlay sizes, ...) is

@@ -52,7 +52,7 @@ plus ``cost_model_triggers``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
 from repro.core.overlay import validate_update
@@ -161,10 +161,6 @@ class Backend:
         """The query service answering this update's edge queries against the
         current *tree*."""
         raise NotImplementedError
-
-    def adjacency(self) -> Callable[[Vertex], Iterable[Vertex]]:
-        """Adjacency provider for the fallback component DFS."""
-        return self.graph.neighbor_list
 
     # ------------------------------------------------------------------ #
     # Per-update hooks
@@ -345,8 +341,7 @@ class UpdateEngine:
         rebuilt only when the rebuild policy demands it, so a batch of ``b``
         updates pays ``O(b / k)`` rebuilds rather than ``b``.  With
         ``validate=True`` the resulting tree is checked once at the end of the
-        batch (the parallel engine's per-task invariant checks still run
-        throughout).
+        batch.
         """
         updates = list(updates)
         self.metrics.inc("update_batches")
@@ -454,13 +449,7 @@ class UpdateEngine:
 
     def _make_reroot_engine(self, service: QueryService):
         if self._reroot_kind == "parallel":
-            return ParallelRerootEngine(
-                self._tree,
-                service,
-                adjacency=self.backend.adjacency(),
-                metrics=self.metrics,
-                validate=self._validate,
-            )
+            return ParallelRerootEngine(self._tree, service, metrics=self.metrics)
         return SequentialRerootEngine(self._tree, service, metrics=self.metrics)
 
     def _check(self, update: Optional[Update]) -> None:

@@ -23,20 +23,15 @@ components in lock-step so that queries of different components issued in the
 same sub-round are answered by a single batch — one parallel query round, one
 streaming pass, or one CONGEST broadcast, depending on the backing service.
 
-Robustness: after carving a path, leftover pieces are reassembled by
-:meth:`TraversalPlanner._process_comp`, which *checks* the C1/C2 invariant
-(a leftover subtree adjacent to two leftover paths, or two leftover paths
-adjacent to each other, would merge components).  If a violation is detected —
-which the paper's traversals should never produce — the affected pieces are
-merged into an ``irregular`` component that the engine traverses with a
-correct-by-construction component DFS, and the event is counted in the metrics.
-The final tree is therefore always a valid DFS tree regardless.
+The traversals keep every leftover component of type C1 or C2 by
+construction; each place that can detect a violation raises
+:class:`~repro.exceptions.InvariantViolation` on the spot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generator, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.components import Component, PathPiece, TreePiece
 from repro.core.queries import Answer, EdgeQuery
@@ -59,12 +54,8 @@ class StepResult:
     pstar: List[Vertex] = field(default_factory=list)
     #: Components of the still-unvisited part, each with root/attach set.
     new_components: List[Component] = field(default_factory=list)
-    #: Parent assignments produced directly (only the fallback DFS uses this).
-    direct_parents: Dict[Vertex, Vertex] = field(default_factory=dict)
     #: Which traversal produced the result (for metrics / tests).
     traversal: str = ""
-    #: True when the fallback component DFS was used.
-    used_fallback: bool = False
 
 
 class TraversalPlanner:
@@ -76,15 +67,10 @@ class TraversalPlanner:
         The base DFS tree ``T`` (the tree being rerooted).
     metrics:
         Counter sink.
-    validate:
-        When True, structural invariants raise :class:`InvariantViolation`
-        instead of being repaired silently (used by the test-suite).
-    adjacency:
-        ``vertex -> iterable of neighbours`` callable used by the fallback
-        component DFS (and only by it).
-    enable_heavy / enable_path_halving:
-        Ablation switches (benchmark E8): disabling them keeps the output
-        correct but destroys the stage/phase progress guarantees.
+    enable_path_halving:
+        Ablation switch (benchmark E8): when False, a component whose root
+        lies on its path walks to the *nearer* endpoint, which keeps the
+        output correct but destroys the path-halving progress guarantee.
     """
 
     def __init__(
@@ -92,16 +78,10 @@ class TraversalPlanner:
         tree: DFSTree,
         *,
         metrics: Optional[MetricsRecorder] = None,
-        validate: bool = False,
-        adjacency=None,
-        enable_heavy: bool = True,
         enable_path_halving: bool = True,
     ) -> None:
         self.tree = tree
         self.metrics = metrics or MetricsRecorder("traversals")
-        self.validate = validate
-        self.adjacency = adjacency
-        self.enable_heavy = enable_heavy
         self.enable_path_halving = enable_path_halving
 
     # ------------------------------------------------------------------ #
@@ -110,9 +90,6 @@ class TraversalPlanner:
     def step(self, comp: Component) -> TraversalGen:
         """Return the traversal generator appropriate for *comp*."""
         tree = self.tree
-        if comp.irregular or comp.rc is None:
-            return self._fallback(comp)
-
         if comp.path is not None and comp.path.contains(tree, comp.rc):
             if self.enable_path_halving:
                 return self._path_halving(comp)
@@ -124,10 +101,7 @@ class TraversalPlanner:
                 tau = t
                 break
         if tau is None:
-            self.metrics.inc("invariant_rc_not_found")
-            if self.validate:
-                raise InvariantViolation(f"root {comp.rc!r} not found in {comp.describe(tree)}")
-            return self._fallback(comp)
+            raise InvariantViolation(f"root {comp.rc!r} not found in {comp.describe(tree)}")
 
         heaviest = comp.heaviest_tree(tree)
         threshold = max(heaviest.size(tree) // 2, 1) if heaviest is not None else 1
@@ -142,12 +116,7 @@ class TraversalPlanner:
         v_h = heavy_vertex(tree, tau.root, threshold)
         if tree.is_ancestor(v_h, comp.rc):
             return self._disconnect(comp, tau, threshold)
-        if self.enable_heavy:
-            return self._heavy(comp, tau, threshold, v_h)
-        # Ablation mode: treat the heavy case like a disintegrating traversal;
-        # Process-Comp's invariant checks repair (and count) the fallout.
-        self.metrics.inc("ablation_heavy_disabled")
-        return self._disintegrate(comp, tau, threshold)
+        return self._heavy(comp, tau, threshold, v_h)
 
     # ------------------------------------------------------------------ #
     # Shared helpers
@@ -195,8 +164,12 @@ class TraversalPlanner:
 
         Yields the query batches described in ``Process-Comp``: one eligibility
         batch per leftover path (which trees have an edge to it), one batch for
-        path-to-path adjacency (invariant check), and one batch that locates
-        every new component's lowest edge on ``pstar``.
+        path-to-path adjacency, and one batch that locates every new
+        component's lowest edge on ``pstar``.  Raises
+        :class:`InvariantViolation` when the leftovers do not form C1/C2
+        components: two leftover paths in one component (adjacent to each
+        other, or joined by a subtree adjacent to both), or a component with
+        no edge to ``pstar``.
         """
         tree = self.tree
         paths = [p for p in leftover_paths if p is not None and len(p) > 0]
@@ -251,17 +224,11 @@ class TraversalPlanner:
             if ra != rb:
                 parent[rb] = ra
 
-        merged_any: Set[int] = set()
         for i, j in path_links:
             union(i, j)
         for ti, hits in tree_hits.items():
             for a, b in zip(hits, hits[1:]):
                 union(a, b)
-        for i, j in path_links:
-            merged_any.add(find(i))
-        for ti, hits in tree_hits.items():
-            if len(hits) > 1:
-                merged_any.add(find(hits[0]))
 
         groups: Dict[int, Dict[str, list]] = {}
         for pi in range(len(paths)):
@@ -275,24 +242,14 @@ class TraversalPlanner:
                 loose_trees.append(trees[ti])
 
         new_components: List[Component] = []
-        for root, grp in groups.items():
-            irregular = len(grp["paths"]) > 1 or root in merged_any
-            if irregular:
-                self.metrics.inc("invariant_merged_paths")
-                if self.validate:
-                    raise InvariantViolation(
-                        "leftover pieces violate the C1/C2 invariant: "
-                        + ", ".join(p.describe() for p in grp["paths"])
-                    )
-            primary, *extra = grp["paths"]
-            new_components.append(
-                Component(
-                    trees=grp["trees"],
-                    path=primary,
-                    extra_paths=extra,
-                    irregular=irregular,
-                    phase=comp.phase + 1,
+        for grp in groups.values():
+            if len(grp["paths"]) > 1:
+                raise InvariantViolation(
+                    "leftover pieces violate the C1/C2 invariant: "
+                    + ", ".join(p.describe() for p in grp["paths"])
                 )
+            new_components.append(
+                Component(trees=grp["trees"], path=grp["paths"][0], phase=comp.phase + 1)
             )
         for t in loose_trees:
             new_components.append(Component(trees=[t], path=None, phase=comp.phase + 1))
@@ -318,21 +275,13 @@ class TraversalPlanner:
 
         for ci, c in enumerate(new_components):
             ans = best[ci]
-            if ans is not None:
-                c.rc, c.attach = ans[0], ans[1]
-                continue
-            # No edge to the newly traversed path: should be impossible (every
-            # leftover piece hangs from the traversed path or from a leftover
-            # path).  Repair via the base-tree parent edge, mark irregular.
-            self.metrics.inc("invariant_unattached_component")
-            if self.validate:
+            if ans is None:
+                # Every leftover piece hangs from the traversed path or from a
+                # leftover path, so each component has an edge to pstar.
                 raise InvariantViolation(
                     f"component {c.describe(tree)} has no edge to the traversed path"
                 )
-            c.irregular = True
-            anchor = c.path.vertices[0] if c.path is not None else c.trees[0].root
-            c.rc = anchor
-            c.attach = tree.parent(anchor)
+            c.rc, c.attach = ans[0], ans[1]
         return new_components
 
     # ------------------------------------------------------------------ #
@@ -420,11 +369,7 @@ class TraversalPlanner:
         answers = yield [self._piece_query(tau, pc_t, prefer_last=True, label="disconnect_lowest")]
         lowest = answers[0]
         if lowest is None:
-            self.metrics.inc("invariant_tree_without_path_edge")
-            if self.validate:
-                raise InvariantViolation(f"{tau.describe()} has no edge to {pc.describe()}")
-            result = yield from self._fallback(comp)
-            return result
+            raise InvariantViolation(f"{tau.describe()} has no edge to {pc.describe()}")
 
         x_low, y_low = lowest
         lower_half = pos[y_low] >= (len(pc_list) - 1) / 2.0
@@ -594,12 +539,8 @@ class TraversalPlanner:
         if xp_yp is None:
             # Scenario 1 failed because of a back edge from T(v_L) into the
             # root path, which is itself a valid (x_p, y_p) candidate; reaching
-            # here means bookkeeping broke — repair via fallback.
-            self.metrics.inc("invariant_heavy_missing_xp")
-            if self.validate:
-                raise InvariantViolation("heavy traversal could not find the p-traversal edge")
-            result = yield from self._fallback(comp)
-            return result
+            # here means bookkeeping broke.
+            raise InvariantViolation("heavy traversal could not find the p-traversal edge")
 
         x_p, y_p = xp_yp
         committed, failed_edge = yield from self._try_heavy_commit(
@@ -638,8 +579,8 @@ class TraversalPlanner:
 
         # Special case (Section 4.4, Figure 5): commit the modified r' traversal
         # using the edge that defeated the previous scenario.  Stage progress
-        # may be imperfect here (documented deviation); correctness is kept by
-        # Process-Comp's invariant checks and the engine's loop guard.
+        # may be imperfect here (documented deviation); Process-Comp still
+        # raises if the leftovers are not C1/C2 components.
         self.metrics.inc("heavy_special_case")
         x_m, y_m = failed_edge_r if failed_edge_r is not None else (x_p, y_p)
         if y_m not in pos_root:
@@ -711,10 +652,7 @@ class TraversalPlanner:
         tree = self.tree
         pstar, dive, jump = self._heavy_pstar(comp.rc, x_star, y_star, v_l, r_prime, walk_down)
         if not self._is_walkable(pstar, jump):
-            self.metrics.inc("invariant_unwalkable_pstar")
-            if self.validate:
-                raise InvariantViolation(f"{scenario}: candidate traversal path is not walkable")
-            return None, None
+            raise InvariantViolation(f"{scenario}: candidate traversal path is not walkable")
         pc_list = tuple(pc.vertices)
         pc_set = set(pc_list)
 
@@ -792,11 +730,7 @@ class TraversalPlanner:
         tree = self.tree
         pstar, dive, jump = self._heavy_pstar(comp.rc, x_star, y_star, v_l, r_prime, walk_down)
         if not self._is_walkable(pstar, jump):
-            self.metrics.inc("invariant_unwalkable_pstar")
-            if self.validate:
-                raise InvariantViolation(f"{scenario}: committed traversal path is not walkable")
-            result = yield from self._fallback(comp)
-            return result
+            raise InvariantViolation(f"{scenario}: committed traversal path is not walkable")
         pstar_set = set(pstar)
 
         # Untraversed remainder of the root path: split into vertical runs (a
@@ -813,55 +747,3 @@ class TraversalPlanner:
 
         new_components = yield from self._process_comp(comp, pstar, leftover_paths, leftover_trees)
         return StepResult(pstar=pstar, new_components=new_components, traversal=scenario)
-
-    # ------------------------------------------------------------------ #
-    # Fallback: correct-by-construction component DFS
-    # ------------------------------------------------------------------ #
-    def _fallback(self, comp: Component) -> TraversalGen:
-        """Traverse the whole component with a plain DFS restricted to its
-        vertices.  Always correct (the components property only requires the
-        component to hang from its chosen ``rc``/``attach`` edge), but
-        sequential — every use is counted in the metrics."""
-        tree = self.tree
-        self.metrics.inc("fallback_components")
-        vertices = set(comp.vertices(tree))
-        self.metrics.inc("fallback_vertices", len(vertices))
-        if self.adjacency is None:
-            raise InvariantViolation(
-                "fallback component DFS requested but no adjacency provider was configured"
-            )
-        rc = comp.rc if comp.rc is not None else next(iter(vertices))
-        parent: Dict[Vertex, Vertex] = {}
-        visited = {rc}
-        order = [rc]
-        stack: List[Tuple[Vertex, Iterable[Vertex]]] = [(rc, iter(self.adjacency(rc)))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w in vertices and w not in visited:
-                    visited.add(w)
-                    parent[w] = v
-                    order.append(w)
-                    stack.append((w, iter(self.adjacency(w))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-        unreached = vertices - visited
-        if unreached:
-            self.metrics.inc("fallback_unreached", len(unreached))
-            if self.validate:
-                raise InvariantViolation(
-                    f"fallback DFS could not reach {len(unreached)} vertices of the component"
-                )
-        result = StepResult(
-            pstar=order,
-            new_components=[],
-            direct_parents=parent,
-            traversal="fallback",
-            used_fallback=True,
-        )
-        if False:  # pragma: no cover - makes this function a generator
-            yield []
-        return result

@@ -56,11 +56,10 @@ class NotADFSTree(TreeError):
 
 
 class InvariantViolation(ReproError):
-    """Raised (in ``validate=True`` mode) when a paper invariant fails.
+    """Raised when a paper invariant fails, e.g. a leftover component of the
+    parallel rerooting that is neither C1 nor C2.
 
-    The production code path never raises this for correctness-critical
-    conditions; instead it falls back to a correct component DFS and counts the
-    event.  Tests enable strict validation so that a violation fails loudly.
+    Violations are raised where they are detected, never repaired.
     """
 
 

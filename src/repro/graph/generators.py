@@ -1,6 +1,6 @@
 """Graph generators used by tests, examples and benchmarks.
 
-These provide the synthetic workloads for the evaluation (DESIGN.md §5): random
+These provide the synthetic workloads for the evaluation (docs/benchmarks.md): random
 ``G(n, p)`` / ``G(n, m)`` graphs, structured families with controlled diameter
 (paths, cycles, grids, binary trees), and the adversarial families that separate
 the sequential rerooting baseline from the parallel rerooting algorithm (brooms,

@@ -4,7 +4,7 @@ The experiments check the *shape* of measured curves against the theorems:
 per-update query rounds should grow like ``polylog(n)`` (small fitted exponent
 in ``log n``), whereas the sequential baseline grows polynomially in ``n`` on
 adversarial inputs.  These helpers do the fits and render plain-text tables for
-the benchmark harnesses and EXPERIMENTS.md.
+the benchmark harnesses (see docs/benchmarks.md).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def estimate_power_law_exponent(sizes: Sequence[float], values: Sequence[float])
     """Fit ``value ≈ c · size^e`` and return the exponent ``e``.
 
     Zero values are clamped to a small positive constant so occasional zero
-    measurements (e.g. zero fallbacks) do not break the fit.
+    measurements (e.g. zero rebuilds) do not break the fit.
     """
     xs = [math.log(max(s, 1e-12)) for s in sizes]
     ys = [math.log(max(v, 1e-12)) for v in values]

@@ -2,7 +2,9 @@
 
 The reproduction's headline measurements are *model quantities* — numbers of
 query rounds, passes, CONGEST rounds, messages, simulated PRAM depth — rather
-than wall-clock time (see DESIGN.md §3 on the GIL substitution).  Every engine
+than wall-clock time: CPython's GIL rules out genuine parallel speedups, so
+parallel time is metered on a simulator instead of timed (see
+docs/benchmarks.md).  Every engine
 accepts a :class:`MetricsRecorder` and increments named counters; benchmarks and
 tests read them back through :meth:`MetricsRecorder.as_dict`.
 """
@@ -86,10 +88,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "vertices_added": "vertices attached to T* by the reroot engines",
     "max_active_components": "most unvisited components the parallel engine held at once",
     "process_comp_calls": "process-component invocations of the parallel engine",
-    "loop_guard_triggers": "parallel-engine safety-guard activations (diagnostic)",
-    "fallback_components": "components the engine re-attached with a fallback DFS",
-    "fallback_vertices": "vertices attached through the fallback DFS",
-    "fallback_unreached": "vertices a fallback DFS found unreachable (diagnostic)",
     # Parallel traversal scenarios (Theorem 12)
     "traversal_rounds": "path-halving traversal rounds of the parallel engine",
     "traversal_path_halving": "path-halving steps taken by the parallel engine",
@@ -102,13 +100,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "heavy_p_committed": "heavy traversals that committed the p-walk",
     "heavy_r_committed": "heavy traversals that committed the r-walk",
     "heavy_special_committed": "heavy traversals that committed the special-case walk",
-    "ablation_heavy_disabled": "heavy traversals skipped because the ablation flag disabled them",
-    "invariant_merged_paths": "C1/C2 invariant repair: merged paths detected",
-    "invariant_rc_not_found": "C1/C2 invariant repair: r_c not found on the path",
-    "invariant_unattached_component": "C1/C2 invariant repair: unattached component detected",
-    "invariant_tree_without_path_edge": "C1/C2 invariant repair: tree lacking the path edge",
-    "invariant_unwalkable_pstar": "C1/C2 invariant repair: unwalkable p* detected",
-    "invariant_heavy_missing_xp": "C1/C2 invariant repair: heavy traversal missing x_p",
     # Sequential baseline engines
     "sequential_reroot_steps": "edges walked by the sequential reroot engine",
     "max_sequential_chain_depth": "deepest reroot chain the sequential engine followed",

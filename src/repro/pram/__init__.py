@@ -1,10 +1,11 @@
 """EREW-PRAM cost-model substrate.
 
 CPython's GIL prevents genuine shared-memory parallel speedups, so the
-reproduction follows the substitution documented in DESIGN.md §3: parallel
-algorithms are executed step-by-step by a simulator that meters **depth**
-(parallel time) and **work** (total operations) and can optionally enforce the
-EREW access discipline.  The primitives here are the classical building blocks
+reproduction substitutes a cost model for parallel hardware (module map in
+docs/architecture.md): parallel algorithms are executed step-by-step by a
+simulator that meters **depth** (parallel time) and **work** (total
+operations) and can optionally enforce the EREW access discipline.  The
+primitives here are the classical building blocks
 the paper cites (Theorems 4–7): prefix sums, reductions, list ranking /
 pointer jumping, Euler-tour tree functions, parallel merge sort and parallel
 LCA preprocessing.

@@ -3,7 +3,8 @@
 The structure is the classical Euler-tour + sparse-table range-minimum index.
 Preprocessing runs through the :class:`~repro.pram.machine.PRAM` simulator in
 ``O(log n)`` parallel steps of ``O(n)`` processors each (``O(n log n)`` work —
-within the paper's poly-logarithmic slack, see DESIGN.md §3); each query then
+within the paper's poly-logarithmic slack, which absorbs the extra ``log n``
+factor of this textbook stand-in); each query then
 takes ``O(1)`` host time, and a batch of ``k`` independent queries is one more
 parallel step of ``k`` processors, matching Theorem 6.
 """

@@ -14,7 +14,9 @@ list ranking (pointer jumping)    O(log n)     O(n log n)
 ================================  ===========  ==============
 
 The ``O(n log n)`` work terms (instead of the work-optimal ``O(n)`` variants)
-are within the paper's poly-logarithmic slack; see DESIGN.md §3.
+are within the paper's poly-logarithmic slack: the simulator meters textbook
+algorithms wherever they cost at most a ``log n`` factor more than the
+optimal ones the paper cites.
 """
 
 from __future__ import annotations
@@ -150,8 +152,8 @@ def pointer_jumping_list_ranking(pram: PRAM, successor: Sequence[int]) -> List[i
     Note: textbook pointer jumping lets a node and its predecessor read the same
     cell in one step, i.e. it is CREW; the standard EREW simulation costs one
     extra ``O(log n)`` factor, which is within the paper's polylog slack
-    (DESIGN.md §3).  The strict EREW checker is therefore not applied to this
-    primitive.
+    (see the module docstring).  The strict EREW checker is therefore not
+    applied to this primitive.
     """
     n = len(successor)
     if n == 0:

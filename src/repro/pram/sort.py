@@ -4,8 +4,8 @@ The paper uses Cole's parallel merge sort (Theorem 7) to sort adjacency lists by
 post-order number when building the data structure ``D``.  Cole's pipelined
 algorithm achieves ``O(log n)`` depth; this module implements the simpler
 bottom-up merge sort whose merges are parallelised by binary-search ranking,
-giving ``O(log^2 n)`` depth and ``O(n log n)`` work — the substitution recorded
-in DESIGN.md §3 (the extra ``log n`` is absorbed by the paper's ``O~``).
+giving ``O(log^2 n)`` depth and ``O(n log n)`` work — a textbook stand-in
+whose extra ``log n`` factor is absorbed by the paper's ``O~``.
 
 Depth accounting is *level synchronous*: all pair merges of one level run inside
 a single parallel step, so the metered depth of a full sort is

@@ -155,11 +155,18 @@ class ShardWorker:
 
     def apply(self, tenant_id: TenantId, updates: Sequence[Update]) -> int:
         """Apply an update batch to one tenant (appended to its replay log);
-        returns the tenant's committed version."""
+        returns the tenant's committed version.
+
+        When an update is malformed, the updates before it stay committed
+        and the batch raises; the log then holds exactly that committed
+        prefix, so a replay from genesis rebuilds the committed tree."""
         record = self._record(tenant_id)
         updates = list(updates)
-        record.driver.apply_all(updates)
-        record.log.extend(updates)
+        before = record.service.committed_version
+        try:
+            record.driver.apply_all(updates)
+        finally:
+            record.log.extend(updates[: record.service.committed_version - before])
         return record.service.committed_version
 
     def apply_many(self, items: Sequence[Tuple[TenantId, Sequence[Update]]]) -> Dict[TenantId, int]:

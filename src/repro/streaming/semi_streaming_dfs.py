@@ -298,9 +298,9 @@ class SemiStreamingDynamicDFS:
         self._backend_name = resolve_backend(backend)
         UpdateEngine.validate_options("parallel", rebuild_every)  # fail fast
         self.metrics = metrics or MetricsRecorder("semi_streaming_dfs")
-        # The "reference" graph exists only for validation and for the fallback
-        # adjacency provider; the algorithm itself touches edges only through
-        # the stream.
+        # The "reference" graph exists only for the initial DFS, update
+        # validation and tree checks; the algorithm itself touches edges only
+        # through the stream.
         self._graph = native_graph(graph, self._backend_name, copy=True)
         self._stream = EdgeStream.from_graph(graph, metrics=self.metrics)
         self._vertices = set(graph.vertices())

@@ -1,5 +1,5 @@
 """Named evaluation scenarios: (graph, update sequence) pairs used by the
-benchmarks (EXPERIMENTS.md) and the example applications."""
+benchmarks (docs/benchmarks.md) and the example applications."""
 
 from __future__ import annotations
 

@@ -11,10 +11,11 @@ import random
 import pytest
 
 from repro.constants import VIRTUAL_ROOT
-from repro.core.queries import BruteForceQueryService
+from repro.core.queries import BruteForceQueryService, QueryService
 from repro.core.reduction import RerootTask, reduce_update
 from repro.core.reroot_parallel import ParallelRerootEngine
 from repro.core.updates import VertexDeletion
+from repro.exceptions import InvariantViolation
 from repro.graph.generators import (
     caterpillar_graph,
     comb_with_back_edges,
@@ -32,9 +33,7 @@ def run_reroot(graph, task_list, **engine_kwargs):
     tree = DFSTree(static_dfs_forest(graph), root=VIRTUAL_ROOT)
     metrics = MetricsRecorder()
     service = BruteForceQueryService(graph, tree)
-    engine = ParallelRerootEngine(
-        tree, service, adjacency=graph.neighbor_list, metrics=metrics, validate=True, **engine_kwargs
-    )
+    engine = ParallelRerootEngine(tree, service, metrics=metrics, **engine_kwargs)
     assignment = engine.reroot_many(task_list)
     parent = tree.parent_map()
     parent.update(assignment)
@@ -52,7 +51,6 @@ def test_disintegrating_traversal_on_deep_path():
     assert parent[n - 1] == VIRTUAL_ROOT
     assert metrics["traversal_rounds"] <= 4 * (n.bit_length() ** 2)
     assert metrics["traversal_rounds"] < n / 4
-    assert metrics["fallback_components"] == 0
 
 
 def test_path_halving_rounds_are_logarithmic_on_caterpillar():
@@ -63,7 +61,6 @@ def test_path_halving_rounds_are_logarithmic_on_caterpillar():
     )
     assert check_dfs_tree(g, parent) == []
     assert metrics["traversal_rounds"] < 200 / 4
-    assert metrics["fallback_components"] == 0
 
 
 def test_ablation_disabling_path_halving_degrades_rounds():
@@ -84,11 +81,9 @@ def test_ablation_disabling_path_halving_degrades_rounds():
 def test_disconnecting_traversal_produces_valid_tree_on_comb():
     g = comb_with_back_edges(16, 8)
     tip = 16 + 8 * 16 - 1  # deepest vertex of the last tooth
-    parent, metrics, _ = run_reroot(g, [RerootTask(subtree_root=0, new_root=tip, attach=VIRTUAL_ROOT)])
+    parent, _, _ = run_reroot(g, [RerootTask(subtree_root=0, new_root=tip, attach=VIRTUAL_ROOT)])
     assert check_dfs_tree(g, parent) == []
     assert parent[tip] == VIRTUAL_ROOT
-    assert metrics["fallback_components"] == 0
-    assert metrics["invariant_merged_paths"] == 0
 
 
 def heavy_case_graph():
@@ -112,9 +107,7 @@ def test_heavy_subtree_traversal_is_exercised_and_correct():
         service = BruteForceQueryService(g, tree)
         metrics = MetricsRecorder()
         reduction = reduce_update(VertexDeletion(victim), tree, service, metrics=metrics)
-        engine = ParallelRerootEngine(
-            tree, service, adjacency=g.neighbor_list, metrics=metrics, validate=True
-        )
+        engine = ParallelRerootEngine(tree, service, metrics=metrics)
         assignment = engine.reroot_many(reduction.tasks)
         parent = tree.parent_map()
         parent.pop(victim)
@@ -125,7 +118,6 @@ def test_heavy_subtree_traversal_is_exercised_and_correct():
             exercised = True
     assert metrics_total["traversal_disconnecting"] > 0
     assert metrics_total["traversal_path_halving"] > 0
-    assert metrics_total["fallback_components"] == 0
     # The heavy-subtree scenarios are rare but must be reachable; if this ever
     # fails the workload below keeps the coverage.
     if not exercised:
@@ -162,7 +154,7 @@ def test_multiple_disjoint_tasks_processed_in_parallel_rounds():
     metrics = MetricsRecorder()
     reduction = reduce_update(VertexDeletion(0), tree, service, metrics=metrics)
     assert len(reduction.tasks) == 8
-    engine = ParallelRerootEngine(tree, service, adjacency=g2.neighbor_list, metrics=metrics, validate=True)
+    engine = ParallelRerootEngine(tree, service, metrics=metrics)
     assignment = engine.reroot_many(reduction.tasks)
     parent = tree.parent_map()
     parent.pop(0)
@@ -171,6 +163,26 @@ def test_multiple_disjoint_tasks_processed_in_parallel_rounds():
     # All eight arms progress in the same rounds: the round count is that of a
     # single arm (logarithmic), not eight times it.
     assert metrics["traversal_rounds"] <= 12
+
+
+class _NoEdgeService(QueryService):
+    """Answers every query with "no edge": the leftovers of the first
+    traversal then cannot hang from it, which breaks the C1/C2 invariant."""
+
+    def answer_batch(self, queries):
+        return [None] * len(queries)
+
+
+def test_invariant_violation_raises_where_detected():
+    """There is no repair mode: a leftover component with no edge to the
+    traversed path raises in Process-Comp, on the first traversal round."""
+    g = path_graph(12)
+    tree = DFSTree(static_dfs_forest(g), root=VIRTUAL_ROOT)
+    metrics = MetricsRecorder()
+    engine = ParallelRerootEngine(tree, _NoEdgeService(), metrics=metrics)
+    with pytest.raises(InvariantViolation, match="no edge to the traversed path"):
+        engine.reroot_many([RerootTask(subtree_root=0, new_root=11, attach=VIRTUAL_ROOT)])
+    assert metrics["traversal_rounds"] == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -183,9 +195,9 @@ def test_heavy_traversal_yd_covers_pc_connected_pieces():
     trees only; with ``p_c`` (and the other component trees) left out, a
     p-traversal could stop below an edge connecting ``p_c`` to the root path,
     leaving the untraversed root-path remainder adjacent to ``p_c`` — two path
-    pieces merged into one component, tripping ``Process-Comp`` under
-    ``validate=True``.  The exact ROADMAP workload: gnp n=120, seed=4, where
-    ``delete vertex 62`` arrives after two vertex insertions.
+    pieces merged into one component, tripping ``Process-Comp``.  The exact
+    ROADMAP workload: gnp n=120, seed=4, where ``delete vertex 62`` arrives
+    after two vertex insertions.
     """
     from repro.core.dynamic_dfs import FullyDynamicDFS
     from repro.workloads.updates import vertex_churn
@@ -195,7 +207,7 @@ def test_heavy_traversal_yd_covers_pc_connected_pieces():
     assert updates[4].describe() == "delete vertex 62"  # after two insertions
     dyn = FullyDynamicDFS(graph, validate=True)
     for upd in updates:
-        dyn.apply(upd)  # validate=True raises on any C1/C2 violation
+        dyn.apply(upd)  # any C1/C2 violation raises InvariantViolation
     assert dyn.is_valid()
 
 

@@ -18,6 +18,7 @@ import pytest
 from tools.lint import DEFAULT_PATHS, MAX_SUPPRESSIONS, build_linter
 from tools.lint.cli import main
 from tools.lint.registry import REGISTRY_REL
+from tools.lint.rules.public_api import KNOB_DOCS, PUBLIC_API
 
 from tests.lint.conftest import FIXTURES, REPO_ROOT, load_fixture
 
@@ -35,6 +36,20 @@ def baseline():
 def test_tree_lints_clean(baseline):
     assert baseline.findings == [], "\n".join(
         d.format() for d in baseline.findings)
+
+
+def test_public_api_paths_exist():
+    """The public-api rule only sees modules listed in PUBLIC_API; a listed
+    module that moved would drop out of the clean baseline unnoticed."""
+    for rel in PUBLIC_API:
+        assert (REPO_ROOT / rel).is_file(), rel
+
+
+def test_knob_classes_are_on_the_surface():
+    """The api-knob check only runs on classes listed in PUBLIC_API."""
+    surface = {name for names in PUBLIC_API.values() for name in names}
+    for cls in KNOB_DOCS:
+        assert cls in surface, cls
 
 
 def test_suppression_allowlist_pinned(baseline):
