@@ -13,8 +13,8 @@ traversal routines carve paths out of these pieces and re-assemble the
 leftovers into new components via ``Process-Comp``.
 
 The classes below also carry the bookkeeping the engine needs: the component's
-designated root ``r_c`` (where the DFS of the component will start), the vertex
-of ``T*`` it will hang from, and its phase/stage counters.
+designated root ``r_c`` (where the DFS of the component will start) and the
+vertex of ``T*`` it will hang from.
 """
 
 from __future__ import annotations
@@ -111,17 +111,12 @@ class Component:
         The vertex of the partially built tree ``T*`` that ``rc`` will hang
         from (``None`` only for the initial rerooting task whose root hangs
         from a vertex outside the rerooted subtree, supplied by the caller).
-    phase / stage:
-        The phase and stage counters of Section 4 (bookkeeping for metrics and
-        for the dispatch thresholds).
     """
 
     trees: List[TreePiece] = field(default_factory=list)
     path: Optional[PathPiece] = None
     rc: Optional[Vertex] = None
     attach: Optional[Vertex] = None
-    phase: int = 1
-    stage: int = 1
 
     # ------------------------------------------------------------------ #
     # Typing / sizes
@@ -190,8 +185,7 @@ class Component:
         parts = [p.describe() for p in self.pieces()]
         return (
             f"Component(kind={self.kind}, rc={self.rc!r}, attach={self.attach!r}, "
-            f"phase={self.phase}, stage={self.stage}, size={self.size(tree)}, "
-            f"pieces=[{', '.join(parts)}])"
+            f"size={self.size(tree)}, pieces=[{', '.join(parts)}])"
         )
 
 

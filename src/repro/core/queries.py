@@ -22,15 +22,18 @@ path" (Section 2 of the paper).  The engines express those queries as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.tree_utils import ancestor_descendant_segments
+from repro.tree.tree_utils import ancestor_descendant_segments, segment_orientation
 
 Vertex = Hashable
 Answer = Optional[Tuple[Vertex, Vertex]]  # (source endpoint, target/path endpoint)
+#: A source piece as ``(top, bottom)`` vertical runs of ``D``'s base tree,
+#: with its membership test.
+SourceRuns = Tuple[List[Tuple[Vertex, Vertex]], Callable[[Vertex], bool]]
 
 
 @dataclass
@@ -186,6 +189,58 @@ class BruteForceQueryService(QueryService):
         return best
 
 
+class _Segment:
+    """One maximal ancestor–descendant run of a target path in ``D``'s base
+    tree, with what every range search against it needs."""
+
+    __slots__ = ("vertices", "contains", "top", "bottom", "bottom_first", "bottom_last")
+
+    def __init__(self, tree: DFSTree, vertices: List[Vertex]) -> None:
+        self.vertices = vertices
+        self.contains = set(vertices).__contains__
+        self.top, self.bottom = segment_orientation(tree, vertices)
+        # Positions on the target path are monotone inside a segment, so a
+        # query preferring the target's last (first) vertex prefers the
+        # segment's bottom exactly when its last (first) vertex is the bottom.
+        self.bottom_first = vertices[0] == self.bottom
+        self.bottom_last = vertices[-1] == self.bottom
+
+
+class _TargetPlan:
+    """What the queries on one target need from ``D``'s base tree.
+
+    A pure function of the base tree and the target, so
+    :meth:`DQueryService.answer_batch` builds it once per distinct target and
+    every query of the batch on an equal target reuses it: the position map,
+    the target vertices the base tree does not know (inserted since ``D`` was
+    built), and the maximal ancestor–descendant segments of the others — both
+    lists in target order.
+    """
+
+    __slots__ = ("pos", "unknown", "segments")
+
+    def __init__(self, tree: DFSTree, target: Sequence[Vertex]) -> None:
+        self.pos = _position_map(target)
+        known: List[Vertex] = []
+        self.unknown: List[Vertex] = []
+        for v in target:
+            (known if v in tree else self.unknown).append(v)
+        self.segments = [_Segment(tree, seg) for seg in ancestor_descendant_segments(tree, known)]
+
+
+class _Tally:
+    """The counts of one :meth:`DQueryService.answer_batch` call, summed here
+    and recorded once instead of one counter call per query and per range
+    search."""
+
+    __slots__ = ("queries", "segments", "max_segments", "searches", "probes", "reanchors", "reanchor_probes")
+
+    def __init__(self) -> None:
+        self.queries = self.segments = self.max_segments = 0
+        self.searches = self.probes = 0
+        self.reanchors = self.reanchor_probes = 0
+
+
 class DQueryService(QueryService):
     """Answers query batches from the data structure ``D`` (Theorems 8–9).
 
@@ -194,6 +249,14 @@ class DQueryService(QueryService):
     ``O(log^2 n)`` per elapsed update for the fault-tolerant / amortized
     setting — Theorem 9); inside a segment each source vertex performs one
     post-order range search.
+
+    Cost of a query round: :meth:`answer_batch` walks each distinct target of
+    the batch once (its position map, its vertices unknown to the base tree
+    and its segments), and each query then pays its source size × range
+    searches, plus its segments.  ``Process-Comp`` sends all of its pieces
+    against one shared target, so a round pays that target once, not once per
+    piece.  The round's counters are summed as it runs and recorded once, with
+    the totals and maxima that counting query by query would give.
 
     Answers are *canonical*: the target endpoint is the target vertex nearest
     the preferred end that has any alive edge to the source piece, and the
@@ -234,52 +297,71 @@ class DQueryService(QueryService):
         if self._metrics is not None:
             self._metrics.inc("query_batches")
             self._metrics.inc("queries", len(queries))
-        return [self._answer_one(q) for q in queries]
+        plans: Dict[Tuple[Vertex, ...], _TargetPlan] = {}
+        tally = _Tally()
+        answers: List[Answer] = []
+        try:
+            for q in queries:
+                plan = plans.get(q.target)
+                if plan is None:
+                    plan = plans[q.target] = _TargetPlan(self._tree, q.target)
+                answers.append(self._answer_one(q, plan, tally))
+        finally:
+            self._record(tally)
+        return answers
+
+    def _record(self, tally: _Tally) -> None:
+        """Record one batch's counts."""
+        metrics = self._metrics
+        if tally.queries:
+            # Feed the divergence EWMA the absorb-mode auto-rebase policy watches.
+            self._d.note_query_segments(tally.segments, tally.queries)
+            if metrics is not None:
+                metrics.inc("d_target_segments", tally.segments)
+                metrics.observe_max("d_target_segments_per_query", tally.max_segments)
+                if self._source_tree is not self._tree:
+                    metrics.inc("d_overlay_view_queries", tally.queries)
+        self._d.count_searches(tally.searches, tally.probes)
+        if metrics is not None and tally.reanchors:
+            metrics.inc("d_reanchor_probes", tally.reanchor_probes)
 
     # ------------------------------------------------------------------ #
-    def _answer_one(self, q: EdgeQuery) -> Answer:
-        tree = self._tree
-        pos = _position_map(q.target)
+    def _answer_one(self, q: EdgeQuery, plan: _TargetPlan, tally: _Tally) -> Answer:
         source_list = q.source_vertex_list(self._source_tree)
+        segments = max(len(plan.segments), 1)
+        tally.queries += 1
+        tally.segments += segments
+        tally.max_segments = max(tally.max_segments, segments)
 
-        known = [v for v in q.target if v in tree]
-        unknown = [v for v in q.target if v not in tree]
-        segments = ancestor_descendant_segments(tree, known) if known else []
-        # Feed the divergence EWMA the absorb-mode auto-rebase policy watches.
-        self._d.note_query_segments(max(len(segments), 1))
-        if self._metrics is not None:
-            self._metrics.inc("d_target_segments", max(len(segments), 1))
-            self._metrics.observe_max("d_target_segments_per_query", max(len(segments), 1))
-            if self._source_tree is not self._tree:
-                self._metrics.inc("d_overlay_view_queries")
+        # The role-reversed sweep (see _probe_segment) searches the source
+        # piece as vertical runs of the base tree; decompose it once per query.
+        reverse = None
+        if plan.segments and (q.source_kind != "tree" or self._source_tree is not self._tree):
+            reverse = self._source_runs(source_list)
 
         # Segments are contiguous runs of the target path, so their position
         # intervals are disjoint and ordered: probe them starting from the
         # preferred end and stop at the first hit — no later segment can hold
         # a better position.
-        ordered_segments = sorted(
-            segments,
-            key=lambda seg: pos[seg[-1]] if q.prefer_last else -pos[seg[0]],
-            reverse=True,
-        )
         best: Answer = None
-        for seg in ordered_segments:
-            found = self._probe_segment(q, seg, pos, source_list)
-            best = _better(pos, q.prefer_last, best, found)
-            if found is not None:
+        for seg in reversed(plan.segments) if q.prefer_last else plan.segments:
+            best = self._probe_segment(q, seg, plan.pos, source_list, reverse, tally)
+            if best is not None:
                 break
 
         # Target vertices that the base tree does not know about (vertices
         # inserted since D was built) are handled by scanning their overlay
         # adjacency — there are at most k of them.
-        if unknown:
-            unknown_hit = self._probe_unknown_targets(q, unknown, pos, source_list)
-            best = _better(pos, q.prefer_last, best, unknown_hit)
+        if plan.unknown:
+            unknown_hit = self._probe_unknown_targets(q, plan.unknown, source_list)
+            best = _better(plan.pos, q.prefer_last, best, unknown_hit)
         if best is None:
             return None
-        return self._canonical_answer(q, best, source_list)
+        return self._canonical_answer(q, best, source_list, tally)
 
-    def _canonical_answer(self, q: EdgeQuery, best: Answer, source_list: List[Vertex]) -> Answer:
+    def _canonical_answer(
+        self, q: EdgeQuery, best: Answer, source_list: List[Vertex], tally: _Tally
+    ) -> Answer:
         """Fix the source endpoint to the piece vertex with the smallest
         post-order number (in the *current* tree) having an alive edge to the
         chosen target vertex.
@@ -335,8 +417,8 @@ class DQueryService(QueryService):
                 r = src_tree.postorder(w)
                 if best_rank is None or r < best_rank:
                     canonical, best_rank = w, r
-        if self._metrics is not None:
-            self._metrics.inc("d_reanchor_probes", max(probes, 1))
+        tally.reanchors += 1
+        tally.reanchor_probes += max(probes, 1)
         if canonical is not None:
             return (canonical, t_star)
         return best
@@ -372,30 +454,39 @@ class DQueryService(QueryService):
             self._metrics.inc("d_reanchor_probes", max(probes, 1))
         return best
 
-    def _probe_segment(
-        self, q: EdgeQuery, seg: List[Vertex], pos: Dict[Vertex, int], source_list: List[Vertex]
-    ) -> Answer:
+    def _source_runs(self, source_list: List[Vertex]) -> SourceRuns:
+        """The source piece as vertical runs of the base tree."""
         tree = self._tree
-        seg_set = set(seg)
-        top, bottom = (seg[0], seg[-1]) if tree.level(seg[0]) <= tree.level(seg[-1]) else (seg[-1], seg[0])
-        # Inside the segment, positions on the target path are monotone, so the
-        # preferred end of the target corresponds to either the segment's top or
-        # bottom endpoint.
-        preferred_vertex = seg[-1] if q.prefer_last else seg[0]
-        prefer_bottom = preferred_vertex == bottom
+        src_known = [v for v in source_list if v in tree]
+        runs = [segment_orientation(tree, run) for run in ancestor_descendant_segments(tree, src_known)]
+        return runs, set(source_list).__contains__
 
-        def on_segment(w: Vertex) -> bool:
-            return w in seg_set
+    def _probe_segment(
+        self,
+        q: EdgeQuery,
+        seg: _Segment,
+        pos: Dict[Vertex, int],
+        source_list: List[Vertex],
+        reverse: Optional[SourceRuns],
+        tally: _Tally,
+    ) -> Answer:
+        search = self._d.search_segment
+        prefer_last = q.prefer_last
+        top, bottom, on_segment = seg.top, seg.bottom, seg.contains
+        prefer_bottom = seg.bottom_last if prefer_last else seg.bottom_first
 
         best: Answer = None
+        probes = 0
         # Direct direction: every source vertex searches its sorted list for a
         # neighbour on the segment (finds edges whose target endpoint is a
         # base-tree ancestor of the source vertex — the only possibility for
         # subtree sources in the fully dynamic setting).
         for u in source_list:
-            w = self._d.neighbor_on_segment(u, top, bottom, prefer_bottom=prefer_bottom, on_segment=on_segment)
+            w, p = search(u, top, bottom, prefer_bottom, on_segment)
+            probes += p
             if w is not None:
-                best = _better(pos, q.prefer_last, best, (u, w))
+                best = _better(pos, prefer_last, best, (u, w))
+        searches = len(source_list)
 
         # Reversed direction: every segment vertex searches for a neighbour on
         # the source piece.  Needed when the source may contain base-tree
@@ -404,44 +495,28 @@ class DQueryService(QueryService):
         # where pieces are subtrees/paths of the current tree T*_{i-1} rather
         # than of D's base tree (Theorem 9).  The source is decomposed into
         # vertical runs of the base tree so each probe stays a range search.
-        overlay_view = self._source_tree is not self._tree
-        if q.source_kind in ("path", "vertices") or overlay_view:
-            src_known = [v for v in source_list if v in tree]
-            src_set = set(source_list)
-
-            def on_source(w: Vertex) -> bool:
-                return w in src_set
-
-            src_segments = ancestor_descendant_segments(tree, src_known) if src_known else []
-            src_ranges = []
-            for s_seg in src_segments:
-                s_top, s_bottom = (
-                    (s_seg[0], s_seg[-1])
-                    if tree.level(s_seg[0]) <= tree.level(s_seg[-1])
-                    else (s_seg[-1], s_seg[0])
-                )
-                src_ranges.append((s_top, s_bottom))
-
-            iteration = reversed(seg) if preferred_vertex == seg[-1] else seg
-            for t in iteration:
+        if reverse is not None:
+            src_runs, on_source = reverse
+            for t in reversed(seg.vertices) if prefer_last else seg.vertices:
                 hit = None
-                for s_top, s_bottom in src_ranges:
-                    hit = self._d.neighbor_on_segment(
-                        t, s_top, s_bottom, prefer_bottom=True, on_segment=on_source
-                    )
+                for s_top, s_bottom in src_runs:
+                    hit, p = search(t, s_top, s_bottom, True, on_source)
+                    searches += 1
+                    probes += p
                     if hit is not None:
                         break
                 if hit is not None:
-                    best = _better(pos, q.prefer_last, best, (hit, t))
+                    best = _better(pos, prefer_last, best, (hit, t))
                     break
+        tally.searches += searches
+        tally.probes += probes
         return best
 
     def _probe_unknown_targets(
-        self, q: EdgeQuery, unknown: List[Vertex], pos: Dict[Vertex, int], source_list: List[Vertex]
+        self, q: EdgeQuery, unknown: List[Vertex], source_list: List[Vertex]
     ) -> Answer:
         source_set = set(source_list)
-        ordered = sorted(unknown, key=pos.__getitem__, reverse=q.prefer_last)
-        for t in ordered:
+        for t in reversed(unknown) if q.prefer_last else unknown:
             for w in self._d.neighbors_of(t):
                 if w in source_set:
                     return (w, t)

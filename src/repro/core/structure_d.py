@@ -271,18 +271,19 @@ class StructureD:
         """Number of pinned cross entries left behind by :meth:`absorb_overlays`."""
         return sum(len(lst) for lst in self._cross_edges.values())
 
-    def note_query_segments(self, segments: int) -> None:
-        """Record one query's target-segment count for the divergence EWMA.
+    def note_query_segments(self, segments: int, queries: int) -> None:
+        """Record the target-segment count of *queries* queries for the
+        divergence EWMA.
 
-        Called by :class:`~repro.core.queries.DQueryService` for every query it
-        decomposes.  Under absorb maintenance the base tree is frozen, so as
-        the current tree drifts away from it each target path shatters into
-        more and more base-tree segments; this per-query cost is the signal
-        the auto-rebase policy of
+        Called by :class:`~repro.core.queries.DQueryService` once per batch
+        with the batch's segment total.  Under absorb maintenance the base
+        tree is frozen, so as the current tree drifts away from it each
+        target path shatters into more and more base-tree segments; this
+        per-query cost is the signal the auto-rebase policy of
         :class:`~repro.core.dynamic_dfs.DStructureBackend` thresholds on.
         """
         self._segments_since += segments
-        self._queries_since += 1
+        self._queries_since += queries
 
     def fold_segment_sample(self) -> None:
         """Fold the queries recorded since the last fold into the EWMA.
@@ -474,6 +475,37 @@ class StructureD:
         ``on_segment(w)`` may be supplied to verify candidates (used when the
         overlay contains edges that are cross edges w.r.t. the base tree); by
         default membership is decided by the base tree's ancestor intervals.
+
+        Counts one search under ``d_vertex_queries`` and its probes under
+        ``d_probes``; :meth:`search_segment` is the same search uncounted.
+        """
+        best, probes = self.search_segment(u, top, bottom, prefer_bottom, on_segment)
+        self.count_searches(1, probes)
+        return best
+
+    def count_searches(self, searches: int, probes: int) -> None:
+        """Record *searches* range searches that charged *probes* probes.
+
+        :class:`~repro.core.queries.DQueryService` sums what
+        :meth:`search_segment` returns and records it here once per batch.
+        """
+        if self._metrics is not None and searches:
+            self._metrics.inc("d_vertex_queries", searches)
+            self._metrics.inc("d_probes", probes)
+
+    def search_segment(
+        self,
+        u: Vertex,
+        top: Vertex,
+        bottom: Vertex,
+        prefer_bottom: bool,
+        on_segment,
+    ) -> Tuple[Optional[Vertex], int]:
+        """Uncounted core of :meth:`neighbor_on_segment`.
+
+        Returns ``(neighbour, probes)``: the neighbour :meth:`neighbor_on_segment`
+        would return and the probes the search charges — the adjacency
+        entries it touched, at least 1.
         """
         tree = self._tree
         if on_segment is None:
@@ -543,10 +575,7 @@ class StructureD:
             if (prefer_bottom and w_level > best_level) or (not prefer_bottom and w_level < best_level):
                 best = w
                 best_level = w_level
-        if self._metrics is not None:
-            self._metrics.inc("d_vertex_queries")
-            self._metrics.inc("d_probes", max(probes, 1))
-        return best
+        return best, max(probes, 1)
 
     def _segment_depth(self, w: Vertex) -> int:
         try:

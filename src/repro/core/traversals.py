@@ -155,7 +155,6 @@ class TraversalPlanner:
     # ------------------------------------------------------------------ #
     def _process_comp(
         self,
-        comp: Component,
         pstar: List[Vertex],
         leftover_paths: List[Optional[PathPiece]],
         leftover_trees: List[TreePiece],
@@ -248,11 +247,9 @@ class TraversalPlanner:
                     "leftover pieces violate the C1/C2 invariant: "
                     + ", ".join(p.describe() for p in grp["paths"])
                 )
-            new_components.append(
-                Component(trees=grp["trees"], path=grp["paths"][0], phase=comp.phase + 1)
-            )
+            new_components.append(Component(trees=grp["trees"], path=grp["paths"][0]))
         for t in loose_trees:
-            new_components.append(Component(trees=[t], path=None, phase=comp.phase + 1))
+            new_components.append(Component(trees=[t], path=None))
 
         # --- 4. Find each new component's lowest edge on pstar. --------------
         root_queries: List[EdgeQuery] = []
@@ -312,7 +309,7 @@ class TraversalPlanner:
         leftover_trees = self._hanging_within(tau, covered)
         leftover_trees.extend(t for t in comp.trees if t is not tau)
 
-        new_components = yield from self._process_comp(comp, pstar, leftover_paths, leftover_trees)
+        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
         return StepResult(pstar=pstar, new_components=new_components, traversal="disintegrating")
 
     # ------------------------------------------------------------------ #
@@ -329,7 +326,7 @@ class TraversalPlanner:
             pstar = pc[i:]
             remainder = pc[:i]
         leftover_paths = [PathPiece(remainder)] if remainder else []
-        new_components = yield from self._process_comp(comp, pstar, leftover_paths, list(comp.trees))
+        new_components = yield from self._process_comp(pstar, leftover_paths, list(comp.trees))
         return StepResult(pstar=pstar, new_components=new_components, traversal="path_halving")
 
     def _path_full_walk(self, comp: Component) -> TraversalGen:
@@ -345,7 +342,7 @@ class TraversalPlanner:
             pstar = pc[i:]
             remainder = pc[:i]
         leftover_paths = [PathPiece(remainder)] if remainder else []
-        new_components = yield from self._process_comp(comp, pstar, leftover_paths, list(comp.trees))
+        new_components = yield from self._process_comp(pstar, leftover_paths, list(comp.trees))
         return StepResult(pstar=pstar, new_components=new_components, traversal="path_full_walk")
 
     # ------------------------------------------------------------------ #
@@ -402,7 +399,7 @@ class TraversalPlanner:
         leftover_trees = self._hanging_within(tau, covered)
         leftover_trees.extend(t for t in comp.trees if t is not tau)
 
-        new_components = yield from self._process_comp(comp, pstar, leftover_paths, leftover_trees)
+        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
         return StepResult(pstar=pstar, new_components=new_components, traversal="disconnecting")
 
     # ------------------------------------------------------------------ #
@@ -464,7 +461,7 @@ class TraversalPlanner:
             pstar = list(root_path)
             leftover_trees = list(hanging_root)
             leftover_trees.extend(t for t in comp.trees if t is not tau)
-            new_components = yield from self._process_comp(comp, pstar, [pc], leftover_trees)
+            new_components = yield from self._process_comp(pstar, [pc], leftover_trees)
             return StepResult(pstar=pstar, new_components=new_components, traversal="heavy_l")
 
         # ------------------------------------------------------------------ #
@@ -703,10 +700,8 @@ class TraversalPlanner:
 
         if scenario == "heavy_p":
             self.metrics.inc("heavy_p_committed")
-        elif scenario == "heavy_r":
-            self.metrics.inc("heavy_r_committed")
         else:
-            self.metrics.inc("heavy_special_committed")
+            self.metrics.inc("heavy_r_committed")
         result = yield from self._commit_heavy(
             comp, tau, v_l, x_star, y_star, pc,
             scenario=scenario, walk_down=walk_down, r_prime=r_prime, root_path=root_path,
@@ -745,5 +740,5 @@ class TraversalPlanner:
         leftover_trees = self._hanging_within(tau, covered)
         leftover_trees.extend(t for t in comp.trees if t is not tau)
 
-        new_components = yield from self._process_comp(comp, pstar, leftover_paths, leftover_trees)
+        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
         return StepResult(pstar=pstar, new_components=new_components, traversal=scenario)

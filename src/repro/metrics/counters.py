@@ -99,7 +99,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "heavy_special_case": "heavy traversals resolved through the special case",
     "heavy_p_committed": "heavy traversals that committed the p-walk",
     "heavy_r_committed": "heavy traversals that committed the r-walk",
-    "heavy_special_committed": "heavy traversals that committed the special-case walk",
     # Sequential baseline engines
     "sequential_reroot_steps": "edges walked by the sequential reroot engine",
     "max_sequential_chain_depth": "deepest reroot chain the sequential engine followed",

@@ -1,21 +1,33 @@
-"""DQueryService must agree with the brute-force oracle on random queries."""
+"""DQueryService must agree with the brute-force oracle on random queries,
+on both backends, and answer a batch exactly as it answers its queries one
+at a time."""
 
 import random
 
 import pytest
 
+from repro.backends import HAVE_NUMPY, native_graph, structure_class
+from repro.core.overlay import apply_update
 from repro.core.queries import BruteForceQueryService, DQueryService, EdgeQuery
 from repro.core.structure_d import StructureD
+from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexInsertion
 from repro.graph.generators import gnp_random_graph
+from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import static_dfs_tree
+from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
+from repro.tree.tree_utils import hanging_subtrees
+
+#: Backends whose ``D`` the oracle tests query (the array core needs numpy).
+BACKENDS = ("dict", "array") if HAVE_NUMPY else ("dict",)
 
 
 def build(seed=0, n=45, p=0.1):
+    """Graph, tree, one DQueryService per backend, and the oracle."""
     g = gnp_random_graph(n, p, seed=seed, connected=True)
     tree = DFSTree(static_dfs_tree(g, 0), root=0)
-    d = StructureD(g, tree)
-    return g, tree, DQueryService(d), BruteForceQueryService(g, tree)
+    fast = [DQueryService(structure_class(b)(native_graph(g, b), tree)) for b in BACKENDS]
+    return g, tree, fast, BruteForceQueryService(g, tree)
 
 
 def random_vertical_path(tree, rng):
@@ -29,12 +41,13 @@ def random_vertical_path(tree, rng):
     return list(reversed(seg))  # top .. bottom
 
 
-def assert_same_position(q, a, b):
-    pos = {v: i for i, v in enumerate(q.target)}
-    if a is None or b is None:
-        assert a is None and b is None
-    else:
-        assert pos[a[1]] == pos[b[1]], (a, b)
+def assert_same_answers(queries, fast, brute):
+    """Canonical answers fix both endpoints, so each backend's answers equal
+    the oracle's exactly."""
+    expected = brute.answer_batch(queries)
+    for service in fast:
+        for q, got, want in zip(queries, service.answer_batch(queries), expected):
+            assert got == want, (q, got, want)
 
 
 def test_edge_query_validation():
@@ -63,10 +76,7 @@ def test_tree_source_queries_match_oracle():
             queries.append(
                 EdgeQuery.from_tree(root, tuple(target), prefer_last=rng.random() < 0.5)
             )
-        fast_answers = fast.answer_batch(queries)
-        brute_answers = brute.answer_batch(queries)
-        for q, fa, ba in zip(queries, fast_answers, brute_answers):
-            assert_same_position(q, fa, ba)
+        assert_same_answers(queries, fast, brute)
 
 
 def test_path_source_queries_match_oracle():
@@ -82,8 +92,7 @@ def test_path_source_queries_match_oracle():
             if not tgt:
                 continue
             queries.append(EdgeQuery.from_path(tuple(src), tuple(tgt), prefer_last=rng.random() < 0.5))
-        for q, fa, ba in zip(queries, fast.answer_batch(queries), brute.answer_batch(queries)):
-            assert_same_position(q, fa, ba)
+        assert_same_answers(queries, fast, brute)
 
 
 def test_composite_target_paths():
@@ -104,8 +113,7 @@ def test_composite_target_paths():
         if not target:
             continue
         queries.append(EdgeQuery.from_tree(root, tuple(target), prefer_last=True))
-    for q, fa, ba in zip(queries, fast.answer_batch(queries), brute.answer_batch(queries)):
-        assert_same_position(q, fa, ba)
+    assert_same_answers(queries, fast, brute)
 
 
 def test_single_vertex_source():
@@ -118,13 +126,10 @@ def test_single_vertex_source():
         if not target:
             continue
         queries.append(EdgeQuery.from_vertices((v,), tuple(target), prefer_last=rng.random() < 0.5))
-    for q, fa, ba in zip(queries, fast.answer_batch(queries), brute.answer_batch(queries)):
-        assert_same_position(q, fa, ba)
+    assert_same_answers(queries, fast, brute)
 
 
 def test_metrics_counting():
-    from repro.metrics.counters import MetricsRecorder
-
     g, tree, _, _ = build(seed=2)
     d = StructureD(g, tree)
     metrics = MetricsRecorder()
@@ -133,3 +138,127 @@ def test_metrics_counting():
     service.answer_batch([q, q])
     assert metrics["query_batches"] == 1
     assert metrics["queries"] == 2
+
+
+def test_unknown_targets_answer_from_the_preferred_end():
+    # Two vertices inserted after D was built: the base tree knows neither,
+    # so both are answered from the overlay scan, nearest the preferred end.
+    g = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3)])
+    d = StructureD(g, DFSTree(static_dfs_tree(g, 0), root=0))
+    for update in (VertexInsertion("a", (3,)), VertexInsertion("b", ("a", 3))):
+        apply_update(g, update, d)
+    current = DFSTree(static_dfs_tree(g, 0), root=0)
+    service = DQueryService(d, source_tree=current)
+    for prefer_last, expected in ((True, (3, "b")), (False, (3, "a"))):
+        q = EdgeQuery.from_vertices((3,), ("a", "b"), prefer_last=prefer_last)
+        assert service.answer(q) == expected
+        assert BruteForceQueryService(g, current).answer(q) == expected
+
+
+# --------------------------------------------------------------------------- #
+# Batches whose pieces share a target
+# --------------------------------------------------------------------------- #
+NEW_VERTEX = 100
+
+
+def shared_target_service(backend, overlay):
+    """A fresh ``D``, its query service and their recorder.
+
+    With *overlay*, ``D`` first records two edge deletions, two edge
+    insertions and one vertex insertion as Theorem 9 overlays, and the
+    service takes its pieces from a DFS tree of the updated graph rooted
+    elsewhere, so targets split into several base-tree segments and one
+    target vertex is unknown to the base tree.
+    """
+    g = native_graph(gnp_random_graph(40, 0.1, seed=8, connected=True), backend)
+    base = DFSTree(static_dfs_tree(g, 0), root=0)
+    metrics = MetricsRecorder(strict=True)
+    d = structure_class(backend)(g, base, metrics=metrics)
+    current = base
+    if overlay:
+        back_edges = [(u, v) for u, v in g.edges() if base.parent(u) != v and base.parent(v) != u]
+        absent = [(u, u + 9) for u in range(0, 30, 3) if not g.has_edge(u, u + 9)]
+        updates = [
+            EdgeDeletion(*back_edges[0]),
+            EdgeDeletion(*back_edges[-1]),
+            EdgeInsertion(*absent[0]),
+            EdgeInsertion(*absent[-1]),
+            VertexInsertion(NEW_VERTEX, (4, 17, 33)),
+        ]
+        for update in updates:
+            apply_update(g, update, d)
+        current = DFSTree(static_dfs_tree(g, 17), root=17)
+    service = DQueryService(d, source_tree=current, metrics=metrics)
+    return g, current, d, service, metrics
+
+
+def shared_target_batch(tree, starts):
+    """One batch: per start vertex, tree, path and single-vertex pieces (the
+    subtrees hanging off the start's root path) query that root path — half
+    of them through the same tuple object, half through an equal but
+    distinct tuple — with mixed ``prefer_last``."""
+    queries = []
+    for start in starts:
+        target = tuple(tree.ancestor_path(start, tree.root))
+        twin = tuple(list(target))
+        assert twin == target and twin is not target
+        for i, h in enumerate(hanging_subtrees(tree, target)):
+            piece = tree.subtree_vertices(h)
+            shared = target if i % 2 else twin
+            prefer_last = i % 4 < 2
+            if i % 3 == 0:
+                queries.append(EdgeQuery.from_tree(h, shared, prefer_last=prefer_last))
+            elif i % 3 == 1:
+                bottom = max(piece, key=tree.level)
+                queries.append(EdgeQuery.from_path(tree.ancestor_path(bottom, h), shared, prefer_last=prefer_last))
+            else:
+                queries.append(EdgeQuery.from_vertices(piece[-1:], shared, prefer_last=prefer_last))
+    return queries
+
+
+def batch_and_counts(backend, overlay, one_at_a_time):
+    g, tree, d, service, metrics = shared_target_service(backend, overlay)
+    # The two root paths with the most hanging subtrees; in the overlay view
+    # the second is the inserted vertex's root path.
+    starts = sorted(
+        tree.vertices(), key=lambda v: -len(hanging_subtrees(tree, tree.ancestor_path(v, tree.root)))
+    )[:2]
+    if overlay:
+        starts[1] = NEW_VERTEX
+    queries = shared_target_batch(tree, starts)
+    if one_at_a_time:
+        answers = [service.answer(q) for q in queries]
+    else:
+        answers = service.answer_batch(queries)
+    d.fold_segment_sample()
+    counts = metrics.as_dict()
+    return g, tree, queries, answers, counts, d.avg_target_segments()
+
+
+@pytest.mark.parametrize("overlay", [False, True], ids=["fresh", "overlay_view"])
+@pytest.mark.parametrize("backend", ["dict", "array"])
+def test_shared_target_batch_equals_one_query_at_a_time(backend, overlay):
+    if backend == "array" and not HAVE_NUMPY:
+        pytest.skip("the array backend needs numpy")
+    g, tree, queries, batched, counts, ewma = batch_and_counts(backend, overlay, False)
+    _, _, _, single, single_counts, single_ewma = batch_and_counts(backend, overlay, True)
+
+    assert {q.source_kind for q in queries} == {"tree", "path", "vertices"}
+    assert {q.prefer_last for q in queries} == {True, False}
+    assert len({id(q.target) for q in queries}) == 4  # two targets, each as two tuples
+    assert batched == single
+    assert batched == BruteForceQueryService(g, tree).answer_batch(queries)
+    assert sum(a is not None for a in batched) > len(queries) // 2
+
+    # One batch, or one batch per query: every other count agrees exactly.
+    assert counts.pop("query_batches") == 1
+    assert single_counts.pop("query_batches") == len(queries)
+    assert counts == single_counts
+    assert ewma == single_ewma
+    assert counts["queries"] == len(queries)
+    assert counts["d_probes"] >= counts["d_vertex_queries"] > 0  # a search charges >= 1 probe
+    if overlay:
+        assert counts["max_d_target_segments_per_query"] > 1
+        assert counts["d_overlay_view_queries"] == len(queries)
+    else:
+        assert "d_overlay_view_queries" not in counts
