@@ -15,6 +15,11 @@ The benchmark runs the ``sustained_churn`` scenario under three policies
 * the amortized policy performs at least ``5x`` fewer ``build_d`` rebuilds
   than the per-update policy on a 100-update churn workload;
 * the final parent maps of all policies are identical on every tested seed.
+
+Next to each policy's rebuild work the table records its range searches per
+update (``d_vertex_queries``): the auto policy rebuilds whenever the
+committed tree moves, paying build work to keep every query on the direct
+range search of a ``D`` over the current tree.
 """
 
 from __future__ import annotations
@@ -47,9 +52,10 @@ def test_amortized_policy_rebuild_work(benchmark):
     seeds = [0, 1, 2]
     rebuilds_per_update, rebuilds_amortized = [], []
     work_per_update, work_amortized, work_auto = [], [], []
+    searches_per_update, searches_amortized, searches_auto = [], [], []
     overlay_peak = []
     for n in sizes:
-        r1 = rk = w1 = wk = wa = peak = 0.0
+        r1 = rk = w1 = wk = wa = s1 = sk = sa = peak = 0.0
         for seed in seeds:
             scenario = build_scenario("sustained_churn", n=n, seed=seed, updates=UPDATES)
             tree1, d1 = _run_policy(scenario, 1)
@@ -67,6 +73,9 @@ def test_amortized_policy_rebuild_work(benchmark):
             w1 += d1["d_build_work"]
             wk += dk["d_build_work"]
             wa += da["d_build_work"]
+            s1 += d1["d_vertex_queries"]
+            sk += dk["d_vertex_queries"]
+            sa += da["d_vertex_queries"]
             peak = max(peak, dk.get("max_overlay_size", 0))
         count = len(seeds)
         rebuilds_per_update.append(round(r1 / count, 1))
@@ -74,6 +83,9 @@ def test_amortized_policy_rebuild_work(benchmark):
         work_per_update.append(round(w1 / count / UPDATES, 1))
         work_amortized.append(round(wk / count / UPDATES, 1))
         work_auto.append(round(wa / count / UPDATES, 1))
+        searches_per_update.append(round(s1 / count / UPDATES, 1))
+        searches_amortized.append(round(sk / count / UPDATES, 1))
+        searches_auto.append(round(sa / count / UPDATES, 1))
         overlay_peak.append(peak)
 
     record_table(
@@ -86,6 +98,9 @@ def test_amortized_policy_rebuild_work(benchmark):
             "build_work_per_update_policy": work_per_update,
             f"build_work_rebuild_every_{K}": work_amortized,
             "build_work_auto_policy": work_auto,
+            "range_searches_per_update_policy": searches_per_update,
+            f"range_searches_rebuild_every_{K}": searches_amortized,
+            "range_searches_auto_policy": searches_auto,
             "max_overlay_size": overlay_peak,
         },
     )

@@ -30,9 +30,13 @@ touching the sorted lists.  The ``rebuild_every`` knob exploits that gap:
 * ``rebuild_every=k`` — every ``k``-th update rebuilds ``D``; the ``k - 1``
   updates in between are served from overlays, so the amortized rebuild work
   drops to ``O(m / k)`` per update while every query pays ``O(k)`` extra;
-* ``rebuild_every=None`` (default) — auto-tuned: ``D`` is rebuilt once the
-  overlay grows past ``~sqrt(2m)`` entries, balancing rebuild work against
-  per-query overlay cost under the actual churn rate.
+* ``rebuild_every=None`` (default) — auto-tuned: ``D`` is rebuilt before an
+  update when the previous update moved the committed tree, or once the
+  overlay grows past ``~sqrt(2m)`` entries.  Updates that keep the tree ride
+  overlays on a base tree that still equals the current tree, so every query
+  takes the direct range search of Theorem 8 and only tree-moving updates pay
+  the ``O(m)`` rebuild.  With ``d_maintenance="absorb"`` only the overlay
+  budget applies (the base tree stays frozen on purpose).
 
 **D maintenance.**  ``d_maintenance="rebuild"`` (default) replaces ``D``
 wholesale at each refresh (``O(m)`` spike, re-based on the current tree);
@@ -115,6 +119,9 @@ class DStructureBackend(Backend):
         self._structure_cls = structure_cls
         self._d_maintenance = d_maintenance
         self._rebase_segment_threshold = rebase_segment_threshold
+        # True while the committed tree is not D's base tree (set on commit,
+        # cleared when a rebuild re-bases D on the current tree).
+        self._tree_moved = False
         # Cost-model maintenance: the Theorem 9 overlay budget drives the
         # auto-tuned rebuild cadence, and in absorb mode the rebase triggers
         # (pinned side lists, then the segment EWMA — historical priority) are
@@ -123,7 +130,13 @@ class DStructureBackend(Backend):
         self.controller.add(
             CostModel("overlay", self.overlay_budget, inclusive=True)
         )
-        if d_maintenance == "absorb":
+        if d_maintenance == "rebuild":
+            # The auto cadence also rebuilds once the committed tree moves
+            # away from D's base tree: D on the current tree answers every
+            # query by the direct range search (Theorem 8), while a stale one
+            # pays the role-reversed sweep on every query (Theorem 9).
+            self.controller.add(CostModel("stale_tree", lambda: 0.0))
+        else:
             self.controller.add(
                 CostModel("pinned", self.overlay_budget, forces=True)
             )
@@ -168,6 +181,9 @@ class DStructureBackend(Backend):
                 self.metrics.inc("d_rebase_trigger_segments")
             else:
                 self.metrics.inc("d_rebase_trigger_pinned")
+        if self._tree_moved:
+            self.metrics.inc("d_stale_rebuilds")
+            self._tree_moved = False
         with self.metrics.timer("build_d"):
             self.structure = self._structure_cls(self.graph, tree, metrics=self.metrics)
         self.controller.on_refresh()
@@ -192,6 +208,11 @@ class DStructureBackend(Backend):
     def make_query_service(self, tree: DFSTree) -> QueryService:
         return DQueryService(self.structure, source_tree=tree, metrics=self.metrics)
 
+    def on_commit(self, tree: DFSTree) -> None:
+        # The engine keeps the tree object when an update leaves the tree
+        # unchanged, so identity tells whether D's base tree is still current.
+        self._tree_moved = tree is not self.structure.base_tree
+
     def end_update(self, update: Update) -> None:
         # One divergence sample per update: this update's mean target
         # segments per query (see StructureD.fold_segment_sample), then the
@@ -202,6 +223,7 @@ class DStructureBackend(Backend):
             self.metrics.set("avg_target_segments", self.structure.avg_target_segments())
             for name, value in self.structure.maintenance_signals().items():
                 self.controller.report(CostSignal(name, value))
+            self.controller.report(CostSignal("stale_tree", float(self._tree_moved)))
 
 
 class BruteBackend(Backend):
@@ -252,7 +274,10 @@ class FullyDynamicDFS:
         Rebuild policy for ``D`` (only meaningful with ``service="d"``):
         ``1`` rebuilds after every update, ``k > 1`` rebuilds on every ``k``-th
         update and serves the rest from Theorem 9 overlays, ``None`` (default)
-        auto-tunes the rebuild period to keep the overlay near ``sqrt(2m)``.
+        rebuilds before an update whenever the previous update moved the
+        committed tree (``d_maintenance="rebuild"`` only) or the overlay
+        reached ``~sqrt(2m)`` entries.  Rebuilds that replaced a stale base
+        tree are counted under ``d_stale_rebuilds``.
     d_maintenance:
         ``"rebuild"`` (default) — each refresh constructs a fresh ``D`` on the
         current tree; ``"absorb"`` — each refresh folds the overlays into the

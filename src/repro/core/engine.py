@@ -29,9 +29,11 @@ maintain byte-identical trees; the policy changes the cost, never the output.
   behaviour of all four drivers);
 * ``k > 1`` — rebuild on every ``k``-th update, serve the rest from the
   backend's overlay state;
-* ``None`` — auto-tuned: rebuild when the backend's overlay grows past its
-  budget (``~sqrt(2m)`` for ``D``-based backends; never, for backends whose
-  overlays do not decay queries).
+* ``None`` — auto-tuned: rebuild when one of the backend's cadence models is
+  due — the overlay grows past its budget (``~sqrt(2m)`` for ``D``-based
+  backends; never, for backends whose overlays do not decay queries), or, for
+  the in-memory ``D`` backend in rebuild mode, the previous update moved the
+  committed tree away from ``D``'s base tree.
 
 A backend can veto overlay service for a specific update
 (:meth:`Backend.must_rebuild`, e.g. a re-used vertex id whose stale base
@@ -42,7 +44,8 @@ e.g. a deleted BFS-tree edge in the CONGEST backend).
 **Cost-model maintenance.**  A backend may attach a
 :class:`~repro.core.maintenance.MaintenanceController`; the engine then
 consults it at every policy decision.  Its *cadence* models implement the
-auto-tuned ``rebuild_every=None`` policy (the Theorem 9 overlay budget), and
+auto-tuned ``rebuild_every=None`` policy (the Theorem 9 overlay budget, and
+the stale-tree model of ``D`` in rebuild mode), and
 its *forcing* models veto overlay service under any policy — the absorb-mode
 rebase triggers and the CONGEST depth-drift voluntary rebuild both flow
 through this single path instead of per-backend trigger plumbing.

@@ -18,7 +18,8 @@ amortised refresh cost in the model's own unit — and
 policy decision:
 
 * a **cadence** model (``forces=False``) drives the auto-tuned
-  ``rebuild_every=None`` policy (e.g. the Theorem 9 overlay budget);
+  ``rebuild_every=None`` policy (e.g. the Theorem 9 overlay budget, or the
+  committed tree having moved away from ``D``'s base tree);
 * a **forcing** model (``forces=True``) vetoes overlay service under *any*
   policy, exactly like a backend :meth:`~repro.core.engine.Backend.must_rebuild`
   veto (e.g. a due absorb-mode rebase, or accumulated broadcast depth-drift
@@ -28,7 +29,7 @@ Two model kinds cover every trigger in the repo:
 
 * ``kind="level"`` — the latest observation is compared against the budget
   (overlay sizes, the segment EWMA, pinned side lists: signals that already
-  *are* a per-update cost level);
+  *are* a per-update cost level; the 0/1 stale-tree flag);
 * ``kind="excess"`` — observations accumulate until a refresh resets the
   account (depth-drift rounds: each update's excess cost is paid once and
   gone, so only the running total can be weighed against the refresh cost).

@@ -42,6 +42,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "d_builds": "StructureD constructions (one per full rebuild of D)",
     "d_build_work": "total adjacency entries processed while building D",
     "d_rebuilds": "D-state refreshes triggered by a driver (initial build included; absorbs count too)",
+    "d_stale_rebuilds": "full rebuilds of D that replaced a base tree the committed tree had moved away from",
     "d_absorbs": "StructureD.absorb_overlays() calls (incremental D maintenance)",
     "d_absorb_work": "entries touched while absorbing overlays into the sorted lists",
     "max_pinned_overlay_size": "largest pinned cross-edge side list left behind by absorbs",

@@ -4,7 +4,7 @@ must be identical to the per-update-rebuild trees on randomized churn."""
 import pytest
 
 from repro.core.dynamic_dfs import FullyDynamicDFS
-from repro.graph.generators import gnp_random_graph
+from repro.graph.generators import barabasi_albert_graph, complete_graph, gnp_random_graph
 from repro.metrics.counters import MetricsRecorder
 from repro.workloads.scenarios import build_scenario
 from repro.workloads.updates import UpdateSequenceGenerator
@@ -73,6 +73,91 @@ def test_auto_policy_bounds_overlay_by_budget():
     assert delta["max_overlay_size"] <= budget + 2
     # Auto-tuning must actually amortize: far fewer rebuilds than updates.
     assert delta["d_rebuilds"] - 1 < len(updates) / 2  # -1 for the initial build
+
+
+def _stale_tree_stream(kind, seed):
+    if kind == "edge_churn":
+        graph = gnp_random_graph(150, 0.04, seed=seed, connected=True)
+        return graph, _churn(graph, 60, seed + 40, edge_only=True)
+    if kind == "dense_edge_churn":
+        # Most updates keep K12's Hamiltonian-path tree, so the overlay
+        # budget (~sqrt(2m) = 11) fills between tree moves.
+        graph = complete_graph(12)
+        return graph, _churn(graph, 60, seed + 120, edge_only=True)
+    graph = barabasi_albert_graph(200, 3, seed=seed)
+    return graph, _churn(graph, 60, seed + 80)  # mixed_updates
+
+
+class _Stepper:
+    """One driver applied update by update, recording before each update
+    whether the previous one moved the committed tree or filled the overlay,
+    and whether this one rebuilt ``D`` or was vetoed into a rebuild."""
+
+    def __init__(self, graph, backend, rebuild_every):
+        self.metrics = MetricsRecorder()
+        self.dyn = FullyDynamicDFS(
+            graph, backend=backend, rebuild_every=rebuild_every, metrics=self.metrics
+        )
+        self.moved = self.full = False
+        self.steps = []
+
+    def apply(self, update):
+        d = self.dyn.update_engine.backend
+        rebuilds = self.metrics.get("d_rebuilds")
+        vetoes = self.metrics.get("service_rebuilds_forced")
+        tree = self.dyn.tree
+        self.dyn.apply(update)
+        self.steps.append(
+            {
+                "after_move": self.moved,
+                "after_full": self.full,
+                "rebuilt": self.metrics.get("d_rebuilds") > rebuilds,
+                "vetoed": self.metrics.get("service_rebuilds_forced") > vetoes,
+            }
+        )
+        self.moved = self.dyn.tree is not tree
+        self.full = d.overlay_size() >= d.overlay_budget()
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["edge_churn", "mixed_updates", "dense_edge_churn"])
+def test_auto_policy_rebuilds_exactly_when_the_tree_moves(kind, seed, backend):
+    if backend == "array":
+        pytest.importorskip("numpy")
+    graph, updates = _stale_tree_stream(kind, seed)
+    label = (kind, seed, backend)
+    auto = _Stepper(graph, backend, None)
+    fresh = _Stepper(graph, backend, 1)
+    for i, upd in enumerate(updates):
+        auto.apply(upd)
+        fresh.apply(upd)
+        assert auto.dyn.parent_map() == fresh.dyn.parent_map(), (label, i, upd.describe())
+        step = auto.steps[-1]
+        # D is rebuilt before an update iff the previous update replaced the
+        # committed tree or filled the overlay budget (or a veto forced it).
+        assert step["rebuilt"] == (step["after_move"] or step["after_full"] or step["vetoed"]), (label, i)
+    a, f = auto.metrics.as_dict(), fresh.metrics.as_dict()
+    # Every query was answered on a D built over the current tree ...
+    assert a.get("d_overlay_view_queries", 0) == 0
+    # ... at no more range searches or builds than rebuilding every update.
+    assert a["d_vertex_queries"] <= f["d_vertex_queries"]
+    assert a["d_builds"] <= f["d_builds"]
+    # The stream both moves the tree and keeps it, so both regimes ran.
+    assert a["d_stale_rebuilds"] > 0 and a["overlay_served_updates"] > 0
+    if kind == "dense_edge_churn":
+        assert any(s["rebuilt"] and not s["after_move"] for s in auto.steps)
+    # d_rebuilds - 1 - d_stale_rebuilds: under auto, the rebuilds the overlay
+    # budget or a veto forced; under rebuild_every=1, those that changed nothing.
+    assert a["d_rebuilds"] - 1 - a["d_stale_rebuilds"] == sum(
+        s["rebuilt"] and not s["after_move"] for s in auto.steps
+    )
+    assert f["d_rebuilds"] - 1 - f["d_stale_rebuilds"] == sum(
+        not s["after_move"] for s in fresh.steps
+    )
+    assert auto.dyn.update_engine.backend.controller.has_model("stale_tree")
+    absorb = FullyDynamicDFS(graph, backend=backend, d_maintenance="absorb")
+    assert not absorb.update_engine.backend.controller.has_model("stale_tree")
 
 
 def test_explicit_rebuild_every_validation():
