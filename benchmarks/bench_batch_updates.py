@@ -116,49 +116,6 @@ def test_amortized_policy_rebuild_work(benchmark):
 
 
 @pytest.mark.benchmark(group="E7-batch-updates")
-def test_absorb_maintenance_removes_rebuild_spike(benchmark):
-    """Incremental D maintenance: ``d_maintenance="absorb"`` folds overlays
-    into the sorted lists in O(overlay log deg) instead of rebuilding in O(m),
-    so the amortized driver performs zero full ``d_builds`` after
-    initialization on edge churn — with byte-identical trees."""
-    sizes = scale_sizes([512, 1024], [128, 256])
-    rebuild_work, absorb_work, absorbs = [], [], []
-    for n in sizes:
-        scenario = build_scenario("sustained_churn", n=n, seed=1, updates=UPDATES)
-        updates = scenario.updates[:UPDATES]
-        results = {}
-        for mode in ("rebuild", "absorb"):
-            metrics = MetricsRecorder()
-            dyn = FullyDynamicDFS(scenario.graph, rebuild_every=K, d_maintenance=mode, metrics=metrics)
-            before = metrics.as_dict()
-            dyn.apply_all(updates)
-            results[mode] = (dyn.parent_map(), metrics.snapshot_delta(before))
-        assert results["rebuild"][0] == results["absorb"][0], f"absorb diverged (n={n})"
-        delta = results["absorb"][1]
-        assert delta["d_builds"] == 0, "absorb mode must not rebuild after initialization"
-        assert delta["d_absorb_work"] < results["rebuild"][1]["d_build_work"]
-        rebuild_work.append(round(results["rebuild"][1]["d_build_work"] / UPDATES, 1))
-        absorb_work.append(round(delta["d_absorb_work"] / UPDATES, 1))
-        absorbs.append(delta["d_absorbs"])
-    record_table(
-        benchmark,
-        "E7_absorb_vs_rebuild",
-        sizes,
-        {
-            "rebuild_work_per_update": rebuild_work,
-            "absorb_work_per_update": absorb_work,
-            "d_absorbs": absorbs,
-        },
-    )
-    scenario = build_scenario("sustained_churn", n=sizes[-1], seed=1, updates=UPDATES)
-    benchmark(
-        lambda: FullyDynamicDFS(
-            scenario.graph, rebuild_every=K, d_maintenance="absorb"
-        ).apply_all(scenario.updates[:20])
-    )
-
-
-@pytest.mark.benchmark(group="E7-batch-updates")
 def test_batch_api_single_pass(benchmark):
     """apply_all() serves a whole batch with the policy's rebuild cadence and
     records batch-level metrics."""

@@ -4,9 +4,11 @@ Documented in ``docs/benchmarks.md`` (E7).
 
 The dynamic algorithm touches only the affected subtrees plus ``D`` maintenance,
 while the baseline re-runs the ``O(m + n)`` static DFS after every update.  The
-harness reports wall-clock per update for both as ``m`` grows and checks the
-qualitative claim: the dynamic algorithm's advantage grows with density for
-updates that touch small subtrees.
+harness records wall-clock per update for both as ``m`` grows and asserts
+nothing about their ratio: the committed ``static_over_dynamic`` at
+m = 1,500 / 3,000 / 6,000 / 12,000 is 0.269 / 0.743 / 0.294 / 1.66, so static
+recomputation is faster at three of the four densities and the ratio does not
+grow monotonically with density.
 
 A second harness restores the *sequential-baseline separation* on the
 adversarial comb: the spine deletions of ``comb_with_tip_back_edges`` (whose

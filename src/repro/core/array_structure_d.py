@@ -17,20 +17,9 @@ fast paths: :meth:`min_post_alive_neighbor_batch` answers every
 overlay-untouched row with one global ``np.searchsorted``, falling back to the
 scalar path exactly for the rows a Theorem 9 overlay has dirtied.
 
-The flat arrays are snapshots of the base lists that overlays mask without
-touching (as in the paper).  :meth:`absorb_overlays` — which must edit the
-base lists in place — has two paths.  **Edge-only** overlay epochs (the
-sustained-churn steady state) are absorbed *into the flat arrays themselves*:
-removals become one ``np.delete`` keep-mask, ancestor–descendant insertions
-one batched ``np.insert`` at row-bounded searchsorted positions, and cross
-pairs are pinned exactly like the dict absorb — the flat core stays hot and
-``d_flat_absorbs`` counts the epoch.  Epochs involving *vertex* overlays (a
-deleted vertex, or rows created for overlay-inserted vertices) still
-*materialize* the flat rows into the exact per-vertex python lists the dict
-backend would hold and run the inherited absorb (``d_flat_materializations``),
-degrading to the dict representation until the next rebuild/rebase constructs
-fresh flat arrays.  Both paths produce byte-identical rows and identical
-``d_absorb_work`` accounting to the dict backend's absorb.
+The flat arrays are immutable snapshots of the base lists: overlays mask and
+extend them without touching them (as in the paper), and only mark the rows
+they affect dirty.  A refresh of ``D`` builds fresh flat arrays.
 """
 
 from __future__ import annotations
@@ -72,6 +61,8 @@ class ArrayStructureD(StructureD):
         self._frozen_has_free = False
         self._id2slot: Optional[np.ndarray] = None  # dense int-id -> slot table
         self._dirty: Set[Vertex] = set()
+        # True when the rows live in the inherited per-vertex python lists
+        # (a graph that is not an ArrayGraph) instead of the flat arrays.
         self._materialized = False
         if not isinstance(graph, ArrayGraph):
             self._materialized = True
@@ -225,7 +216,7 @@ class ArrayStructureD(StructureD):
         """Total number of indexed adjacency entries (``O(overlay)``)."""
         total = sum(len(lst) for lst in self._sorted_nbrs.values())
         if not self._materialized:
-            # Pre-materialization the dict rows are exactly the
+            # Over the flat build the dict rows are exactly the
             # overlay-inserted vertices, disjoint from the flat rows.
             total += self._flat_total
         return total
@@ -255,211 +246,13 @@ class ArrayStructureD(StructureD):
         row = self._row(v)
         if row is not None:
             self._dirty.update(list(row[1]))
-        self._dirty.update(self._overlay_neighbors(v))
+        self._dirty.update(self._extra_edges.get(v, ()))
         self._dirty.add(v)
         super().note_vertex_deleted(v)
 
     def reset_overlays(self) -> None:
         super().reset_overlays()
         self._dirty.clear()
-
-    # ------------------------------------------------------------------ #
-    # Absorb: degrade to the exact dict representation, then reuse it
-    # ------------------------------------------------------------------ #
-    def _materialize(self) -> None:
-        """Expand the flat rows into per-vertex python lists (one-way door).
-
-        Absorbing edits the base lists in place, which an immutable flat
-        snapshot cannot support; after materializing, this structure *is* a
-        dict-backend :class:`StructureD` (same lists, same answers) until the
-        next rebuild constructs fresh flat arrays.
-        """
-        if self._materialized:
-            return
-        indptr = self._flat_indptr
-        posts = self._flat_posts
-        ids = self._flat_ids
-        for v, s in self._slot_of_frozen.items():
-            if v in self._sorted_posts:
-                continue
-            lo = int(indptr[s])
-            hi = int(indptr[s + 1])
-            self._sorted_posts[v] = posts[lo:hi].tolist()
-            self._sorted_nbrs[v] = list(ids[lo:hi])
-        self._materialized = True
-        if self._metrics is not None:
-            self._metrics.inc("d_flat_materializations")
-
-    def absorb_overlays(self) -> None:
-        """Fold the accumulated overlays into the base representation.
-
-        Edge-only epochs are absorbed directly into the flat arrays
-        (:meth:`_absorb_flat`), keeping the vectorized query paths hot; epochs
-        involving vertex overlays materialize the flat rows into python lists
-        and run the inherited absorb.
-        """
-        if self._absorb_flat():
-            return
-        self._materialize()
-        super().absorb_overlays()
-
-    def _absorb_flat(self) -> bool:
-        """Absorb an edge-only overlay epoch into the flat arrays in place.
-
-        Returns ``False`` — without mutating anything — when the epoch
-        involves vertex overlays (a deleted vertex, or python rows created for
-        overlay-inserted vertices) or the structure already degraded to python
-        lists; the caller then takes the materialize path.  Otherwise the
-        result is byte-identical to the dict backend's absorb: same rows, same
-        pinned side lists, and the same ``d_absorb_work`` — row probes are
-        replayed entry for entry (live per-row counts reproduce the dict's
-        sequential row-emptied-mid-absorb accounting; every row's posts are
-        unique, so each dict probe loop is exactly one probe).
-        """
-        if self._materialized or self._flat_indptr is None:
-            return False
-        if self._deleted_vertices or self._sorted_posts:
-            return False
-        indptr = self._flat_indptr
-        posts = self._flat_posts
-        frozen = self._slot_of_frozen
-        post_of = self._post
-        tree = self._tree
-        n_slots = len(indptr) - 1
-        counts = np.diff(indptr)
-        work = 0
-        # -- Step 1 (deleted edges), planned without mutation: positions to
-        # drop from the flat arrays, plus side-list purges to apply later.
-        live = counts.copy()
-        removed: List[int] = []
-        removed_slots: List[int] = []
-        removed_set: Set[int] = set()
-        purges: List[Tuple[Dict[Vertex, List[Vertex]], Vertex, Vertex]] = []
-        for key in self._deleted_edges:
-            pair = tuple(key)
-            u, v = pair if len(pair) == 2 else (pair[0], pair[0])
-            for a, b in ((u, v), (v, u)):
-                sa = frozen.get(a)
-                if sa is not None:
-                    p = post_of.get(b)
-                    if p is not None and live[sa]:
-                        work += 1
-                        lo = int(indptr[sa])
-                        hi = int(indptr[sa + 1])
-                        pos = lo + int(np.searchsorted(posts[lo:hi], p))
-                        if pos < hi and int(posts[pos]) == p:
-                            removed.append(pos)
-                            removed_slots.append(sa)
-                            removed_set.add(pos)
-                            live[sa] -= 1
-                for store in (self._extra_edges, self._cross_edges):
-                    lst = store.get(a)
-                    if lst and b in lst:
-                        purges.append((store, a, b))
-                        work += 1
-        # -- Bail before any mutation if an inserted endpoint resolves to no
-        # frozen slot (defensive: tree vertices always have build slots).
-        for u, lst in self._extra_edges.items():
-            for w in lst:
-                if (
-                    u in tree
-                    and w in tree
-                    and (frozen.get(u) is None or frozen.get(w) is None)
-                ):
-                    return False
-        # -- Commit: purge side lists (one occurrence each, like list.remove).
-        for store, a, b in purges:
-            store[a].remove(b)
-        self._deleted_edges.clear()
-        # -- Step 3 (inserted edges): classify in dict iteration order.
-        ins: List[Tuple[int, int, int]] = []
-        ins_seen: Set[Tuple[int, int]] = set()
-        pinned_seen: Dict[Vertex, Set[Vertex]] = {}
-        for u, lst in list(self._extra_edges.items()):
-            for w in lst:  # the mirror entry handles the other endpoint
-                if (
-                    u in tree
-                    and w in tree
-                    and (tree.is_ancestor(u, w) or tree.is_ancestor(w, u))
-                ):
-                    work += 1
-                    su = frozen[u]
-                    p = post_of[w]
-                    lo = int(indptr[su])
-                    hi = int(indptr[su + 1])
-                    pos = lo + int(np.searchsorted(posts[lo:hi], p))
-                    if pos < hi and int(posts[pos]) == p and pos not in removed_set:
-                        continue  # already absorbed (e.g. mask discarded by re-insert)
-                    key2 = (su, p)
-                    if key2 in ins_seen:
-                        continue  # duplicate overlay entry within this epoch
-                    ins_seen.add(key2)
-                    ins.append((su, p, frozen[w]))
-                else:
-                    pinned = self._cross_edges.setdefault(u, [])
-                    seen = pinned_seen.get(u)
-                    if seen is None:
-                        seen = pinned_seen[u] = set(pinned)
-                    if w not in seen:
-                        pinned.append(w)
-                        seen.add(w)
-                    work += 1
-        self._extra_edges.clear()
-        # -- One vectorized delete + insert pass over the flat arrays.
-        if removed or ins:
-            dsts = self._flat_dst_slots
-            if removed:
-                rem = np.array(sorted(removed), dtype=np.int64)
-                keep_posts = np.delete(posts, rem)
-                keep_dsts = np.delete(dsts, rem)
-                rem_per_slot = np.bincount(
-                    np.array(removed_slots, dtype=np.int64), minlength=n_slots
-                )
-            else:
-                rem = np.empty(0, dtype=np.int64)
-                keep_posts = posts
-                keep_dsts = dsts
-                rem_per_slot = np.zeros(n_slots, dtype=np.int64)
-            if ins:
-                ins.sort()  # (slot, post): np.insert keeps given order at ties
-                ins_slots = np.array([t[0] for t in ins], dtype=np.int64)
-                ins_posts = np.array([t[1] for t in ins], dtype=np.int64)
-                ins_dsts = np.array([t[2] for t in ins], dtype=np.int64)
-                # Insertion points w.r.t. the original rows, shifted into the
-                # kept array by the number of removals before each.
-                pos_orig = indptr[ins_slots] + np.array(
-                    [
-                        int(np.searchsorted(posts[int(indptr[s]) : int(indptr[s + 1])], p))
-                        for s, p, _ in ins
-                    ],
-                    dtype=np.int64,
-                )
-                pos_kept = pos_orig - np.searchsorted(rem, pos_orig)
-                new_posts = np.insert(keep_posts, pos_kept, ins_posts)
-                new_dsts = np.insert(keep_dsts, pos_kept, ins_dsts)
-                ins_per_slot = np.bincount(ins_slots, minlength=n_slots)
-            else:
-                new_posts = keep_posts
-                new_dsts = keep_dsts
-                ins_per_slot = np.zeros(n_slots, dtype=np.int64)
-            new_counts = counts - rem_per_slot + ins_per_slot
-            new_indptr = np.zeros(n_slots + 1, dtype=np.int64)
-            np.cumsum(new_counts, out=new_indptr[1:])
-            self._flat_posts = new_posts
-            self._flat_dst_slots = new_dsts
-            self._flat_indptr = new_indptr
-            self._flat_total = int(new_indptr[-1])
-            self._flat_bisect_iters = int(new_counts.max()).bit_length() if n_slots else 0
-            self.__dict__.pop("_flat_ids", None)
-        # Absorbed rows answer from the flat arrays again; only rows with
-        # pinned cross entries stay off the vectorized fast path.
-        self._dirty = {u for u, lst in self._cross_edges.items() if lst}
-        if self._metrics is not None:
-            self._metrics.inc("d_absorbs")
-            self._metrics.inc("d_absorb_work", work)
-            self._metrics.observe_max("pinned_overlay_size", self.pinned_size())
-            self._metrics.inc("d_flat_absorbs")
-        return True
 
     # ------------------------------------------------------------------ #
     # Vectorized bulk queries

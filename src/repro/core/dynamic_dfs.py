@@ -5,12 +5,10 @@ arbitrary online sequence of edge/vertex insertions and deletions.  Each update
 is processed exactly as in the paper:
 
 1. the update is validated and applied to the graph;
-2. the data structure ``D`` is brought up to date — either by a full refresh on
-   the updated graph (rebuild on the current tree, Theorem 8, or an in-place
-   :meth:`~repro.core.structure_d.StructureD.absorb_overlays`), or, between
-   refreshes, by recording the update as a small overlay on the existing ``D``
-   (the multi-update extension of Theorem 9, shared with the fault-tolerant
-   driver);
+2. the data structure ``D`` is brought up to date — either by a rebuild on
+   the current tree (Theorem 8), or, between rebuilds, by recording the update
+   as a small overlay on the existing ``D`` (the multi-update extension of
+   Theorem 9, shared with the fault-tolerant driver);
 3. the reduction algorithm turns the update into independent rerooting tasks
    (Theorem 11);
 4. the rerooting engine (parallel by default, sequential baseline available)
@@ -35,19 +33,11 @@ touching the sorted lists.  The ``rebuild_every`` knob exploits that gap:
   overlay grows past ``~sqrt(2m)`` entries.  Updates that keep the tree ride
   overlays on a base tree that still equals the current tree, so every query
   takes the direct range search of Theorem 8 and only tree-moving updates pay
-  the ``O(m)`` rebuild.  With ``d_maintenance="absorb"`` only the overlay
-  budget applies (the base tree stays frozen on purpose).
-
-**D maintenance.**  ``d_maintenance="rebuild"`` (default) replaces ``D``
-wholesale at each refresh (``O(m)`` spike, re-based on the current tree);
-``d_maintenance="absorb"`` folds the overlays into the existing sorted lists
-in ``O(overlay · log deg)`` (:meth:`StructureD.absorb_overlays`), keeping the
-original base tree and turning the spike into a smooth amortized cost.
+  the ``O(m)`` rebuild.
 
 Because query answers are canonical (see
 :class:`repro.core.queries.DQueryService`), the maintained tree is *identical*
-under every policy and maintenance mode — amortization changes the cost, not
-the output.
+under every policy — amortization changes the cost, not the output.
 
 The graph is augmented with a virtual root connected to every vertex
 (implicitly), so disconnected graphs are handled transparently: the children of
@@ -56,7 +46,6 @@ the virtual root are the roots of the DFS forest.
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.backends import native_graph, resolve_backend, structure_class
@@ -103,84 +92,28 @@ class DStructureBackend(Backend):
         graph: UndirectedGraph,
         metrics: MetricsRecorder,
         *,
-        d_maintenance: str = "rebuild",
-        rebase_segment_threshold: Optional[float] = None,
         structure_cls: type = StructureD,
     ) -> None:
-        if d_maintenance not in ("rebuild", "absorb"):
-            raise ValueError(f"unknown d_maintenance {d_maintenance!r}")
-        if rebase_segment_threshold is not None and rebase_segment_threshold < 1:
-            raise ValueError(
-                f"rebase_segment_threshold must be >= 1 or None, got {rebase_segment_threshold!r}"
-            )
         self.graph = graph
         self.metrics = metrics
         self.structure: Optional[StructureD] = None
         self._structure_cls = structure_cls
-        self._d_maintenance = d_maintenance
-        self._rebase_segment_threshold = rebase_segment_threshold
         # True while the committed tree is not D's base tree (set on commit,
         # cleared when a rebuild re-bases D on the current tree).
         self._tree_moved = False
-        # Cost-model maintenance: the Theorem 9 overlay budget drives the
-        # auto-tuned rebuild cadence, and in absorb mode the rebase triggers
-        # (pinned side lists, then the segment EWMA — historical priority) are
-        # forcing models that veto overlay service under any policy.
+        # Cost-model maintenance: the auto-tuned rebuild cadence rebuilds D
+        # once the overlay fills the Theorem 9 budget, or once the committed
+        # tree moves away from D's base tree — D on the current tree answers
+        # every query by the direct range search (Theorem 8), while a stale
+        # one pays the role-reversed sweep on every query (Theorem 9).
         self.controller = MaintenanceController(metrics=metrics)
         self.controller.add(
             CostModel("overlay", self.overlay_budget, inclusive=True)
         )
-        if d_maintenance == "rebuild":
-            # The auto cadence also rebuilds once the committed tree moves
-            # away from D's base tree: D on the current tree answers every
-            # query by the direct range search (Theorem 8), while a stale one
-            # pays the role-reversed sweep on every query (Theorem 9).
-            self.controller.add(CostModel("stale_tree", lambda: 0.0))
-        else:
-            self.controller.add(
-                CostModel("pinned", self.overlay_budget, forces=True)
-            )
-            self.controller.add(
-                CostModel("segments", self.rebase_segment_threshold, forces=True)
-            )
-
-    def rebase_segment_threshold(self) -> float:
-        """Segment EWMA that triggers an absorb-mode rebase (auto ~sqrt(m))."""
-        if self._rebase_segment_threshold is not None:
-            return self._rebase_segment_threshold
-        return float(max(4, isqrt(max(self.graph.num_edges, 1))))
-
-    def rebase_trigger(self) -> Optional[str]:
-        """Which cost model (if any) demands a full rebase of absorb-mode ``D``.
-
-        ``"segments"`` — the per-query segment EWMA crossed the threshold: the
-        frozen base tree has diverged so far from the current tree that query
-        decompositions have caught up with the rebuild cost it was avoiding.
-        ``"pinned"`` — the pinned cross-edge side lists outgrew the overlay
-        budget: their per-query scans cost more than a rebuild.  ``None`` —
-        keep absorbing.  Thin wrapper over the controller's forcing models.
-        """
-        if self.structure is None:
-            return None
-        return self.controller.forced_due()
+        self.controller.add(CostModel("stale_tree", lambda: 0.0))
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:
         self.metrics.inc("d_rebuilds")
-        if self._d_maintenance == "absorb" and self.structure is not None:
-            trigger = self.rebase_trigger()
-            if trigger is None:
-                with self.metrics.timer("build_d"):
-                    self.structure.absorb_overlays()
-                return
-            # Adaptive rebase: replace the frozen base tree with the current
-            # one (a full rebuild), resetting the segment EWMA and clearing
-            # the pinned side lists.  Counted separately from routine
-            # d_rebuilds so benchmarks can assert the trigger bound.
-            self.metrics.inc("d_rebases")
-            if trigger == "segments":
-                self.metrics.inc("d_rebase_trigger_segments")
-            else:
-                self.metrics.inc("d_rebase_trigger_pinned")
         if self._tree_moved:
             self.metrics.inc("d_stale_rebuilds")
             self._tree_moved = False
@@ -189,8 +122,7 @@ class DStructureBackend(Backend):
         self.controller.on_refresh()
 
     def must_rebuild(self, update: Update) -> bool:
-        # Re-used vertex ids make overlays ambiguous; the rebase triggers go
-        # through the controller's forcing models instead (engine-level veto).
+        # Re-used vertex ids make overlays ambiguous.
         return reused_vertex_id_needs_rebuild(self.structure, update)
 
     def overlay_size(self) -> int:
@@ -214,15 +146,10 @@ class DStructureBackend(Backend):
         self._tree_moved = tree is not self.structure.base_tree
 
     def end_update(self, update: Update) -> None:
-        # One divergence sample per update: this update's mean target
-        # segments per query (see StructureD.fold_segment_sample), then the
-        # structure's cost signals are reported to the controller — the
-        # policy decision of the next update reads them from there.
+        # Report the cost signals to the controller; the policy decision of
+        # the next update reads them from there.
         if self.structure is not None:
-            self.structure.fold_segment_sample()
-            self.metrics.set("avg_target_segments", self.structure.avg_target_segments())
-            for name, value in self.structure.maintenance_signals().items():
-                self.controller.report(CostSignal(name, value))
+            self.controller.report(CostSignal("overlay", float(self.structure.overlay_size())))
             self.controller.report(CostSignal("stale_tree", float(self._tree_moved)))
 
 
@@ -275,23 +202,9 @@ class FullyDynamicDFS:
         ``1`` rebuilds after every update, ``k > 1`` rebuilds on every ``k``-th
         update and serves the rest from Theorem 9 overlays, ``None`` (default)
         rebuilds before an update whenever the previous update moved the
-        committed tree (``d_maintenance="rebuild"`` only) or the overlay
-        reached ``~sqrt(2m)`` entries.  Rebuilds that replaced a stale base
-        tree are counted under ``d_stale_rebuilds``.
-    d_maintenance:
-        ``"rebuild"`` (default) — each refresh constructs a fresh ``D`` on the
-        current tree; ``"absorb"`` — each refresh folds the overlays into the
-        existing sorted lists in place (``O(overlay · log deg)`` instead of
-        ``O(m)``; the base tree stays fixed until the auto-rebase policy
-        replaces it).
-    rebase_segment_threshold:
-        Absorb mode only.  A full rebase of ``D`` (rebuild on the current
-        tree) is triggered once the EWMA of target segments per query crosses
-        this value, or the pinned cross-edge side lists outgrow the overlay
-        budget — bounding the per-query decomposition cost that otherwise
-        grows without bound as the frozen base tree diverges.  ``None``
-        (default) auto-tunes to ``~sqrt(m)``.  Counted under ``d_rebases`` /
-        ``d_rebase_trigger_segments`` / ``d_rebase_trigger_pinned``.
+        committed tree or the overlay reached ``~sqrt(2m)`` entries.  Rebuilds
+        that replaced a stale base tree are counted under
+        ``d_stale_rebuilds``.
     validate:
         Check after every update that the maintained tree is a valid DFS forest
         and raise :class:`NotADFSTree` otherwise.
@@ -318,8 +231,6 @@ class FullyDynamicDFS:
         engine: str = "parallel",
         service: str = "d",
         rebuild_every: Optional[int] = None,
-        d_maintenance: str = "rebuild",
-        rebase_segment_threshold: Optional[float] = None,
         validate: bool = False,
         metrics: Optional[MetricsRecorder] = None,
         copy_graph: bool = True,
@@ -330,10 +241,6 @@ class FullyDynamicDFS:
         UpdateEngine.validate_options(engine, rebuild_every)
         if service not in ("d", "brute"):
             raise ValueError(f"unknown service {service!r}")
-        if service == "brute" and d_maintenance != "rebuild":
-            raise ValueError('d_maintenance requires service="d"')
-        if rebase_segment_threshold is not None and d_maintenance != "absorb":
-            raise ValueError('rebase_segment_threshold requires d_maintenance="absorb"')
         self._backend_name = backend_name
         self._graph = native_graph(graph, backend_name, copy=copy_graph)
         self.metrics = metrics or MetricsRecorder("dynamic_dfs")
@@ -342,11 +249,7 @@ class FullyDynamicDFS:
         tree = DFSTree(parent, root=VIRTUAL_ROOT)
         if service == "d":
             backend_impl: Backend = DStructureBackend(
-                self._graph,
-                self.metrics,
-                d_maintenance=d_maintenance,
-                rebase_segment_threshold=rebase_segment_threshold,
-                structure_cls=structure_class(backend_name),
+                self._graph, self.metrics, structure_cls=structure_class(backend_name)
             )
         else:
             backend_impl = BruteBackend(self._graph, self.metrics)
@@ -403,14 +306,6 @@ class FullyDynamicDFS:
     def overlay_budget(self) -> int:
         """Overlay size that triggers a rebuild under the auto-tuned policy."""
         return int(self._backend.overlay_budget())
-
-    def rebase_segment_threshold(self) -> Optional[float]:
-        """Effective absorb-mode rebase threshold (None for rebuild maintenance
-        or the brute oracle, which have no frozen base tree to rebase)."""
-        backend = self._backend
-        if isinstance(backend, DStructureBackend) and backend._d_maintenance == "absorb":
-            return backend.rebase_segment_threshold()
-        return None
 
     def parent_map(self, *, include_virtual_root: bool = True) -> Dict[Vertex, Optional[Vertex]]:
         """Parent map of the maintained DFS forest.

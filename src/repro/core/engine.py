@@ -45,10 +45,9 @@ e.g. a deleted BFS-tree edge in the CONGEST backend).
 :class:`~repro.core.maintenance.MaintenanceController`; the engine then
 consults it at every policy decision.  Its *cadence* models implement the
 auto-tuned ``rebuild_every=None`` policy (the Theorem 9 overlay budget, and
-the stale-tree model of ``D`` in rebuild mode), and
-its *forcing* models veto overlay service under any policy — the absorb-mode
-rebase triggers and the CONGEST depth-drift voluntary rebuild both flow
-through this single path instead of per-backend trigger plumbing.
+the stale-tree model of ``D``), and its *forcing* models veto overlay service
+under any policy — the CONGEST depth-drift voluntary rebuild flows through
+this single path instead of per-backend trigger plumbing.
 Controller-demanded refreshes are counted under ``service_rebuilds_forced``
 plus ``cost_model_triggers``.
 """
@@ -384,9 +383,9 @@ class UpdateEngine:
             self.metrics.inc("service_rebuilds_forced")
             return False
         if controller is not None and controller.forced_due() is not None:
-            # Cost-model veto (due absorb-mode rebase, accumulated broadcast
-            # depth-drift cost): the excess per-update cost the cached state
-            # was charging has caught up with the refresh cost it avoided.
+            # Cost-model veto (accumulated broadcast depth-drift cost): the
+            # excess per-update cost the cached state was charging has
+            # caught up with the refresh cost it avoided.
             self.metrics.inc("service_rebuilds_forced")
             self.metrics.inc("cost_model_triggers")
             return False

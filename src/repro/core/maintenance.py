@@ -1,17 +1,15 @@
 """Cost-model-driven maintenance: one controller for every backend's triggers.
 
 Every amortizing backend faces the same economic decision each update: keep
-serving from stale-but-cheap cached state (Theorem 9 overlays, a frozen absorb
-base tree, a cached broadcast tree) or pay for a refresh (rebuild ``D``,
-snapshot the stream, re-run the BFS flood).  Before this module each backend
-hard-coded its own trigger — the absorb-mode segment EWMA threshold, the
-streaming overlay budget, the CONGEST as-built depth bound — with the same
-shape re-implemented three times: *refresh once the accumulated excess
-per-update cost catches up with the refresh cost*.
+serving from stale-but-cheap cached state (Theorem 9 overlays, a cached
+broadcast tree) or pay for a refresh (rebuild ``D``, snapshot the stream,
+re-run the BFS flood).  Every trigger — the overlay budgets, the stale-tree
+flag, the CONGEST as-built depth bound — has the same shape: *refresh once
+the accumulated excess per-update cost catches up with the refresh cost*.
 
 :class:`MaintenanceController` owns that decision once.  Backends report
-:class:`CostSignal` observations after each update (per-query overlay
-segments, pinned-overlay size, broadcast depth drift, overlay growth), each
+:class:`CostSignal` observations after each update (overlay growth, whether
+the committed tree moved, broadcast depth drift), each
 signal is judged by a per-backend :class:`CostModel` against a budget — the
 amortised refresh cost in the model's own unit — and
 :class:`~repro.core.engine.UpdateEngine` consults the controller at every
@@ -22,14 +20,14 @@ policy decision:
   committed tree having moved away from ``D``'s base tree);
 * a **forcing** model (``forces=True``) vetoes overlay service under *any*
   policy, exactly like a backend :meth:`~repro.core.engine.Backend.must_rebuild`
-  veto (e.g. a due absorb-mode rebase, or accumulated broadcast depth-drift
-  cost crossing the ``O(D)`` rebuild cost).
+  veto (e.g. accumulated broadcast depth-drift cost crossing the ``O(D)``
+  rebuild cost).
 
 Two model kinds cover every trigger in the repo:
 
 * ``kind="level"`` — the latest observation is compared against the budget
-  (overlay sizes, the segment EWMA, pinned side lists: signals that already
-  *are* a per-update cost level; the 0/1 stale-tree flag);
+  (overlay sizes: signals that already *are* a per-update cost level; the
+  0/1 stale-tree flag);
 * ``kind="excess"`` — observations accumulate until a refresh resets the
   account (depth-drift rounds: each update's excess cost is paid once and
   gone, so only the running total can be weighed against the refresh cost).
@@ -73,8 +71,8 @@ class CostModel:
         the running total (reset by :meth:`reset`).
     forces:
         True for models that veto overlay service under any rebuild policy
-        (rebase triggers, depth drift); False for models that only drive the
-        auto-tuned cadence (overlay budgets).
+        (depth drift); False for models that only drive the auto-tuned
+        cadence (overlay budgets, the stale tree).
     inclusive:
         Due when ``value >= budget`` (the historical overlay-budget
         comparison) instead of the default strict ``value > budget``.
@@ -128,8 +126,8 @@ class MaintenanceController:
     and answers the engine's two policy questions: is a refresh *due* under
     the auto-tuned cadence, and is one *forced* regardless of policy.
 
-    Models are evaluated in registration order, so a backend that registers
-    ``pinned`` before ``segments`` preserves its historical trigger priority.
+    Models are evaluated in registration order: when several are due, the
+    first one registered names the trigger.
     """
 
     def __init__(self, metrics: Optional[MetricsRecorder] = None) -> None:

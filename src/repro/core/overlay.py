@@ -47,8 +47,8 @@ def reused_vertex_id_needs_rebuild(structure: StructureD, update: Update) -> boo
     """True when *update* re-inserts a vertex id the structure still indexes.
 
     The stale base entries of the previous incarnation make overlay service
-    ambiguous, so amortizing backends must force a refresh (a rebuild, or an
-    absorb — which purges the stale entries) before recording the insertion.
+    ambiguous, so amortizing backends must force a rebuild before recording
+    the insertion.
     """
     return isinstance(update, VertexInsertion) and structure.indexes_vertex(update.v)
 

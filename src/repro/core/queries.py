@@ -313,14 +313,11 @@ class DQueryService(QueryService):
     def _record(self, tally: _Tally) -> None:
         """Record one batch's counts."""
         metrics = self._metrics
-        if tally.queries:
-            # Feed the divergence EWMA the absorb-mode auto-rebase policy watches.
-            self._d.note_query_segments(tally.segments, tally.queries)
-            if metrics is not None:
-                metrics.inc("d_target_segments", tally.segments)
-                metrics.observe_max("d_target_segments_per_query", tally.max_segments)
-                if self._source_tree is not self._tree:
-                    metrics.inc("d_overlay_view_queries", tally.queries)
+        if metrics is not None and tally.queries:
+            metrics.inc("d_target_segments", tally.segments)
+            metrics.observe_max("d_target_segments_per_query", tally.max_segments)
+            if self._source_tree is not self._tree:
+                metrics.inc("d_overlay_view_queries", tally.queries)
         self._d.count_searches(tally.searches, tally.probes)
         if metrics is not None and tally.reanchors:
             metrics.inc("d_reanchor_probes", tally.reanchor_probes)

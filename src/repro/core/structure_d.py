@@ -19,7 +19,6 @@ original lists are never rebuilt.  This is what the fault-tolerant driver uses.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import VertexNotFound
@@ -28,15 +27,6 @@ from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
-
-#: Weight of the newest sample in the segment EWMA.  One sample = one update's
-#: mean target segments per query (see :meth:`StructureD.fold_segment_sample`);
-#: sampling per update rather than per query keeps the estimate from being
-#: dragged down by the cheap trailing queries every update ends with.  Large
-#: enough that a sustained plateau is reflected within a handful of updates,
-#: small enough that a single pathological update cannot trigger a rebase on
-#: its own.
-SEGMENT_EWMA_ALPHA = 0.25
 
 
 class StructureD:
@@ -78,19 +68,7 @@ class StructureD:
         self._extra_edges: Dict[Vertex, List[Vertex]] = {}
         self._deleted_edges: Set[frozenset] = set()
         self._deleted_vertices: Set[Vertex] = set()
-        # Pinned side lists (absorb mode): inserted edges that are *cross*
-        # edges w.r.t. the base tree, or incident to overlay-inserted
-        # vertices, cannot enter the sorted lists without breaking the
-        # back-edge property the range searches rely on; absorb_overlays()
-        # parks them here and queries keep scanning them like overlays.
-        self._cross_edges: Dict[Vertex, List[Vertex]] = {}
         self._next_virtual_post = tree.num_vertices  # inserted vertices go last
-        # EWMA of target segments per query: the divergence signal the
-        # absorb-mode auto-rebase policy watches.  A fresh structure (base
-        # tree == current tree) decomposes every target into one segment.
-        self._segment_ewma = 1.0
-        self._segments_since = 0
-        self._queries_since = 0
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -178,13 +156,12 @@ class StructureD:
         the adjacency of a vertex inserted after preprocessing), or in both; the
         overlay entries are dropped and the edge is masked for the base lists.
         """
-        for store in (self._extra_edges, self._cross_edges):
-            lst_u = store.get(u)
-            if lst_u and v in lst_u:
-                lst_u.remove(v)
-            lst_v = store.get(v)
-            if lst_v and u in lst_v:
-                lst_v.remove(u)
+        lst_u = self._extra_edges.get(u)
+        if lst_u and v in lst_u:
+            lst_u.remove(v)
+        lst_v = self._extra_edges.get(v)
+        if lst_v and u in lst_v:
+            lst_v.remove(u)
         self._deleted_edges.add(frozenset((u, v)))
 
     def note_vertex_inserted(self, v: Vertex, neighbors: Iterable[Vertex]) -> None:
@@ -202,12 +179,11 @@ class StructureD:
         """
         for w in self._base_row_neighbors(v):
             self._deleted_edges.add(frozenset((v, w)))
-        for store in (self._extra_edges, self._cross_edges):
-            stale = store.get(v)
-            if stale:
-                for w in stale:
-                    self._deleted_edges.add(frozenset((v, w)))
-                store[v] = []
+        stale = self._extra_edges.get(v)
+        if stale:
+            for w in stale:
+                self._deleted_edges.add(frozenset((v, w)))
+            self._extra_edges[v] = []
         self._deleted_vertices.discard(v)
         # Mirror the graph layer's normalisation: self loops dropped,
         # duplicates collapsed — otherwise the overlay's alive-edge view
@@ -242,10 +218,8 @@ class StructureD:
     def reset_overlays(self) -> None:
         """Forget every overlay (used by the fault-tolerant driver between
         independent batches of updates, which always start from the original
-        graph again).  Must not be mixed with :meth:`absorb_overlays`, which
-        folds overlays into the base lists destructively."""
+        graph again)."""
         self._extra_edges.clear()
-        self._cross_edges.clear()
         self._deleted_edges.clear()
         self._deleted_vertices.clear()
         # Drop sorted lists of vertices that only exist through overlays.
@@ -257,191 +231,12 @@ class StructureD:
 
     def overlay_size(self) -> int:
         """Number of overlay entries currently masking / extending the base
-        lists.  Pinned cross entries (see :meth:`absorb_overlays`) are *not*
-        counted: no rebuild policy can absorb them, so counting them would
-        make the auto-tuned policy rebuild forever for no gain — use
-        :meth:`pinned_size` to observe them."""
+        lists."""
         return (
             sum(len(lst) for lst in self._extra_edges.values())
             + len(self._deleted_edges)
             + len(self._deleted_vertices)
         )
-
-    def pinned_size(self) -> int:
-        """Number of pinned cross entries left behind by :meth:`absorb_overlays`."""
-        return sum(len(lst) for lst in self._cross_edges.values())
-
-    def note_query_segments(self, segments: int, queries: int) -> None:
-        """Record the target-segment count of *queries* queries for the
-        divergence EWMA.
-
-        Called by :class:`~repro.core.queries.DQueryService` once per batch
-        with the batch's segment total.  Under absorb maintenance the base
-        tree is frozen, so as the current tree drifts away from it each
-        target path shatters into more and more base-tree segments; this
-        per-query cost is the signal the auto-rebase policy of
-        :class:`~repro.core.dynamic_dfs.DStructureBackend` thresholds on.
-        """
-        self._segments_since += segments
-        self._queries_since += queries
-
-    def fold_segment_sample(self) -> None:
-        """Fold the queries recorded since the last fold into the EWMA.
-
-        Drivers call this once per update (one sample = one update's mean
-        segments per query); updates that needed no queries contribute no
-        sample.  Folding per update keeps one expensive decomposition burst
-        from being averaged away by the cheap trailing queries of the same
-        update before the policy gets to look at it.
-        """
-        if self._queries_since:
-            sample = self._segments_since / self._queries_since
-            self._segment_ewma += SEGMENT_EWMA_ALPHA * (sample - self._segment_ewma)
-            self._segments_since = 0
-            self._queries_since = 0
-
-    def avg_target_segments(self) -> float:
-        """EWMA of mean target segments per query since this structure was built."""
-        return self._segment_ewma
-
-    def maintenance_signals(self) -> Dict[str, float]:
-        """The structure's maintenance cost signals, one value per update.
-
-        Keys match the :class:`~repro.core.maintenance.CostModel` names the
-        ``D``-based backends register: ``overlay`` (Theorem 9 entries masking
-        or extending the base lists — the auto-tuned rebuild cadence),
-        ``pinned`` (cross-edge side lists no absorb can retire) and
-        ``segments`` (the per-query divergence EWMA).  Backends report these
-        through :meth:`MaintenanceController.observe
-        <repro.core.maintenance.MaintenanceController.observe>` after every
-        update instead of each policy re-reading structure internals.
-        """
-        return {
-            "overlay": float(self.overlay_size()),
-            "pinned": float(self.pinned_size()),
-            "segments": self._segment_ewma,
-        }
-
-    def _overlay_neighbors(self, u: Vertex):
-        """All overlay-recorded neighbours of *u* (inserted + pinned)."""
-        return chain(self._extra_edges.get(u, ()), self._cross_edges.get(u, ()))
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance (absorb instead of rebuild)
-    # ------------------------------------------------------------------ #
-    def _remove_sorted_entry(self, u: Vertex, w: Vertex) -> int:
-        """Remove *w* from *u*'s sorted lists if present; returns entries probed."""
-        posts = self._sorted_posts.get(u)
-        if not posts:
-            return 0
-        p = self._post.get(w)
-        if p is None:
-            return 0
-        nbrs = self._sorted_nbrs[u]
-        i = bisect_left(posts, p)
-        probes = 1
-        while i < len(posts) and posts[i] == p:
-            if nbrs[i] == w:
-                posts.pop(i)
-                nbrs.pop(i)
-                return probes
-            i += 1
-            probes += 1
-        return probes
-
-    def _insert_sorted_entry(self, u: Vertex, w: Vertex) -> int:
-        """Insert *w* into *u*'s sorted lists (no-op when already present)."""
-        posts = self._sorted_posts.setdefault(u, [])
-        nbrs = self._sorted_nbrs.setdefault(u, [])
-        p = self._post[w]
-        i = bisect_left(posts, p)
-        probes = 1
-        while i < len(posts) and posts[i] == p:
-            if nbrs[i] == w:
-                return probes  # already absorbed (e.g. mask discarded by re-insert)
-            i += 1
-            probes += 1
-        posts.insert(i, p)
-        nbrs.insert(i, w)
-        return probes
-
-    def absorb_overlays(self) -> None:
-        """Fold the accumulated overlays into the sorted base lists in place.
-
-        The incremental alternative to a full ``_build()``: deletions are
-        purged from the lists, and inserted edges whose endpoints form an
-        ancestor–descendant pair of the base tree are insorted by post-order
-        number — ``O(log deg)`` to locate each entry, ``O(overlay)`` entries —
-        so the periodic ``O(m)`` rebuild spike becomes a smooth amortized
-        cost.  Inserted edges that are *cross* edges w.r.t. the base tree (or
-        incident to overlay-inserted vertices) cannot enter the sorted lists:
-        the range searches would miss them because neither endpoint is a
-        base-tree ancestor of the other.  They are pinned to a side list that
-        queries keep scanning exactly like Theorem 9 overlays.
-
-        After absorbing, queries answer *byte-identically* to a structure
-        freshly built on the updated graph and the same base tree (the
-        property the tests cross-validate); unlike a rebuild, the base tree —
-        and therefore every post-order number — stays fixed.  Counted under
-        ``d_absorbs`` / ``d_absorb_work``.
-        """
-        work = 0
-        # 1. Deleted edges: purge from the sorted and side lists of both ends.
-        for key in self._deleted_edges:
-            pair = tuple(key)
-            u, v = pair if len(pair) == 2 else (pair[0], pair[0])
-            for a, b in ((u, v), (v, u)):
-                work += self._remove_sorted_entry(a, b)
-                for store in (self._extra_edges, self._cross_edges):
-                    lst = store.get(a)
-                    if lst and b in lst:
-                        lst.remove(b)
-                        work += 1
-        self._deleted_edges.clear()
-        # 2. Deleted vertices: drop their lists and their entries at every
-        #    ex-neighbour.  Base-tree vertices keep their post-order number
-        #    (queries still anchor ranges at them); overlay vertices vanish.
-        for v in self._deleted_vertices:
-            nbrs = set(self._sorted_nbrs.pop(v, ()))
-            self._sorted_posts.pop(v, None)
-            nbrs.update(self._extra_edges.pop(v, ()))
-            nbrs.update(self._cross_edges.pop(v, ()))
-            for w in nbrs:
-                work += self._remove_sorted_entry(w, v)
-                for store in (self._extra_edges, self._cross_edges):
-                    lst = store.get(w)
-                    while lst and v in lst:
-                        lst.remove(v)
-                        work += 1
-            if v not in self._tree:
-                self._post.pop(v, None)
-            work += 1
-        self._deleted_vertices.clear()
-        # 3. Inserted edges: absorb ancestor–descendant pairs, pin the rest.
-        tree = self._tree
-        pinned_seen: Dict[Vertex, Set[Vertex]] = {}
-        for u, lst in list(self._extra_edges.items()):
-            for w in lst:  # the mirror entry handles the other endpoint
-                if (
-                    u in tree
-                    and w in tree
-                    and (tree.is_ancestor(u, w) or tree.is_ancestor(w, u))
-                ):
-                    work += self._insert_sorted_entry(u, w)
-                else:
-                    pinned = self._cross_edges.setdefault(u, [])
-                    seen = pinned_seen.get(u)
-                    if seen is None:
-                        seen = pinned_seen[u] = set(pinned)
-                    if w not in seen:
-                        pinned.append(w)
-                        seen.add(w)
-                    work += 1
-        self._extra_edges.clear()
-        if self._metrics is not None:
-            self._metrics.inc("d_absorbs")
-            self._metrics.inc("d_absorb_work", work)
-            self._metrics.observe_max("pinned_overlay_size", self.pinned_size())
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -559,7 +354,7 @@ class StructureD:
                         best, best_level = w, w_level
 
         # Overlay edges (few per vertex; linear scan as in Theorem 9).
-        for w in self._overlay_neighbors(u):  # pragma: no branch
+        for w in self._extra_edges.get(u, ()):  # pragma: no branch
             probes += 1
             if not self._edge_alive(u, w):
                 continue
@@ -609,7 +404,7 @@ class StructureD:
                     best, best_post = w, posts[i]
                     break
                 i += 1
-        for w in self._overlay_neighbors(u):  # overlay edges (few per vertex)
+        for w in self._extra_edges.get(u, ()):  # overlay edges (few per vertex)
             probes += 1
             if not self._edge_alive(u, w):
                 continue
@@ -644,7 +439,7 @@ class StructureD:
         for w in self._base_row_neighbors(u):
             if self._edge_alive(u, w):
                 out.append(w)
-        for w in self._overlay_neighbors(u):  # inserted + pinned edges
+        for w in self._extra_edges.get(u, ()):  # overlay-inserted edges
             if self._edge_alive(u, w):
                 out.append(w)
         return out
@@ -653,7 +448,7 @@ class StructureD:
         """True iff the edge ``(u, w)`` exists after applying the overlays."""
         if not self._edge_alive(u, w):
             return False
-        if w in self._extra_edges.get(u, ()) or w in self._cross_edges.get(u, ()):
+        if w in self._extra_edges.get(u, ()):
             return True
         row = self._row(u)
         if row is None or w not in self._post:

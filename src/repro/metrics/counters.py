@@ -31,7 +31,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "update_batches": "apply_all() batches served by the amortized engine",
     "max_update_batch_size": "largest batch handed to apply_all()",
     "service_rebuilds": "query-service base-state rebuilds by UpdateEngine (initial build included)",
-    "service_rebuilds_forced": "rebuilds forced by a backend veto (re-used vertex id, due rebase) rather than the policy cadence",
+    "service_rebuilds_forced": "rebuilds forced by a backend veto (re-used vertex id) or a forcing cost model (depth drift) rather than the policy cadence",
     "overlay_served_updates": "updates served from the existing service state instead of a rebuild",
     "max_overlay_size": "largest overlay (masked + extra entries) observed between rebuilds",
     "commit_listener_errors": "commit listeners that raised and were isolated by UpdateEngine (the writer is never poisoned; end_update still ran)",
@@ -41,15 +41,8 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     # Data structure D (Theorems 8-9) and its maintenance policies
     "d_builds": "StructureD constructions (one per full rebuild of D)",
     "d_build_work": "total adjacency entries processed while building D",
-    "d_rebuilds": "D-state refreshes triggered by a driver (initial build included; absorbs count too)",
+    "d_rebuilds": "D-state refreshes triggered by a driver (initial build included)",
     "d_stale_rebuilds": "full rebuilds of D that replaced a base tree the committed tree had moved away from",
-    "d_absorbs": "StructureD.absorb_overlays() calls (incremental D maintenance)",
-    "d_absorb_work": "entries touched while absorbing overlays into the sorted lists",
-    "max_pinned_overlay_size": "largest pinned cross-edge side list left behind by absorbs",
-    "d_rebases": "full rebases of absorb-mode D (base tree replaced by the current tree)",
-    "d_rebase_trigger_segments": "rebases triggered by the per-query segment EWMA crossing its threshold",
-    "d_rebase_trigger_pinned": "rebases triggered by the pinned side lists outgrowing the overlay budget",
-    "avg_target_segments": "EWMA of target segments per query against absorb-mode D (gauge)",
     "d_vertex_queries": "per-source-vertex range searches answered by D",
     "d_probes": "adjacency entries touched by D's range searches",
     "d_target_segments": "base-tree segments the query targets decomposed into",
@@ -57,8 +50,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "d_reanchor_probes": "adjacency entries touched while re-anchoring canonical source endpoints",
     "d_overlay_view_queries": "queries answered while D's base tree differs from the current tree",
     # Array backend (flat/CSR core of ArrayStructureD)
-    "d_flat_materializations": "flat array rows degraded to python lists (only when an overlay absorb involves vertex updates; edge-only absorbs stay flat)",
-    "d_flat_absorbs": "vectorized in-place absorbs of edge-only overlays into the flat array core (no materialization)",
     "d_batch_queries": "batched min-postorder re-anchor calls answered by D",
     "d_batch_query_fallbacks": "batched re-anchor calls that fell back entirely to the scalar path",
     # Query services
@@ -137,7 +128,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     # Timers (wall-clock seconds; informational, never asserted on)
     "time_initial_dfs": "initial static DFS at construction",
     "time_preprocess": "fault-tolerant preprocessing",
-    "time_build_d": "StructureD builds / absorbs",
+    "time_build_d": "StructureD builds",
     "time_update": "end-to-end single-update processing",
     "time_batch_update": "end-to-end apply_all() batches",
     "time_rebuild_tree": "DFSTree snapshot construction after updates",

@@ -51,9 +51,10 @@ def rollup_counters(dicts: Iterable[Dict[str, float]]) -> Dict[str, float]:
     every key must be registered (the per-shard recorders are strict, so an
     unknown key here is a programming error and raises ``KeyError``),
     ``max_``-prefixed keys keep the maximum across shards, and every other
-    key (counts, work, accumulated timers) sums.  Gauges (e.g.
-    ``avg_target_segments``) sum too — meaningful per shard, not across the
-    fleet; read them from :meth:`ShardRouter.shard_metrics` instead.
+    key (counts, work, accumulated timers) sums.  Gauges recorded with
+    :meth:`~repro.metrics.counters.MetricsRecorder.set` sum too — meaningful
+    per shard, not across the fleet; read them from
+    :meth:`ShardRouter.shard_metrics` instead.
     """
     out: Dict[str, float] = {}
     for counters in dicts:

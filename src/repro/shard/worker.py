@@ -83,7 +83,7 @@ class ShardWorker:
         ``"array"`` / ``None`` = resolve ``REPRO_BACKEND`` then ``"dict"``).
     driver_options:
         Extra keyword arguments for every tenant's
-        :class:`FullyDynamicDFS` (e.g. ``rebuild_every``, ``d_maintenance``).
+        :class:`FullyDynamicDFS` (e.g. ``rebuild_every``, ``engine``).
     publish_every:
         Snapshot publication cadence of every tenant's
         :class:`DFSTreeService`.

@@ -2,9 +2,8 @@
 
 Everything here is differential against the dict reference ``StructureD`` —
 identical rows, identical query answers, identical probe counters — plus the
-array-only machinery: the batched re-anchor path, its scalar fallbacks, the
-in-place flat absorb of edge-only overlay epochs, and the materialization
-fallback for epochs with vertex overlays.
+array-only machinery: the batched re-anchor path and its scalar fallbacks,
+including the per-vertex build over a graph that is not an ``ArrayGraph``.
 """
 
 from __future__ import annotations
@@ -98,105 +97,19 @@ def test_batch_reanchor_identical_and_counts_fallbacks():
     assert ma["d_batch_query_fallbacks"] == 0
 
 
-def test_edge_only_absorb_stays_flat_and_matches_dict():
-    """Edge-only overlay epochs absorb into the flat arrays in place: no
-    materialization, and rows / pinned lists / ``d_absorb_work`` are
-    byte-identical to the dict backend's absorb across repeated epochs."""
-    rng = random.Random(4242)
-    for trial in range(25):
-        n = rng.randrange(4, 40)
-        g, ag, tree = _pair(n=n, p=rng.uniform(0.05, 0.5), seed=rng.randrange(10**6))
-        md, ma = MetricsRecorder(), MetricsRecorder()
-        dd = StructureD(g, tree, metrics=md)
-        da = ArrayStructureD(ag, tree, metrics=ma)
-        verts = list(g.vertices())
-        present = {frozenset(e) for e in g.edges()}
-        for epoch in range(rng.randrange(1, 4)):
-            for _ in range(rng.randrange(0, 12)):
-                if rng.random() < 0.45 and present:
-                    u, v = tuple(rng.choice(sorted(present, key=sorted)))
-                    present.discard(frozenset((u, v)))
-                    dd.note_edge_deleted(u, v)
-                    da.note_edge_deleted(u, v)
-                else:
-                    u, v = rng.sample(verts, 2)
-                    if frozenset((u, v)) in present:
-                        continue
-                    present.add(frozenset((u, v)))
-                    dd.note_edge_inserted(u, v)
-                    da.note_edge_inserted(u, v)
-            dd.absorb_overlays()
-            da.absorb_overlays()
-            assert not da._materialized, trial
-            assert ma["d_flat_absorbs"] == epoch + 1
-            assert ma["d_flat_materializations"] == 0
-            assert ma["d_absorb_work"] == md["d_absorb_work"], (trial, epoch)
-            for v in tree.vertices():
-                rd = dd._row(v)
-                ra = da._row(v)
-                if rd is None or len(rd[0]) == 0:
-                    assert ra is None or len(ra[0]) == 0, (trial, v)
-                else:
-                    assert list(ra[0]) == list(rd[0]), (trial, v)
-                    assert list(ra[1]) == list(rd[1]), (trial, v)
-            assert {k: v for k, v in da._cross_edges.items() if v} == {
-                k: v for k, v in dd._cross_edges.items() if v
-            }, trial
-            us = [rng.choice(verts) for _ in range(25)]
-            los, his = [], []
-            for _ in us:
-                lo, hi = _interval(tree, rng.choice(verts))
-                los.append(lo)
-                his.append(hi)
-            assert da.min_post_alive_neighbor_batch(
-                us, los, his
-            ) == StructureD.min_post_alive_neighbor_batch(dd, us, los, his), trial
-
-
-def test_sustained_churn_absorbs_never_materialize():
-    """The ISSUE follow-up closed by the flat absorb: on the edge-only
-    ``sustained_churn`` scenario every absorb epoch stays in the flat core
-    (``d_flat_materializations == 0``) while answers and absorb work remain
-    identical to the dict driver."""
-    from repro.core.dynamic_dfs import FullyDynamicDFS
-    from repro.workloads.scenarios import build_scenario
-
-    scenario = build_scenario("sustained_churn", n=64, seed=3, updates=100)
-
-    def run(backend):
-        m = MetricsRecorder(backend)
-        dyn = FullyDynamicDFS(
-            scenario.graph.copy(),
-            backend=backend,
-            metrics=m,
-            d_maintenance="absorb",
-            rebuild_every=4,
-        )
-        for u in scenario.updates:
-            dyn.apply(u)
-        return dyn, m
-
-    dyn_a, ma = run("array")
-    dyn_d, md = run("dict")
-    assert dyn_a.tree.parent_map() == dyn_d.tree.parent_map()
-    assert ma["d_absorbs"] == md["d_absorbs"] >= 1
-    assert ma["d_flat_absorbs"] == ma["d_absorbs"]
-    assert ma["d_flat_materializations"] == 0
-    assert ma["d_absorb_work"] == md["d_absorb_work"]
-
-
 def test_batch_falls_back_after_materialization():
-    g, ag, tree = _pair()
+    """Built over a plain ``UndirectedGraph`` (not an ``ArrayGraph``), the
+    rows are the inherited python lists and every batched call takes the
+    scalar path."""
+    g, _, tree = _pair()
     ma = MetricsRecorder()
-    da = ArrayStructureD(ag, tree, metrics=ma)
+    da = ArrayStructureD(g, tree, metrics=ma)
     dd = StructureD(g, tree)
+    assert da._materialized
     verts = list(g.vertices())
     u, w = verts[0], verts[1]
     dd.note_vertex_deleted(u)
     da.note_vertex_deleted(u)
-    dd.absorb_overlays()
-    da.absorb_overlays()  # one-way: flat rows degrade to python lists
-    assert ma["d_flat_materializations"] == 1
     lo, hi = _interval(tree, w)
     assert da.min_post_alive_neighbor_batch([w], [lo], [hi]) == StructureD.min_post_alive_neighbor_batch(
         dd, [w], [lo], [hi]

@@ -113,42 +113,6 @@ def test_custom_backend_minimal_protocol():
     assert engine.is_valid()
 
 
-def test_absorb_mode_zero_full_builds_on_edge_churn():
-    """Acceptance: the amortized driver using absorb performs zero full
-    ``d_builds`` after initialization on an edge-churn workload."""
-    g = gnp_random_graph(60, 0.1, seed=6, connected=True)
-    updates = edge_churn(g, 80, seed=13)
-    metrics = MetricsRecorder()
-    dyn = FullyDynamicDFS(g, rebuild_every=8, d_maintenance="absorb", metrics=metrics)
-    dyn.apply_all(updates)
-    assert dyn.is_valid()
-    assert metrics["d_builds"] == 1  # the initial build only
-    assert metrics["d_absorbs"] == len(updates) // 8
-    assert metrics["d_absorb_work"] > 0
-    # The spike is gone: absorb work is far below one full rebuild's work.
-    assert metrics["d_absorb_work"] < metrics["d_build_work"]
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_absorb_mode_tree_identical_to_rebuild_mode(seed):
-    g = gnp_random_graph(45, 0.1, seed=seed, connected=True)
-    updates = mixed_updates(g, 30, seed=seed + 40)
-    rebuild = FullyDynamicDFS(g, rebuild_every=6, d_maintenance="rebuild", validate=True)
-    absorb = FullyDynamicDFS(g, rebuild_every=6, d_maintenance="absorb", validate=True)
-    for i, upd in enumerate(updates):
-        rebuild.apply(upd)
-        absorb.apply(upd)
-        assert rebuild.parent_map() == absorb.parent_map(), (seed, i, upd.describe())
-
-
-def test_invalid_d_maintenance_rejected():
-    with pytest.raises(ValueError):
-        FullyDynamicDFS(path_graph(4), d_maintenance="magic")
-    with pytest.raises(ValueError):
-        # absorb is a D-structure knob; the brute oracle has nothing to absorb.
-        FullyDynamicDFS(path_graph(4), service="brute", d_maintenance="absorb")
-
-
 def test_batch_metrics_consistent_across_adapters():
     g = gnp_random_graph(30, 0.12, seed=1, connected=True)
     updates = edge_churn(g, 6, seed=2)

@@ -217,7 +217,7 @@ def shared_target_batch(tree, starts):
 
 
 def batch_and_counts(backend, overlay, one_at_a_time):
-    g, tree, d, service, metrics = shared_target_service(backend, overlay)
+    g, tree, _, service, metrics = shared_target_service(backend, overlay)
     # The two root paths with the most hanging subtrees; in the overlay view
     # the second is the inserted vertex's root path.
     starts = sorted(
@@ -230,9 +230,7 @@ def batch_and_counts(backend, overlay, one_at_a_time):
         answers = [service.answer(q) for q in queries]
     else:
         answers = service.answer_batch(queries)
-    d.fold_segment_sample()
-    counts = metrics.as_dict()
-    return g, tree, queries, answers, counts, d.avg_target_segments()
+    return g, tree, queries, answers, metrics.as_dict()
 
 
 @pytest.mark.parametrize("overlay", [False, True], ids=["fresh", "overlay_view"])
@@ -240,8 +238,8 @@ def batch_and_counts(backend, overlay, one_at_a_time):
 def test_shared_target_batch_equals_one_query_at_a_time(backend, overlay):
     if backend == "array" and not HAVE_NUMPY:
         pytest.skip("the array backend needs numpy")
-    g, tree, queries, batched, counts, ewma = batch_and_counts(backend, overlay, False)
-    _, _, _, single, single_counts, single_ewma = batch_and_counts(backend, overlay, True)
+    g, tree, queries, batched, counts = batch_and_counts(backend, overlay, False)
+    _, _, _, single, single_counts = batch_and_counts(backend, overlay, True)
 
     assert {q.source_kind for q in queries} == {"tree", "path", "vertices"}
     assert {q.prefer_last for q in queries} == {True, False}
@@ -254,7 +252,6 @@ def test_shared_target_batch_equals_one_query_at_a_time(backend, overlay):
     assert counts.pop("query_batches") == 1
     assert single_counts.pop("query_batches") == len(queries)
     assert counts == single_counts
-    assert ewma == single_ewma
     assert counts["queries"] == len(queries)
     assert counts["d_probes"] >= counts["d_vertex_queries"] > 0  # a search charges >= 1 probe
     if overlay:

@@ -131,137 +131,6 @@ def test_deleted_vertex_masks_all_edges():
     assert victim not in d.neighbors_of(nbr)
 
 
-# --------------------------------------------------------------------------- #
-# Incremental maintenance: absorb_overlays
-# --------------------------------------------------------------------------- #
-def _apply_random_edge_churn(d, graph, count, rng):
-    """Random valid edge insertions/deletions applied to *graph* and noted as
-    overlays on *d*; returns the update descriptions."""
-    applied = []
-    for _ in range(count):
-        edges = list(graph.edges())
-        verts = list(graph.vertices())
-        if edges and rng.random() < 0.5:
-            u, v = rng.choice(edges)
-            graph.remove_edge(u, v)
-            d.note_edge_deleted(u, v)
-            applied.append(("del", u, v))
-        else:
-            for _attempt in range(40):
-                u, v = rng.sample(verts, 2)
-                if not graph.has_edge(u, v):
-                    graph.add_edge(u, v)
-                    d.note_edge_inserted(u, v)
-                    applied.append(("ins", u, v))
-                    break
-    return applied
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_absorb_overlays_matches_fresh_build_byte_identically(seed):
-    """Property: after absorbing edge-churn overlays, the sorted lists (and
-    hence every query answer) are byte-identical to a StructureD freshly built
-    on the updated graph and the same base tree."""
-    rng = random.Random(seed)
-    g = gnp_random_graph(30 + seed, 0.12, seed=seed, connected=True)
-    tree = DFSTree(static_dfs_tree(g, next(iter(g.vertices()))), root=None)
-    d = StructureD(g, tree)
-    _apply_random_edge_churn(d, g, 25, rng)
-    d.absorb_overlays()
-    fresh = StructureD(g, tree)
-    assert d.overlay_size() == 0
-    assert d._post == fresh._post
-    for v in g.vertices():
-        combined = sorted(d._sorted_nbrs.get(v, []) + list(d._cross_edges.get(v, [])),
-                          key=d._post.__getitem__)
-        assert combined == fresh._sorted_nbrs.get(v, []), v
-        # The absorbed sorted lists themselves stay post-order sorted.
-        posts = d._sorted_posts.get(v, [])
-        assert posts == sorted(posts)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_absorb_overlays_query_answers_match_fresh_build(seed):
-    """Property (acceptance): through the canonical query service, an absorbed
-    ``D`` answers byte-identically to a ``D`` freshly built on the updated
-    graph — the exact comparison the amortized driver's rebuild policy relies
-    on.  (The fresh build is based on a valid DFS tree of the updated graph,
-    as ``d_maintenance="rebuild"`` would produce; canonical answers are a pure
-    function of the graph and the current tree, so the two must coincide.)"""
-    from repro.core.queries import DQueryService, EdgeQuery
-
-    rng = random.Random(seed + 100)
-    g = gnp_random_graph(34, 0.12, seed=seed, connected=True)
-    root = next(iter(g.vertices()))
-    tree = DFSTree(static_dfs_tree(g, root), root=None)
-    d = StructureD(g, tree)
-    _apply_random_edge_churn(d, g, 30, rng)
-    d.absorb_overlays()
-    # Raw alive-edge surface agrees with a fresh build on the same base tree.
-    fresh_same_base = StructureD(g, tree)
-    for u in g.vertices():
-        assert sorted(map(str, d.neighbors_of(u))) == sorted(
-            map(str, fresh_same_base.neighbors_of(u))
-        ), u
-    # Canonical service surface agrees with the rebuild-mode structure.
-    current_tree = DFSTree(static_dfs_tree(g, root), root=None)
-    absorbed_service = DQueryService(d, source_tree=current_tree)
-    rebuilt_service = DQueryService(StructureD(g, current_tree))
-    verts = list(current_tree.vertices())
-    queries = []
-    for _ in range(150):
-        a, b = rng.sample(verts, 2)
-        if not current_tree.is_ancestor(a, b):
-            a, b = b, a
-        if not current_tree.is_ancestor(a, b):
-            continue
-        target = tuple(current_tree.path(a, b))
-        src_root = rng.choice(verts)
-        if any(current_tree.is_ancestor(src_root, t) for t in target):
-            continue  # source piece must be disjoint from the target path
-        queries.append(
-            EdgeQuery.from_tree(src_root, target, prefer_last=rng.random() < 0.5)
-        )
-    assert queries, "no valid queries generated"
-    assert absorbed_service.answer_batch(queries) == rebuilt_service.answer_batch(queries)
-
-
-def test_absorb_overlays_handles_vertex_churn():
-    """Deleted vertices are purged everywhere; overlay-inserted vertices keep
-    working after the absorb (their edges stay visible from both endpoints)."""
-    g, tree, d = build(seed=9)
-    victim = next(v for v in g.vertices() if g.degree(v) >= 2 and v != tree.root)
-    old_neighbors = list(g.neighbors(victim))
-    g.remove_vertex(victim)
-    d.note_vertex_deleted(victim)
-    g.add_vertex_with_edges("joiner", [old_neighbors[0]])
-    d.note_vertex_inserted("joiner", [old_neighbors[0]])
-    d.absorb_overlays()
-    assert d.overlay_size() == 0
-    for w in old_neighbors:
-        assert victim not in d.neighbors_of(w)
-    assert not d.has_alive_edge(old_neighbors[0], victim)
-    assert d.has_alive_edge("joiner", old_neighbors[0])
-    assert d.has_alive_edge(old_neighbors[0], "joiner")
-    assert "joiner" in d.neighbors_of(old_neighbors[0])
-
-
-def test_absorb_then_more_overlays_then_absorb_again():
-    """Absorbs compose: a second round of churn + absorb stays consistent."""
-    rng = random.Random(77)
-    g = gnp_random_graph(28, 0.15, seed=5, connected=True)
-    tree = DFSTree(static_dfs_tree(g, next(iter(g.vertices()))), root=None)
-    d = StructureD(g, tree)
-    for _ in range(3):
-        _apply_random_edge_churn(d, g, 15, rng)
-        d.absorb_overlays()
-    fresh = StructureD(g, tree)
-    for v in g.vertices():
-        combined = sorted(d._sorted_nbrs.get(v, []) + list(d._cross_edges.get(v, [])),
-                          key=d._post.__getitem__)
-        assert combined == fresh._sorted_nbrs.get(v, []), v
-
-
 def test_segment_depth_narrows_to_vertex_not_found():
     """Regression: ``_segment_depth`` used to catch *Exception*, so a broken
     ``tree.level`` (a typo, a corrupted tree) was silently mapped to the

@@ -14,6 +14,6 @@ class Engine:
         self.metrics.inc("d_builds", 2)
         self.metrics.observe_max("overlay_size", 5)  # max_ alias
         self.metrics.observe_max("max_update_batch_size", 3)  # direct max_ name
-        self.metrics.set("avg_target_segments", 1.5)
+        self.metrics.set("snapshot_build_ms", 1.5)
         with self.metrics.timer("build_d"):  # registered as time_build_d
             pass

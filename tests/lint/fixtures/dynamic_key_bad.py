@@ -2,8 +2,8 @@
 """Bad: counter keys built at runtime cannot be checked statically."""
 
 
-def work(metrics, trigger):
+def work(metrics, scenario):
     """Bump a counter whose name depends on a runtime value."""
-    metrics.inc(f"d_rebase_trigger_{trigger}")  # expect: dynamic-counter-key
+    metrics.inc(f"{scenario}_committed")  # expect: dynamic-counter-key
     key = "updates"
     metrics.inc(key)  # expect: dynamic-counter-key

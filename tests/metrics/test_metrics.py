@@ -75,7 +75,7 @@ def test_strict_recorder_accepts_registered_counters_and_max_aliases():
     # Maxima are recorded under the raw name but registered under max_<name>.
     m.observe_max("overlay_size", 5)
     m.observe_max("congest_max_message_words", 2)  # alias: max_congest_max_message_words
-    m.set("avg_target_segments", 1.5)
+    m.set("snapshot_build_ms", 1.5)
     with m.timer("build_d"):
         pass
     d = m.as_dict()
@@ -101,12 +101,10 @@ def test_every_driver_records_only_registered_counters():
     graph = gnp_random_graph(24, 0.15, seed=3, connected=True)
     updates = mixed_updates(graph, 8, seed=5)
     FullyDynamicDFS(
-        graph,
-        rebuild_every=3,
-        d_maintenance="absorb",
-        rebase_segment_threshold=2,
-        validate=True,
-        metrics=MetricsRecorder("core", strict=True),
+        graph, rebuild_every=3, validate=True, metrics=MetricsRecorder("core", strict=True)
+    ).apply_all(updates)
+    FullyDynamicDFS(
+        graph, validate=True, metrics=MetricsRecorder("core_auto", strict=True)
     ).apply_all(updates)
     FullyDynamicDFS(
         graph, service="brute", metrics=MetricsRecorder("brute", strict=True)

@@ -32,7 +32,7 @@ def _scenario(n=48, seed=1, updates=24):
 
 ENGINE_DRIVERS = [
     ("core", lambda g, m: FullyDynamicDFS(g, rebuild_every=4, metrics=m)),
-    ("core_absorb", lambda g, m: FullyDynamicDFS(g, rebuild_every=4, d_maintenance="absorb", metrics=m)),
+    ("core_auto", lambda g, m: FullyDynamicDFS(g, rebuild_every=None, metrics=m)),
     ("stream", lambda g, m: SemiStreamingDynamicDFS(g, rebuild_every=4, metrics=m)),
     ("dist", lambda g, m: DistributedDynamicDFS(g, rebuild_every=4, metrics=m)),
 ]

@@ -1,12 +1,6 @@
 """Property-based tests for the adaptive maintenance policies.
 
-Three policies are covered:
-
-* **Absorb-mode auto-rebase** (:class:`repro.core.dynamic_dfs.DStructureBackend`):
-  the per-update segment EWMA triggers a full rebase of ``D`` exactly when it
-  crosses the configured threshold, the rebase resets the divergence signal
-  and clears the pinned side lists, and the policy never changes the
-  maintained tree.
+Two policies are covered:
 
 * **Broadcast-tree local repair** (:class:`repro.distributed.distributed_dfs.CongestBackend`):
   after every repair the cached broadcast tree still satisfies everything a
@@ -30,11 +24,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic_dfs import FullyDynamicDFS
-from repro.core.structure_d import SEGMENT_EWMA_ALPHA
 from repro.core.updates import EdgeDeletion
 from repro.distributed.distributed_dfs import DistributedDynamicDFS
-from repro.graph.generators import gnm_random_graph, path_graph
+from repro.graph.generators import gnm_random_graph
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import bfs_tree, component_of
 from repro.metrics.counters import MetricsRecorder
@@ -42,8 +34,6 @@ from repro.workloads.scenarios import build_scenario
 from repro.workloads.updates import edge_churn
 
 SETTINGS = settings(max_examples=20, deadline=None)
-
-THRESHOLD = 2
 
 
 @st.composite
@@ -103,89 +93,6 @@ def low_diameter_cases(draw, max_n=32, max_updates=24):
     count = draw(st.integers(min_value=4, max_value=max_updates))
     graph = gnm_random_graph(n, m, seed=graph_seed)
     return graph, _connectivity_preserving_churn(graph, count, seed=churn_seed)
-
-
-# --------------------------------------------------------------------------- #
-# Absorb-mode auto-rebase
-# --------------------------------------------------------------------------- #
-@SETTINGS
-@given(churn_cases())
-def test_absorb_rebase_fires_exactly_when_triggered(case):
-    """``d_rebases`` increments iff the trigger was pending at update start,
-    and a rebase replaces the structure, clears the pinned lists and restarts
-    the EWMA from the post-rebase queries of the same update."""
-    graph, updates = case
-    metrics = MetricsRecorder("absorb", strict=True)
-    dyn = FullyDynamicDFS(
-        graph,
-        rebuild_every=3,
-        d_maintenance="absorb",
-        rebase_segment_threshold=THRESHOLD,
-        metrics=metrics,
-    )
-    backend = dyn._backend
-    for update in updates:
-        trigger = backend.rebase_trigger()
-        before = metrics.as_dict()
-        structure_before = backend.structure
-        dyn.apply(update)
-        delta = metrics.snapshot_delta(before)
-        if trigger is not None:
-            assert delta["d_rebases"] == 1
-            assert delta[f"d_rebase_trigger_{trigger}"] == 1
-            assert backend.structure is not structure_before, "rebase must rebuild D"
-            assert backend.structure.pinned_size() == 0
-            # The EWMA restarted at 1.0 and folded exactly this update's
-            # post-rebase sample (mean segments per query).
-            if delta.get("queries", 0):
-                sample = delta["d_target_segments"] / delta["queries"]
-                expected = 1.0 + SEGMENT_EWMA_ALPHA * (sample - 1.0)
-                assert backend.structure.avg_target_segments() == pytest.approx(expected)
-            else:
-                assert backend.structure.avg_target_segments() == pytest.approx(1.0)
-        else:
-            assert delta.get("d_rebases", 0) == 0, "no spurious rebases"
-    assert dyn.is_valid()
-
-
-@SETTINGS
-@given(churn_cases())
-def test_absorb_rebase_keeps_segments_bounded_and_tree_identical(case):
-    """The auto-rebase policy never changes the tree, and whenever it fires it
-    keeps the divergence signal at most one fold above the threshold (the
-    crossing update itself contributes the final sample)."""
-    graph, updates = case
-    classic = FullyDynamicDFS(graph, rebuild_every=1)
-    metrics = MetricsRecorder("absorb", strict=True)
-    auto = FullyDynamicDFS(
-        graph,
-        rebuild_every=3,
-        d_maintenance="absorb",
-        rebase_segment_threshold=THRESHOLD,
-        metrics=metrics,
-    )
-    backend = auto._backend
-    for update in updates:
-        classic.apply(update)
-        auto.apply(update)
-        assert auto.parent_map() == classic.parent_map()
-        # The signal can exceed the threshold only between the fold that
-        # crossed it and the rebase the very next served update performs —
-        # so observing a pending trigger and a bounded signal is equivalent.
-        ewma = backend.structure.avg_target_segments()
-        if ewma > THRESHOLD:
-            assert backend.rebase_trigger() is not None
-
-
-def test_rebase_threshold_knob_validation():
-    graph = path_graph(6)
-    with pytest.raises(ValueError):
-        FullyDynamicDFS(graph, rebase_segment_threshold=2)  # needs absorb
-    with pytest.raises(ValueError):
-        FullyDynamicDFS(graph, d_maintenance="absorb", rebase_segment_threshold=0)
-    dyn = FullyDynamicDFS(graph, d_maintenance="absorb")
-    assert dyn.rebase_segment_threshold() >= 4  # auto ~sqrt(m)
-    assert FullyDynamicDFS(graph).rebase_segment_threshold() is None
 
 
 # --------------------------------------------------------------------------- #

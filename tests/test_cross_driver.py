@@ -17,9 +17,10 @@ classic per-update-rebuild configurations, with identical parent maps.
 On top of the fixed workloads, a *randomized differential harness*
 (hypothesis) generates (graph, mixed update sequence) cases from
 shrinking-friendly integer encodings and asserts byte-identical parent maps
-across all four drivers x {classic, rebuild_every=k, absorb(+auto-rebase),
-local-repair} *after every single update* — exercising the policy-triggered
-rebase and broadcast-tree repair paths against the per-update-rebuild oracle.
+across all four drivers x {classic, rebuild_every=k, auto, local-repair}
+*after every single update* — exercising the auto policy's cost-model
+rebuilds and the broadcast-tree repair paths against the per-update-rebuild
+oracle.
 Every driver runs on a ``strict`` metrics recorder, so a counter missing from
 ``WELL_KNOWN_COUNTERS`` fails the harness (registry drift is impossible).
 """
@@ -64,7 +65,7 @@ def _all_driver_maps(graph, updates, backend="dict"):
     combos = [
         ("core_rebuild_every_1", lambda m: FullyDynamicDFS(graph, rebuild_every=1, metrics=m, backend=backend)),
         ("core_amortized", lambda m: FullyDynamicDFS(graph, rebuild_every=AMORTIZED_K, metrics=m, backend=backend)),
-        ("core_absorb", lambda m: FullyDynamicDFS(graph, rebuild_every=AMORTIZED_K, d_maintenance="absorb", metrics=m, backend=backend)),
+        ("core_auto", lambda m: FullyDynamicDFS(graph, rebuild_every=None, metrics=m, backend=backend)),
         ("core_brute", lambda m: FullyDynamicDFS(graph, service="brute", metrics=m, backend=backend)),
         ("stream_classic", lambda m: SemiStreamingDynamicDFS(graph, rebuild_every=1, metrics=m, backend=backend)),
         ("stream_amortized", lambda m: SemiStreamingDynamicDFS(graph, rebuild_every=AMORTIZED_K, metrics=m, backend=backend)),
@@ -138,10 +139,9 @@ def test_all_drivers_identical_on_mixed_updates(seed):
 # --------------------------------------------------------------------------- #
 # Randomized differential harness
 # --------------------------------------------------------------------------- #
-# Small thresholds/periods so short random sequences still cross the
-# policy-trigger paths (absorb rebases, broadcast-tree repairs).
+# Small periods so short random sequences still cross the policy-trigger
+# paths (overlay-served updates, broadcast-tree repairs).
 DIFFERENTIAL_K = 3
-DIFFERENTIAL_REBASE_THRESHOLD = 2
 
 #: label -> driver factory.  One entry per driver x policy combination the
 #: harness must keep byte-identical; `metrics` is a strict recorder and `b`
@@ -150,17 +150,6 @@ DIFFERENTIAL_REBASE_THRESHOLD = 2
 DIFFERENTIAL_COMBOS = [
     ("core_classic", lambda g, m, b: FullyDynamicDFS(g, rebuild_every=1, metrics=m, backend=b)),
     ("core_amortized", lambda g, m, b: FullyDynamicDFS(g, rebuild_every=DIFFERENTIAL_K, metrics=m, backend=b)),
-    (
-        "core_absorb_auto_rebase",
-        lambda g, m, b: FullyDynamicDFS(
-            g,
-            rebuild_every=DIFFERENTIAL_K,
-            d_maintenance="absorb",
-            rebase_segment_threshold=DIFFERENTIAL_REBASE_THRESHOLD,
-            metrics=m,
-            backend=b,
-        ),
-    ),
     ("core_brute", lambda g, m, b: FullyDynamicDFS(g, service="brute", metrics=m, backend=b)),
     ("stream_classic", lambda g, m, b: SemiStreamingDynamicDFS(g, rebuild_every=1, metrics=m, backend=b)),
     ("stream_amortized", lambda g, m, b: SemiStreamingDynamicDFS(g, rebuild_every=DIFFERENTIAL_K, metrics=m, backend=b)),
@@ -172,7 +161,7 @@ DIFFERENTIAL_COMBOS = [
     # Cost-model-controller-driven configurations: the auto-tuned policy where
     # every rebuild is demanded by a MaintenanceController model — the
     # depth-drift voluntary rebuild (default), the pure-repair extreme that
-    # disables it, and the absorb auto-rebase under controller cadence.
+    # disables it, and the core driver's default overlay / stale-tree cadence.
     (
         "dist_auto_voluntary",
         lambda g, m, b: DistributedDynamicDFS(g, rebuild_every=None, local_repair=True, metrics=m, backend=b),
@@ -183,17 +172,7 @@ DIFFERENTIAL_COMBOS = [
             g, rebuild_every=None, local_repair=True, drift_rebuild_cost=float("inf"), metrics=m, backend=b
         ),
     ),
-    (
-        "core_absorb_auto_cadence",
-        lambda g, m, b: FullyDynamicDFS(
-            g,
-            rebuild_every=None,
-            d_maintenance="absorb",
-            rebase_segment_threshold=DIFFERENTIAL_REBASE_THRESHOLD,
-            metrics=m,
-            backend=b,
-        ),
-    ),
+    ("core_auto", lambda g, m, b: FullyDynamicDFS(g, rebuild_every=None, metrics=m, backend=b)),
     # Per-component accounting configurations (PR 5): charging waves inside
     # the component that executes them — or the legacy free-dissemination
     # accounting, or the initiator-rooted voluntary rebuild — changes the
