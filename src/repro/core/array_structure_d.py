@@ -9,13 +9,20 @@ argsort over the graph's half-edge arrays — ``key = slot * K + post`` with
 post-order number — which is what buys the ≥10x rebuild speedup of the E11
 large tier.
 
-Queries go through the same scalar code as the dict backend: the only override
-on the read path is :meth:`_row`, which hands :class:`StructureD`'s bisect
-loops a slice of the flat arrays instead of python lists, so answers and probe
-counters are **byte-identical by construction**.  Bulk work gets vectorized
-fast paths: :meth:`min_post_alive_neighbor_batch` answers every
-overlay-untouched row with one global ``np.searchsorted``, falling back to the
-scalar path exactly for the rows a Theorem 9 overlay has dirtied.
+Scalar queries go through the same code as the dict backend: :meth:`_row`
+hands :class:`StructureD`'s bisect loops a slice of the flat arrays instead of
+python lists.  The two batched reads of a query round are vectorized
+overrides:
+
+* :meth:`search_subtrees` answers one layer of a round — every vertex of every
+  subtree piece searching one target segment — with one row-bounded bisect
+  over all source rows and one ``np.minimum.reduceat`` over the pieces;
+* :meth:`search_min_post_batch` re-anchors every hit of the round with the
+  same bisect.
+
+Both fall back to the scalar code exactly for the rows a Theorem 9 overlay has
+dirtied, and charge the probes the scalar code charges, so answers and probe
+counters equal the dict backend's; the differential tests pin that.
 
 The flat arrays are immutable snapshots of the base lists: overlays mask and
 extend them without touching them (as in the paper), and only mark the rows
@@ -24,9 +31,10 @@ they affect dirty.  A refresh of ``D`` builds fresh flat arrays.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import repeat
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -34,6 +42,10 @@ from repro.core.structure_d import StructureD
 from repro.graph.array_graph import _FREE, ArrayGraph
 
 Vertex = Hashable
+
+#: Key of a piece no row reached (every real key is a post-order number or
+#: its negation).
+_MISS = np.iinfo(np.int64).max
 
 
 class ArrayStructureD(StructureD):
@@ -53,7 +65,6 @@ class ArrayStructureD(StructureD):
         self._flat_posts: Optional[np.ndarray] = None
         self._flat_dst_slots: Optional[np.ndarray] = None
         self._flat_indptr: Optional[np.ndarray] = None
-        self._flat_K = 1
         self._flat_total = 0
         self._flat_bisect_iters = 0
         self._post_of_slot: Optional[np.ndarray] = None
@@ -61,6 +72,9 @@ class ArrayStructureD(StructureD):
         self._frozen_has_free = False
         self._id2slot: Optional[np.ndarray] = None  # dense int-id -> slot table
         self._dirty: Set[Vertex] = set()
+        # Base-tree rows in ``_dirty`` by post-order number (see
+        # :meth:`_dirty_rows`); dropped whenever ``_dirty`` changes.
+        self._dirty_rows_cache: Optional[Tuple[List[int], List[Vertex], np.ndarray]] = None
         # True when the rows live in the inherited per-vertex python lists
         # (a graph that is not an ArrayGraph) instead of the flat arrays.
         self._materialized = False
@@ -107,7 +121,6 @@ class ArrayStructureD(StructureD):
         indptr = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self._flat_indptr = indptr
-        self._flat_K = K
         self._flat_total = int(indptr[-1])
         # Row-bounded bisects converge in log2(longest row) vectorized steps.
         self._flat_bisect_iters = int(counts.max()).bit_length() if n_slots else 0
@@ -196,8 +209,26 @@ class ArrayStructureD(StructureD):
             lookup[:] = self._frozen_slot_ids
         return lookup[self._flat_dst_slots]
 
+    @cached_property
+    def _slot_of_post(self) -> np.ndarray:
+        """Flat row slot of the base-tree vertex with each post-order number
+        (-1 for a vertex without a row, such as the virtual root)."""
+        post_of_slot = self._post_of_slot
+        out = np.full(self._tree.num_vertices, -1, dtype=np.int64)
+        slots = np.flatnonzero(post_of_slot >= 0)
+        out[post_of_slot[slots]] = slots
+        return out
+
+    @cached_property
+    def _vertex_of_post(self) -> np.ndarray:
+        """Base-tree vertex with each post-order number (object array)."""
+        arrays = self._tree.as_arrays()
+        out = np.empty(self._tree.num_vertices, dtype=object)
+        out[arrays["post"]] = arrays["vertices"]
+        return out
+
     # ------------------------------------------------------------------ #
-    # Row access (the one read-path override)
+    # Row access (scalar queries)
     # ------------------------------------------------------------------ #
     def _row(self, u: Vertex):
         posts = self._sorted_posts.get(u)
@@ -226,33 +257,48 @@ class ArrayStructureD(StructureD):
     # ------------------------------------------------------------------ #
     def note_edge_inserted(self, u: Vertex, v: Vertex) -> None:
         super().note_edge_inserted(u, v)
-        self._dirty.add(u)
-        self._dirty.add(v)
+        self._mark_dirty((u, v))
 
     def note_edge_deleted(self, u: Vertex, v: Vertex) -> None:
         super().note_edge_deleted(u, v)
-        self._dirty.add(u)
-        self._dirty.add(v)
+        self._mark_dirty((u, v))
 
     def note_vertex_inserted(self, v: Vertex, neighbors: Iterable[Vertex]) -> None:
         neighbors = list(neighbors)
         super().note_vertex_inserted(v, neighbors)
-        self._dirty.add(v)
-        self._dirty.update(neighbors)
+        self._mark_dirty([v, *neighbors])
 
     def note_vertex_deleted(self, v: Vertex) -> None:
         # The ex-neighbours' rows now hold dead entries, so they leave the
         # vectorized fast path too.
         row = self._row(v)
         if row is not None:
-            self._dirty.update(list(row[1]))
-        self._dirty.update(self._extra_edges.get(v, ()))
-        self._dirty.add(v)
+            self._mark_dirty(list(row[1]))
+        self._mark_dirty(self._extra_edges.get(v, ()))
+        self._mark_dirty((v,))
         super().note_vertex_deleted(v)
 
     def reset_overlays(self) -> None:
         super().reset_overlays()
         self._dirty.clear()
+        self._dirty_rows_cache = None
+
+    def _mark_dirty(self, vertices: Iterable[Vertex]) -> None:
+        self._dirty.update(vertices)
+        self._dirty_rows_cache = None
+
+    def _dirty_rows(self) -> Tuple[List[int], List[Vertex], np.ndarray]:
+        """The dirty rows of base-tree vertices, as ``(posts, vertices,
+        mask)``: their post-order numbers ascending, the vertices aligned
+        with them, and a boolean table over post-order numbers.  Built once
+        per overlay change."""
+        if self._dirty_rows_cache is None:
+            tree = self._tree
+            rows = sorted((tree.postorder(v), v) for v in self._dirty if v in tree)
+            mask = np.zeros(tree.num_vertices, dtype=bool)
+            mask[[p for p, _ in rows]] = True
+            self._dirty_rows_cache = ([p for p, _ in rows], [v for _, v in rows], mask)
+        return self._dirty_rows_cache
 
     # ------------------------------------------------------------------ #
     # Vectorized bulk queries
@@ -260,22 +306,30 @@ class ArrayStructureD(StructureD):
     def min_post_alive_neighbor_batch(
         self, us: Sequence[Vertex], los: Sequence[int], his: Sequence[int]
     ) -> Tuple[List[Optional[Vertex]], int]:
-        """Batched min-post re-anchor probes via one global ``searchsorted``.
+        """Batched min-post re-anchor probes; counts the call under
+        ``d_batch_queries`` (and ``d_batch_query_fallbacks`` when the flat
+        arrays cannot answer it) and returns :meth:`search_min_post_batch`."""
+        if self._metrics is not None:
+            self._metrics.inc("d_batch_queries")
+            if self._materialized or not len(us):
+                self._metrics.inc("d_batch_query_fallbacks")
+        return self.search_min_post_batch(us, los, his)
 
-        Rows untouched by any overlay are answered together: the first flat
-        entry with post-order number in ``[lo, hi]`` is alive by definition,
-        so one ``np.searchsorted`` on the composite keys plus one gather
+    def search_min_post_batch(
+        self, us: Sequence[Vertex], los: Sequence[int], his: Sequence[int]
+    ) -> Tuple[List[Optional[Vertex]], int]:
+        """Uncounted batched re-anchor: one row-bounded bisect for every row
+        no overlay has touched.
+
+        The first flat entry of a clean row with post-order number in
+        ``[lo, hi]`` is alive by definition, so the bisect plus one gather
         resolves the whole clean subset (probes: 1 per hit, 0 per miss — the
         scalar accounting).  Dirty, materialized or unindexed rows take the
         inherited scalar path; answers equal the scalar method's exactly.
         """
-        if self._metrics is not None:
-            self._metrics.inc("d_batch_queries")
         n = len(us)
-        if self._materialized or self._flat_indptr is None or n == 0:
-            if self._metrics is not None:
-                self._metrics.inc("d_batch_query_fallbacks")
-            return super(ArrayStructureD, self).min_post_alive_neighbor_batch(us, los, his)
+        if self._materialized or n == 0:
+            return super().search_min_post_batch(us, los, his)
         slots, clean = self._clean_query_slots(us, n)
         out_arr = np.full(n, None, dtype=object)
         probes = 0
@@ -290,39 +344,9 @@ class ArrayStructureD(StructureD):
                 los_c = los_c[idx]
                 his_c = his_c[idx]
                 ss = slots[idx]
-            # Vectorized bisect bounded to each query's row: log2(longest
-            # row) gather steps beat one global searchsorted's ~log2(m)
-            # random hops.  Same position as bisect_left on the row.  Short
-            # rows converge in the first few steps, so after PHASE1 rounds
-            # the still-active queries (long hub rows) are compressed and
-            # finished on their own.
-            posts = self._flat_posts
-            total_m1 = self._flat_total - 1
-            pos = self._flat_indptr[ss]
             row_end = self._flat_indptr[ss + 1]
-            hi_b = row_end
-            iters = self._flat_bisect_iters
-            PHASE1 = min(4, iters)
-            for _ in range(PHASE1):
-                mid = (pos + hi_b) >> 1
-                go_right = posts[np.minimum(mid, total_m1)] < los_c
-                go_right &= pos < hi_b
-                pos = np.where(go_right, mid + 1, pos)
-                hi_b = np.where(go_right, hi_b, mid)
-            if iters > PHASE1:
-                act = np.flatnonzero(pos < hi_b)
-                if len(act):
-                    pos_a = pos[act]
-                    hi_a = hi_b[act]
-                    los_a = los_c[act]
-                    for _ in range(iters - PHASE1):
-                        mid = (pos_a + hi_a) >> 1
-                        go_right = posts[np.minimum(mid, total_m1)] < los_a
-                        go_right &= pos_a < hi_a
-                        pos_a = np.where(go_right, mid + 1, pos_a)
-                        hi_a = np.where(go_right, hi_a, mid)
-                    pos[act] = pos_a
-            valid = (pos < row_end) & (posts[np.minimum(pos, total_m1)] <= his_c)
+            pos = self._row_bisect_left(self._flat_indptr[ss], row_end, los_c)
+            valid = (pos < row_end) & (self._flat_posts[np.minimum(pos, self._flat_total - 1)] <= his_c)
             probes += int(valid.sum())
             hits = valid if idx is None else idx[valid]
             out_arr[hits] = self._flat_ids[pos[valid]]
@@ -334,6 +358,145 @@ class ArrayStructureD(StructureD):
                 probes += p
             return out, probes
         return out_arr.tolist(), probes
+
+    def _row_bisect_left(self, starts: np.ndarray, ends: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``bisect_left`` of ``values[i]`` inside the flat row
+        ``[starts[i], ends[i])``, for all ``i`` at once (flat positions).
+
+        log2(longest row) gather steps beat one global searchsorted's
+        ~log2(m) random hops.  Short rows converge in the first few steps, so
+        after ``PHASE1`` rounds the still-active queries (long hub rows) are
+        compressed and finished on their own.  Needs a non-empty flat array.
+        """
+        posts = self._flat_posts
+        total_m1 = self._flat_total - 1
+        pos = starts
+        hi_b = ends
+        iters = self._flat_bisect_iters
+        PHASE1 = min(4, iters)
+        for _ in range(PHASE1):
+            mid = (pos + hi_b) >> 1
+            go_right = posts[np.minimum(mid, total_m1)] < values
+            go_right &= pos < hi_b
+            pos = np.where(go_right, mid + 1, pos)
+            hi_b = np.where(go_right, hi_b, mid)
+        if iters > PHASE1:
+            act = np.flatnonzero(pos < hi_b)
+            if len(act):
+                pos_a = pos[act]
+                hi_a = hi_b[act]
+                values_a = values[act]
+                for _ in range(iters - PHASE1):
+                    mid = (pos_a + hi_a) >> 1
+                    go_right = posts[np.minimum(mid, total_m1)] < values_a
+                    go_right &= pos_a < hi_a
+                    pos_a = np.where(go_right, mid + 1, pos_a)
+                    hi_a = np.where(go_right, hi_a, mid)
+                pos[act] = pos_a
+        return pos
+
+    def search_subtrees(
+        self,
+        roots: Sequence[Vertex],
+        segments: Sequence[Tuple[Vertex, Vertex, Callable[[Vertex], bool], bool]],
+    ) -> Tuple[List[Optional[Vertex]], int]:
+        """One layer of a query round as one row-bounded bisect.
+
+        A piece ``T(root)`` is the post-order interval ``[post(root) -
+        size(root) + 1, post(root)]``.  With the segment's bottom outside the
+        piece, every piece vertex ``u`` searches the same post-order range:
+        ``[post(lca(root, bottom)), post(top)]`` when *top* is an ancestor of
+        *root*, none otherwise.  A clean row (no overlay touched it) needs no
+        alive or on-segment check — overlays dirty every row they affect, and
+        every base-row entry in the range is an ancestor of ``u`` on the
+        vertical segment — so its answer is the range's first (or last)
+        entry and it charges 1 probe, as the scalar search does.  The
+        piece's answer is the hit with the smallest post (nearest the bottom)
+        or the largest, reduced with ``np.minimum.reduceat``.  Dirty rows
+        take :meth:`search_segment`.
+        """
+        if self._materialized:
+            return super().search_subtrees(roots, segments)
+        tree = self._tree
+        piece_lo: List[int] = []
+        sizes: List[int] = []
+        seg_lo: List[int] = []
+        seg_hi: List[int] = []
+        prefer: List[bool] = []
+        for root, (top, bottom, _, prefer_bottom) in zip(roots, segments):
+            size = tree.subtree_size(root)
+            piece_lo.append(tree.postorder(root) - size + 1)
+            sizes.append(size)
+            prefer.append(prefer_bottom)
+            if tree.is_ancestor(top, root):
+                seg_lo.append(tree.postorder(tree.lca(root, bottom)))
+                seg_hi.append(tree.postorder(top))
+            else:  # no ancestor of the piece lies on the segment
+                seg_lo.append(1)
+                seg_hi.append(0)
+        dirty_posts, dirty_verts, dirty_mask = self._dirty_rows()
+        probes = sum(sizes)  # 1 per clean row; dirty rows are corrected below
+        if self._flat_total:
+            best = self._search_clean_rows(piece_lo, sizes, seg_lo, seg_hi, prefer, dirty_mask)
+        else:
+            best = [_MISS] * len(sizes)
+        if dirty_posts:
+            for i, (top, bottom, on_segment, prefer_bottom) in enumerate(segments):
+                first = bisect_left(dirty_posts, piece_lo[i])
+                last = bisect_right(dirty_posts, piece_lo[i] + sizes[i] - 1)
+                for u in dirty_verts[first:last]:
+                    w, p = self.search_segment(u, top, bottom, prefer_bottom, on_segment)
+                    probes += p - 1
+                    if w is not None:
+                        w_post = tree.postorder(w)
+                        best[i] = min(best[i], w_post if prefer_bottom else -w_post)
+        vertex_of_post = self._vertex_of_post
+        found = [
+            None if key == _MISS else vertex_of_post[key if prefer_bottom else -key]
+            for key, prefer_bottom in zip(best, prefer)
+        ]
+        return found, probes
+
+    def _search_clean_rows(
+        self,
+        piece_lo: List[int],
+        sizes: List[int],
+        seg_lo: List[int],
+        seg_hi: List[int],
+        prefer: List[bool],
+        dirty_mask: np.ndarray,
+    ) -> List[int]:
+        """Per piece, the best key over its clean rows: the hit's post when
+        the piece prefers the bottom, minus it otherwise, ``_MISS`` when no
+        clean row hits."""
+        lo_p, sizes_a, lo_a, hi_a, bottom_a = np.array(
+            [piece_lo, sizes, seg_lo, seg_hi, prefer], dtype=np.int64
+        )
+        offsets = np.cumsum(sizes_a) - sizes_a
+        total = int(offsets[-1] + sizes_a[-1])
+        # Row r of piece i is the source vertex with post lo_p[i] + r - offsets[i].
+        row_post = np.arange(total, dtype=np.int64)
+        row_post += np.repeat(lo_p - offsets, sizes_a)
+        piece = np.repeat(np.arange(len(sizes)), sizes_a)
+        slots = self._slot_of_post[row_post]
+        rows = np.flatnonzero((slots >= 0) & (lo_a <= hi_a)[piece] & ~dirty_mask[row_post])
+        keys = np.full(total, _MISS, dtype=np.int64)
+        if len(rows):
+            ps = piece[rows]
+            ss = slots[rows]
+            lo_r = lo_a[ps]
+            hi_r = hi_a[ps]
+            bottom_r = bottom_a[ps].astype(bool)
+            starts = self._flat_indptr[ss]
+            ends = self._flat_indptr[ss + 1]
+            # The first entry >= lo (prefer bottom) or the last entry <= hi.
+            pos = self._row_bisect_left(starts, ends, np.where(bottom_r, lo_r, hi_r + 1))
+            at = np.where(bottom_r, pos, pos - 1)
+            inside = np.where(bottom_r, pos < ends, pos > starts)
+            got = self._flat_posts[np.minimum(np.maximum(at, 0), self._flat_total - 1)]
+            hit = inside & (got >= lo_r) & (got <= hi_r)
+            keys[rows[hit]] = np.where(bottom_r[hit], got[hit], -got[hit])
+        return np.minimum.reduceat(keys, offsets).tolist()
 
     def _clean_query_slots(self, us: Sequence[Vertex], n: int) -> Tuple[np.ndarray, np.ndarray]:
         """Per-query flat slot (where resolvable) and a mask of the queries the
@@ -367,7 +530,10 @@ class ArrayStructureD(StructureD):
                     if not excl or not clean.any():
                         continue
                     if all(isinstance(v, int) for v in excl):
-                        ids = np.fromiter(excl, dtype=np.int64, count=len(excl))
+                        # An id outside the table cannot equal a query id
+                        # that resolved through it (and may not fit int64).
+                        size = len(id2slot)
+                        ids = np.fromiter((v for v in excl if 0 <= v < size), dtype=np.int64)
                         clean &= ~np.isin(us_arr, ids)
                     else:  # non-int overlay ids: per-element membership
                         for i in np.flatnonzero(clean).tolist():

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.exceptions import InvariantViolation
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
@@ -193,12 +194,13 @@ class _Segment:
     """One maximal ancestor–descendant run of a target path in ``D``'s base
     tree, with what every range search against it needs."""
 
-    __slots__ = ("vertices", "contains", "top", "bottom", "bottom_first", "bottom_last")
+    __slots__ = ("vertices", "contains", "top", "bottom", "bottom_post", "bottom_first", "bottom_last")
 
     def __init__(self, tree: DFSTree, vertices: List[Vertex]) -> None:
         self.vertices = vertices
         self.contains = set(vertices).__contains__
         self.top, self.bottom = segment_orientation(tree, vertices)
+        self.bottom_post = tree.postorder(self.bottom)
         # Positions on the target path are monotone inside a segment, so a
         # query preferring the target's last (first) vertex prefers the
         # segment's bottom exactly when its last (first) vertex is the bottom.
@@ -255,8 +257,14 @@ class DQueryService(QueryService):
     and its segments), and each query then pays its source size × range
     searches, plus its segments.  ``Process-Comp`` sends all of its pieces
     against one shared target, so a round pays that target once, not once per
-    piece.  The round's counters are summed as it runs and recorded once, with
-    the totals and maxima that counting query by query would give.
+    piece.  The round's subtree pieces of ``D``'s base tree — nearly all of
+    its queries — go to ``D`` together, one segment layer at a time
+    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`), and one
+    batched re-anchor fixes their source endpoints; the array core answers
+    each layer with one vectorized search, the dict core loops the scalar
+    one.  Every other query is answered on its own.  The round's counters
+    are summed as it runs and recorded once, with the totals and maxima that
+    counting query by query would give.
 
     Answers are *canonical*: the target endpoint is the target vertex nearest
     the preferred end that has any alive edge to the source piece, and the
@@ -299,13 +307,20 @@ class DQueryService(QueryService):
             self._metrics.inc("queries", len(queries))
         plans: Dict[Tuple[Vertex, ...], _TargetPlan] = {}
         tally = _Tally()
-        answers: List[Answer] = []
+        answers: List[Answer] = [None] * len(queries)
+        pieces: List[Tuple[int, EdgeQuery, _TargetPlan, Tuple[int, int]]] = []
         try:
-            for q in queries:
+            for i, q in enumerate(queries):
                 plan = plans.get(q.target)
                 if plan is None:
                     plan = plans[q.target] = _TargetPlan(self._tree, q.target)
-                answers.append(self._answer_one(q, plan, tally))
+                interval = self._base_subtree_interval(q, plan)
+                if interval is not None:
+                    pieces.append((i, q, plan, interval))
+                else:
+                    answers[i] = self._answer_one(q, plan, tally)
+            if pieces:
+                self._answer_subtree_pieces(pieces, answers, tally)
         finally:
             self._record(tally)
         return answers
@@ -323,6 +338,88 @@ class DQueryService(QueryService):
             metrics.inc("d_reanchor_probes", tally.reanchor_probes)
 
     # ------------------------------------------------------------------ #
+    def _base_subtree_interval(self, q: EdgeQuery, plan: _TargetPlan) -> Optional[Tuple[int, int]]:
+        """The piece's post-order interval ``[lo, hi]`` in ``D``'s base tree
+        when ``D.search_subtrees`` can answer *q* — a subtree piece of the
+        base tree, a target the base tree fully knows, and no target segment
+        whose bottom lies inside the piece — else ``None``."""
+        tree = self._tree
+        if q.source_kind != "tree" or self._source_tree is not tree:
+            return None
+        if plan.unknown or not plan.segments or q.source_root not in tree:
+            return None
+        lo, hi = self._subtree_interval(q.source_root)
+        if any(lo <= seg.bottom_post <= hi for seg in plan.segments):
+            return None
+        return lo, hi
+
+    def _answer_subtree_pieces(
+        self,
+        pieces: List[Tuple[int, EdgeQuery, _TargetPlan, Tuple[int, int]]],
+        answers: List[Answer],
+        tally: _Tally,
+    ) -> None:
+        """Answer the round's subtree pieces of ``D``'s base tree together
+        (Theorem 8: one processor per source vertex, one range search each).
+
+        Segments are taken in preference order, one layer at a time: layer
+        ``j`` asks ``D.search_subtrees`` for every piece still unanswered
+        against its ``j``-th segment, and a piece leaves at its first hit —
+        the same early stop, searches and probes as :meth:`_answer_one`.  One
+        batched re-anchor then fixes every hit's source endpoint.
+        """
+        # Per piece: its answer slot, query, interval and segments in
+        # preference order.
+        pending = []
+        for i, q, plan, interval in pieces:
+            tally.queries += 1
+            tally.segments += len(plan.segments)
+            tally.max_segments = max(tally.max_segments, len(plan.segments))
+            pending.append((i, q, interval, plan.segments[::-1] if q.prefer_last else plan.segments))
+        hits = []
+        layer = 0
+        while pending:
+            roots = []
+            segments = []
+            for _, q, (lo, hi), order in pending:
+                seg = order[layer]
+                prefer_bottom = seg.bottom_last if q.prefer_last else seg.bottom_first
+                roots.append(q.source_root)
+                segments.append((seg.top, seg.bottom, seg.contains, prefer_bottom))
+                tally.searches += hi - lo + 1
+            found, probes = self._d.search_subtrees(roots, segments)
+            tally.probes += probes
+            layer += 1
+            still = []
+            for item, t_star in zip(pending, found):
+                if t_star is not None:
+                    hits.append((item, t_star))
+                elif layer < len(item[3]):
+                    still.append(item)
+            pending = still
+        if not hits:
+            return
+        canonical, probes = self._d.search_min_post_batch(
+            [t_star for _, t_star in hits],
+            [lo for (_, _, (lo, _), _), _ in hits],
+            [hi for (_, _, (_, hi), _), _ in hits],
+        )
+        tally.reanchors += len(hits)
+        tally.reanchor_probes += probes
+        for ((i, q, _, _), t_star), source in zip(hits, canonical):
+            if source is None:
+                raise InvariantViolation(
+                    f"re-anchor found no vertex of T({q.source_root!r}) adjacent to {t_star!r}, "
+                    "which a range search reached"
+                )
+            answers[i] = (source, t_star)
+
+    def _subtree_interval(self, root: Vertex) -> Tuple[int, int]:
+        """``T(root)``'s post-order interval ``[lo, hi]`` in the base tree."""
+        tree = self._tree
+        hi = tree.postorder(root)
+        return hi - tree.subtree_size(root) + 1, hi
+
     def _answer_one(self, q: EdgeQuery, plan: _TargetPlan, tally: _Tally) -> Answer:
         source_list = q.source_vertex_list(self._source_tree)
         segments = max(len(plan.segments), 1)
@@ -390,8 +487,7 @@ class DQueryService(QueryService):
         ):
             # Postorder-interval index: T(root) occupies exactly the interval
             # [post(root) - size(root) + 1, post(root)] of the base tree.
-            hi = tree.postorder(q.source_root)
-            lo = hi - tree.subtree_size(q.source_root) + 1
+            lo, hi = self._subtree_interval(q.source_root)
             canonical, probes = self._d.min_post_alive_neighbor(t_star, lo, hi)
         else:
             if q.source_kind == "tree" and q.source_root in src_tree:
@@ -429,20 +525,19 @@ class DQueryService(QueryService):
         piece ``T(source_root)`` with the smallest base-tree post-order number
         among those with an alive edge to ``t_star`` (``None`` when the piece
         has no alive edge to it) — the same re-anchor
-        :meth:`_canonical_answer` computes one query at a time, exposed as a
-        batch so the array backend can serve the whole overlay-service sweep
-        with one ``np.searchsorted`` (:meth:`StructureD
-        <repro.core.structure_d.StructureD.min_post_alive_neighbor_batch>`).
-        Probes are counted once per batch under ``d_reanchor_probes``
-        (``max(total probes, 1)``); answers are backend-independent.
+        :meth:`_canonical_answer` computes one query at a time, as one call
+        to :meth:`StructureD.min_post_alive_neighbor_batch
+        <repro.core.structure_d.StructureD.min_post_alive_neighbor_batch>`.
+        Nothing in the library calls it: :meth:`answer_batch` re-anchors its
+        subtree pieces through the uncounted core of that method.  Probes are
+        counted once per batch under ``d_reanchor_probes`` (``max(total
+        probes, 1)``); answers are backend-independent.
         """
-        tree = self._tree
         us: List[Vertex] = []
         los: List[int] = []
         his: List[int] = []
         for t_star, root in items:
-            hi = tree.postorder(root)
-            lo = hi - tree.subtree_size(root) + 1
+            lo, hi = self._subtree_interval(root)
             us.append(t_star)
             los.append(lo)
             his.append(hi)

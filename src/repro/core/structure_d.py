@@ -19,7 +19,7 @@ original lists are never rebuilt.  This is what the fault-tolerant driver uses.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import VertexNotFound
 from repro.graph.graph import UndirectedGraph
@@ -94,12 +94,12 @@ class StructureD:
     def _row(self, u: Vertex):
         """Base sorted row of *u* as ``(posts, nbrs)``, or ``None`` if unindexed.
 
-        The single access point every query goes through: the dict backend
+        The single access point of the scalar queries: the dict backend
         returns the per-vertex python lists, the array backend
         (:class:`~repro.core.array_structure_d.ArrayStructureD`) returns
         slices of its flat postorder-sorted arrays.  Both are sequences
-        supporting ``len``/indexing/``bisect``, which is what keeps the scalar
-        query code byte-identical across backends.
+        supporting ``len``/indexing/``bisect``, so one scalar query code
+        serves both backends.
         """
         posts = self._sorted_posts.get(u)
         if posts is None:
@@ -372,6 +372,48 @@ class StructureD:
                 best_level = w_level
         return best, max(probes, 1)
 
+    def search_subtrees(
+        self,
+        roots: Sequence[Vertex],
+        segments: Sequence[Tuple[Vertex, Vertex, Callable[[Vertex], bool], bool]],
+    ) -> Tuple[List[Optional[Vertex]], int]:
+        """One layer of a query round: every vertex of each subtree piece
+        searches one segment.
+
+        Piece ``i`` is the base-tree subtree ``T(roots[i])`` and
+        ``segments[i]`` is ``(top, bottom, on_segment, prefer_bottom)``, the
+        arguments of :meth:`search_segment`.  Returns ``(found, probes)``:
+        per piece, the neighbour on the segment nearest its preferred end
+        that any piece vertex reaches (``None`` when none does), and the
+        probes all the searches charged — exactly what calling
+        :meth:`search_segment` once per piece vertex gives.  The piece makes
+        ``subtree_size(roots[i])`` searches.
+
+        Precondition: no segment's *bottom* lies inside its piece, so the
+        bounds of every search of a piece are the piece root's (the array
+        backend computes them once per piece).  This reference loops the
+        scalar search.
+        """
+        tree = self._tree
+        post = self._post
+        search = self.search_segment
+        found: List[Optional[Vertex]] = []
+        probes = 0
+        for root, (top, bottom, on_segment, prefer_bottom) in zip(roots, segments):
+            best: Optional[Vertex] = None
+            best_post = 0
+            for u in tree.subtree_vertices(root):
+                w, p = search(u, top, bottom, prefer_bottom, on_segment)
+                probes += p
+                if w is None:
+                    continue
+                # A segment is a vertical path: deeper means a smaller post.
+                w_post = post[w]
+                if best is None or (w_post < best_post if prefer_bottom else w_post > best_post):
+                    best, best_post = w, w_post
+            found.append(best)
+        return found, probes
+
     def _segment_depth(self, w: Vertex) -> int:
         try:
             return self._tree.level(w)
@@ -422,9 +464,18 @@ class StructureD:
 
         Returns ``(answers, total_probes)`` — exactly the results of calling
         the scalar method once per triple.  The dict backend loops; the array
-        backend answers all clean rows with one ``np.searchsorted`` sweep and
-        falls back to the scalar path only for rows an overlay has touched.
+        backend answers all clean rows with one vectorized row-bounded bisect
+        and falls back to the scalar path only for rows an overlay has
+        touched.
         """
+        return self.search_min_post_batch(us, los, his)
+
+    def search_min_post_batch(
+        self, us: Sequence[Vertex], los: Sequence[int], his: Sequence[int]
+    ) -> Tuple[List[Optional[Vertex]], int]:
+        """Uncounted core of :meth:`min_post_alive_neighbor_batch` (the array
+        backend counts its public calls; the query service re-anchors a whole
+        query round through this one)."""
         best: List[Optional[Vertex]] = []
         probes = 0
         for u, lo, hi in zip(us, los, his):

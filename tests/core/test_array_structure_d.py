@@ -2,8 +2,9 @@
 
 Everything here is differential against the dict reference ``StructureD`` —
 identical rows, identical query answers, identical probe counters — plus the
-array-only machinery: the batched re-anchor path and its scalar fallbacks,
-including the per-vertex build over a graph that is not an ``ArrayGraph``.
+array-only machinery: the batched re-anchor path, the row-batched subtree
+search of a query round, and their scalar fallbacks, including the per-vertex
+build over a graph that is not an ``ArrayGraph``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ np = pytest.importorskip("numpy")
 
 from repro.constants import VIRTUAL_ROOT
 from repro.core.array_structure_d import ArrayStructureD
+from repro.core.dynamic_dfs import FullyDynamicDFS
+from repro.core.queries import DQueryService, EdgeQuery
 from repro.core.structure_d import StructureD
+from repro.core.updates import VertexInsertion
 from repro.graph.array_graph import ArrayGraph
 from repro.graph.generators import gnp_random_graph
-from repro.graph.traversal import static_dfs_forest
+from repro.graph.traversal import static_dfs_forest, static_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
+
+#: The counters a query round records; both cores must agree on each.
+ROUND_COUNTERS = ("queries", "d_vertex_queries", "d_probes", "d_target_segments", "d_reanchor_probes")
 
 
 def _pair(n=24, p=0.25, seed=3):
@@ -34,6 +41,81 @@ def _pair(n=24, p=0.25, seed=3):
 def _interval(tree, root):
     hi = tree.postorder(root)
     return hi - tree.subtree_size(root) + 1, hi
+
+
+def _overlay_every_kind(rng, g, structures, new_id):
+    """Record the same overlays on every structure: an edge insertion, an
+    edge deletion, a vertex insertion (id *new_id*), a vertex deletion and a
+    re-used id (a base vertex deleted, then inserted again with new edges)."""
+    verts = list(g.vertices())
+    edges = list(g.edges())
+    u, v = rng.sample(verts, 2)
+    gone, reused = rng.sample(verts, 2)
+    new_nbrs = rng.sample(verts, min(3, len(verts)))
+    reused_nbrs = [w for w in rng.sample(verts, min(3, len(verts))) if w != reused]
+    deleted = rng.choice(edges) if edges else None
+    for d in structures:
+        if not g.has_edge(u, v):
+            d.note_edge_inserted(u, v)
+        if deleted is not None:
+            d.note_edge_deleted(*deleted)
+        d.note_vertex_inserted(new_id, new_nbrs)
+        d.note_vertex_deleted(gone)
+        d.note_vertex_deleted(reused)
+        d.note_vertex_inserted(reused, reused_nbrs)
+
+
+def _random_layer(rng, tree, k):
+    """*k* random ``(root, segment)`` pieces for ``search_subtrees``: the
+    segment is a vertical path ``top..bottom`` with its bottom outside
+    ``T(root)``, preferring either end."""
+    verts = [v for v in tree.vertices() if v != tree.root]
+    roots, segments = [], []
+    while len(roots) < k:
+        bottom = rng.choice(verts)
+        chain = tree.ancestor_path(bottom, tree.root)  # bottom .. tree root
+        path = chain[: rng.randrange(len(chain)) + 1]
+        root = rng.choice(verts)
+        if tree.is_ancestor(root, bottom):
+            continue
+        roots.append(root)
+        segments.append((path[-1], bottom, set(path).__contains__, rng.random() < 0.5))
+    return roots, segments
+
+
+def _mixes_dirty_and_clean(tree, da, roots):
+    rows = [u for r in roots for u in tree.subtree_vertices(r) if u != tree.root]
+    dirty = sum(u in da._dirty for u in rows)
+    return 0 < dirty < len(rows)
+
+
+def _composite_queries(rng, tree, count):
+    """Subtree-piece queries whose targets glue two or three vertical paths
+    (so a target has several segments), preferring either end."""
+    verts = [v for v in tree.vertices() if v != tree.root]
+    queries = []
+    while len(queries) < count:
+        root = rng.choice(verts)
+        target = []
+        for _ in range(rng.randrange(2, 4)):
+            bottom = rng.choice(verts)
+            chain = tree.ancestor_path(bottom, tree.root)
+            for v in reversed(chain[: rng.randrange(len(chain)) + 1]):
+                if v not in target and not tree.is_ancestor(root, v):
+                    target.append(v)
+        if target:
+            queries.append(EdgeQuery.from_tree(root, tuple(target), prefer_last=rng.random() < 0.5))
+    return queries
+
+
+def _same_rounds(dd, da, queries):
+    """Both cores answer the batch alike and record the same round counters."""
+    md, ma = MetricsRecorder(), MetricsRecorder()
+    expect = DQueryService(dd, metrics=md).answer_batch(queries)
+    assert DQueryService(da, metrics=ma).answer_batch(queries) == expect
+    for key in ROUND_COUNTERS:
+        assert ma[key] == md[key], key
+    return expect
 
 
 def test_build_matches_dict_reference_exactly():
@@ -115,6 +197,15 @@ def test_batch_falls_back_after_materialization():
         dd, [w], [lo], [hi]
     )
     assert ma["d_batch_query_fallbacks"] == 1
+    # The row-batched subtree search and the round it serves fall back to
+    # the reference loop, with the overlays applied.
+    rng = random.Random(4)
+    _overlay_every_kind(rng, g, (dd, da), max(verts) + 1)
+    for _ in range(10):
+        roots, segments = _random_layer(rng, tree, 6)
+        assert da.search_subtrees(roots, segments) == StructureD.search_subtrees(dd, roots, segments)
+    _same_rounds(dd, da, _composite_queries(rng, tree, 30))
+    assert ma["d_batch_query_fallbacks"] == 1  # uncounted cores count nothing
 
 
 def test_non_int_vertices_take_the_python_path():
@@ -136,6 +227,11 @@ def test_non_int_vertices_take_the_python_path():
     assert da.min_post_alive_neighbor_batch(us, los, his) == StructureD.min_post_alive_neighbor_batch(
         dd, us, los, his
     )
+    _overlay_every_kind(rng, h, (dd, da), "new")
+    for _ in range(10):
+        roots, segments = _random_layer(rng, tree, 5)
+        assert da.search_subtrees(roots, segments) == StructureD.search_subtrees(dd, roots, segments)
+    _same_rounds(dd, da, _composite_queries(rng, tree, 30))
 
 
 def test_batch_rejects_silently_truncating_inputs():
@@ -151,7 +247,13 @@ def test_batch_rejects_silently_truncating_inputs():
 
 
 def test_differential_fuzz_scalar_and_batch():
+    """The batched re-anchor, ``search_subtrees`` and the query rounds it
+    serves: answers, probes and round counters equal the dict reference's,
+    before and after overlays of every kind, with calls that mix dirty and
+    clean rows."""
     rng = random.Random(77)
+    mixed = hits = 0
+    ends = set()
     for trial in range(40):
         n = rng.randrange(2, 30)
         g, ag, tree = _pair(n=n, p=rng.uniform(0.05, 0.6), seed=rng.randrange(10**6))
@@ -170,3 +272,44 @@ def test_differential_fuzz_scalar_and_batch():
         assert da.min_post_alive_neighbor_batch(us, los, his) == StructureD.min_post_alive_neighbor_batch(
             dd, us, los, his
         ), trial
+        for overlaid in (False, True):
+            if overlaid:
+                _overlay_every_kind(rng, g, (dd, da), n + rng.randrange(3))
+            for _ in range(4):
+                roots, segments = _random_layer(rng, tree, rng.randrange(1, 8))
+                got = da.search_subtrees(roots, segments)
+                assert got == StructureD.search_subtrees(dd, roots, segments), trial
+                mixed += _mixes_dirty_and_clean(tree, da, roots)
+                hits += sum(w is not None for w in got[0])
+                ends.update(seg[3] for seg in segments)
+            answers = _same_rounds(dd, da, _composite_queries(rng, tree, 12))
+            hits += sum(a is not None for a in answers)
+    assert mixed > 100 and hits > 1000 and ends == {True, False}
+
+
+def test_overlay_inserted_id_beyond_int64_is_excluded():
+    """An overlay-inserted id too large for int64 must not break the dense
+    id table's dirty-row exclusion."""
+    g = gnp_random_graph(40, 0.15, seed=3, connected=True)
+    t = DFSTree(static_dfs_tree(g, 0), root=0)
+    dd = StructureD(g, t)
+    da = ArrayStructureD(ArrayGraph.from_graph(g), t)
+    for d in (dd, da):
+        d.note_vertex_inserted(2**70, [1, 2])
+    his = [t.postorder(0)] * 2
+    assert da.min_post_alive_neighbor_batch([5, 1], [0, 0], his) == ([24, 37], 3)
+    assert StructureD.min_post_alive_neighbor_batch(dd, [5, 1], [0, 0], his) == ([24, 37], 3)
+
+
+def test_driver_inserts_a_vertex_id_beyond_int64_on_both_cores():
+    g = gnp_random_graph(60, 0.08, seed=1, connected=True)
+    verts = sorted(g.vertices())
+    update = VertexInsertion(2**70, (verts[0], verts[-1], verts[len(verts) // 2]))
+    results = {}
+    for backend in ("dict", "array"):
+        metrics = MetricsRecorder()
+        driver = FullyDynamicDFS(g, backend=backend, rebuild_every=1, validate=True, metrics=metrics)
+        driver.apply(update)
+        results[backend] = driver.parent_map(), [metrics[key] for key in ROUND_COUNTERS]
+    assert results["array"] == results["dict"]
+    assert results["dict"][0][2**70] is not None

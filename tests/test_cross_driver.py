@@ -98,13 +98,25 @@ def _assert_identical_and_valid(graph, updates, results):
     assert check_dfs_tree(static.graph, reference) == []
 
 
+#: Query-round counters every ``D``-backed combo must record identically on
+#: every backend: the array core answers rounds with its own vectorized code,
+#: not the dict core's scalar loop.
+ROUND_COUNTERS = ("queries", "query_rounds", "d_vertex_queries", "d_probes", "d_target_segments", "d_reanchor_probes")
+
+
 def _both_backend_maps(graph, updates):
-    """Every combo on every backend, with cross-backend identity per label."""
+    """Every combo on every backend, with cross-backend identity per label:
+    the same parent map, and for the core and fault-tolerant drivers the
+    same query-round counters."""
     results = _all_driver_maps(graph, updates, backend="dict")
     for backend in BACKENDS[1:]:
         other = _all_driver_maps(graph, updates, backend=backend)
-        for label, (parent, _) in other.items():
+        for label, (parent, metrics) in other.items():
             assert parent == results[label][0], f"{label}: {backend} backend diverged from dict"
+            if label.startswith("core_") or label == "fault_tolerant":
+                reference = results[label][1]
+                for key in ROUND_COUNTERS:
+                    assert metrics[key] == reference[key], f"{label}: {backend} backend counted {key} differently"
     return results
 
 
