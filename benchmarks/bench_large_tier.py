@@ -17,9 +17,8 @@ from __future__ import annotations
 import os
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from benchmarks.conftest import emit_bench, record_table, scale_sizes, timed_median
 from repro.constants import VIRTUAL_ROOT

@@ -29,8 +29,6 @@ import time
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from benchmarks.conftest import emit_bench, record_table, scale_sizes, timed_median
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.metrics.counters import MetricsRecorder

@@ -1,10 +1,8 @@
 """Packaging for the dynamic-DFS reproduction.
 
-``numpy`` is a hard install dependency: the ``backend="array"`` flat/CSR core
-needs it, and installs should get the fast paths by default.  The *code* still
-degrades gracefully — the dict backend never imports numpy, and selecting the
-array backend on a numpy-free environment raises a clean
-``repro.exceptions.BackendUnavailable`` (CI's no-numpy job pins that).
+``numpy`` is a hard install dependency: ``import repro`` imports it, the
+``backend="array"`` flat/CSR core runs on it, and the snapshot service and
+tree indices answer batched queries with it on both backends.
 
 Also ships ``tools.lint`` (the stdlib-only repro-lint static analysis suite,
 see ``docs/lint.md``) with a ``repro-lint`` console entry point, so installed

@@ -5,20 +5,18 @@ Every driver accepts ``backend="dict" | "array"`` (default ``None`` = read the
 
 * ``"dict"`` — the reference implementation: insertion-ordered dict adjacency
   (:class:`repro.graph.graph.UndirectedGraph`) and per-vertex python lists in
-  ``D`` (:class:`repro.core.structure_d.StructureD`).  Never imports numpy.
+  ``D`` (:class:`repro.core.structure_d.StructureD`).
 * ``"array"`` — the flat array core: int-slot vertices with CSR edge arrays
   (:class:`repro.graph.array_graph.ArrayGraph`) and one postorder-sorted flat
   adjacency array in ``D``
-  (:class:`repro.core.array_structure_d.ArrayStructureD`).  Requires numpy;
-  produces **byte-identical** trees, query answers and probe counters — the
+  (:class:`repro.core.array_structure_d.ArrayStructureD`).  It produces
+  **byte-identical** trees, query answers and probe counters — the
   cross-driver differential harness runs every driver×policy combo on both
   backends and compares parent maps after every update.
 
-This module is the single gate: :func:`resolve_backend` validates the knob and
-raises a clean :class:`~repro.exceptions.BackendUnavailable` when the array
-core is requested on a numpy-free install, and :func:`structure_class` /
-:func:`native_graph` hand drivers the matching implementations without any
-driver importing numpy itself.
+This module is the single gate: :func:`resolve_backend` validates the knob,
+and :func:`structure_class` / :func:`native_graph` hand drivers the matching
+implementations.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import os
 from typing import Optional, Type
 
-from repro.exceptions import BackendUnavailable
 from repro.graph.graph import UndirectedGraph
 
 #: Environment variable consulted when a driver is constructed with
@@ -36,32 +33,17 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 BACKENDS = ("dict", "array")
 
-try:  # the dict backend must keep working without numpy
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    HAVE_NUMPY = False
-
 
 def resolve_backend(backend: Optional[str]) -> str:
     """Validate *backend* and resolve ``None`` through ``REPRO_BACKEND``.
 
-    Raises ``ValueError`` for unknown names and
-    :class:`~repro.exceptions.BackendUnavailable` when ``"array"`` is selected
-    but numpy cannot be imported.
+    Raises ``ValueError`` for unknown names.
     """
     if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR, "dict") or "dict"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
-        )
-    if backend == "array" and not HAVE_NUMPY:
-        raise BackendUnavailable(
-            'backend="array" requires numpy (pip install numpy); '
-            'the dict backend works without it — pass backend="dict" or unset '
-            f"{BACKEND_ENV_VAR}"
         )
     return backend
 

@@ -186,7 +186,7 @@ class FullyDynamicDFS:
     backend:
         Storage core: ``"dict"`` (the reference implementation, default) or
         ``"array"`` (numpy flat/CSR core — same results byte for byte, built
-        for large graphs; requires numpy).  ``None`` reads the
+        for large graphs).  ``None`` reads the
         ``REPRO_BACKEND`` environment variable, falling back to ``"dict"``.
         With ``backend="array"`` the input graph is converted to an
         :class:`~repro.graph.array_graph.ArrayGraph` (always a copy unless it

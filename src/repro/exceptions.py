@@ -67,16 +67,6 @@ class UpdateError(ReproError):
     """Raised for malformed dynamic updates (e.g. deleting a missing edge)."""
 
 
-class BackendUnavailable(ReproError, ImportError):
-    """Raised when ``backend="array"`` is requested but numpy is missing.
-
-    The dict backend never imports numpy, so a numpy-free install keeps
-    working; asking for the array core without the dependency fails with this
-    explicit error (an :class:`ImportError` subclass) instead of a stray
-    ``ModuleNotFoundError`` from deep inside a hot path.
-    """
-
-
 class StreamingError(ReproError):
     """Raised for misuse of the semi-streaming environment."""
 

@@ -13,13 +13,14 @@ rows preserve per-vertex insertion order, candidate gathering visits them in
 frontier order, and first-occurrence deduplication matches the dict's
 first-discovery rule — so every caller (including the distributed 2-sweep
 center election, which tie-breaks on BFS discovery order) sees the same
-result on both backends.  numpy is imported lazily inside the array paths
-only; the dict paths stay numpy-free.
+result on both backends.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.constants import VIRTUAL_ROOT
 from repro.exceptions import VertexNotFound
@@ -212,8 +213,6 @@ def _bfs_layers_array(graph, root_slot, seen):
     rule, so parents and discovery order match the dict backend entry for
     entry.
     """
-    import numpy as np
-
     indptr, indices = graph.csr()
     ids = graph.ids_array()
     if seen is None:
@@ -262,8 +261,6 @@ def _bfs_tree_array(graph, root):
 
 
 def _connected_components_array(graph):
-    import numpy as np
-
     seen = np.zeros(graph.num_slots, dtype=bool)
     components: List[List[Vertex]] = []
     for start in graph.vertices():

@@ -14,39 +14,33 @@ per version pays the build (serialized by a small internal lock; steady-state
 reads take no lock at all) and the cost is reported through the
 ``snapshot_build_ms`` counter rather than charged to the writer.
 
-Two query paths share one semantics:
+The ``*_batch`` methods answer whole query batches with
+:class:`~repro.tree.lca.ArrayLCAIndex` gathers and tin/tout/size array
+fancy-indexing; each scalar method answers like its batch counterpart.  Every
+query on a vertex outside the tree raises
+:class:`~repro.exceptions.VertexNotFound`.
 
-* **vectorized** (numpy importable): ``*_batch`` methods answer whole query
-  batches with :class:`~repro.tree.lca.ArrayLCAIndex` gathers and
-  tin/tout/size array fancy-indexing;
-* **scalar fallback** (no numpy): the same answers via
-  :class:`~repro.tree.lca.EulerTourLCA` and the tree's own O(1)/O(log n)
-  accessors — a numpy-free install keeps the full service API.
-
-Forest semantics: driver trees are rooted at the virtual root, whose children
-are the component roots.  A pair in different components has the virtual root
-as its tree LCA; snapshot queries surface that as ``None`` (LCA / path length)
-or ``False`` (connectivity) instead of leaking the sentinel.
+Forest semantics: a snapshot wraps a tree rooted at the virtual root, whose
+children are the component roots.  A pair in different components has the
+virtual root as its tree LCA; snapshot queries surface that as ``None`` (LCA /
+path length) or ``False`` (connectivity) instead of leaking the sentinel.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.constants import is_virtual_root
+from repro.exceptions import TreeError, VertexNotFound
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
 
 __all__ = ["TreeSnapshot"]
-
-
-def _have_numpy() -> bool:
-    from repro.backends import HAVE_NUMPY
-
-    return HAVE_NUMPY
 
 
 class TreeSnapshot:
@@ -58,7 +52,8 @@ class TreeSnapshot:
         The monotonically increasing commit sequence number this snapshot
         corresponds to (0 = the initial tree, before any update).
     tree:
-        The committed :class:`DFSTree` (immutable by contract).
+        The committed :class:`DFSTree` (immutable by contract), rooted at the
+        virtual root; any other root raises ``ValueError``.
     on_build_ms:
         Optional callback receiving the milliseconds one lazy index build
         took (the service wires this to the ``snapshot_build_ms`` counter).
@@ -81,40 +76,35 @@ class TreeSnapshot:
         *,
         on_build_ms: Optional[Callable[[float], None]] = None,
     ) -> None:
+        roots = tree._roots_idx
+        if len(roots) != 1 or not is_virtual_root(tree.root):
+            raise ValueError("a TreeSnapshot needs a tree rooted at the virtual root")
         self.version = version
         self.tree = tree
         self._build_lock = threading.Lock()
         self._lca_index = None
         self._comp_data = None
         self._on_build_ms = on_build_ms
-        vr = -1
-        for v in tree.roots():
-            if is_virtual_root(v):
-                vr = tree._i(v)
-                break
-        self._vr_idx = vr
+        self._vr_idx = roots[0]
 
     # ------------------------------------------------------------------ #
     # Lazy indices
     # ------------------------------------------------------------------ #
     def _index(self):
-        """The lazily built LCA index (:class:`ArrayLCAIndex` with numpy,
-        :class:`EulerTourLCA` without).  Double-checked so steady-state reads
-        never lock; the one builder per version reports its cost."""
+        """The lazily built :class:`ArrayLCAIndex`.  Double-checked so
+        steady-state reads never lock; the one builder per version reports its
+        cost."""
         index = self._lca_index
         if index is None:
             with self._build_lock:
                 index = self._lca_index
                 if index is None:
                     start = time.perf_counter()
-                    if _have_numpy():
-                        from repro.tree.lca import ArrayLCAIndex
+                    # Looked up on the module at build time, so a wrapper
+                    # patched onto repro.tree.lca (tracing) sees the build.
+                    from repro.tree.lca import ArrayLCAIndex
 
-                        index = ArrayLCAIndex(self.tree)
-                    else:
-                        from repro.tree.lca import EulerTourLCA
-
-                        index = EulerTourLCA(self.tree)
+                    index = ArrayLCAIndex(self.tree)
                     self._lca_index = index
                     if self._on_build_ms is not None:
                         self._on_build_ms((time.perf_counter() - start) * 1e3)
@@ -122,20 +112,14 @@ class TreeSnapshot:
 
     def _components(self):
         """Sorted component-root interval data ``(root_tins, root_idx)`` for
-        the vectorized membership searchsorted (numpy path only)."""
+        the vectorized membership searchsorted."""
         data = self._comp_data
         if data is None:
             with self._build_lock:
                 data = self._comp_data
                 if data is None:
-                    import numpy as np
-
-                    tree = self.tree
-                    arrs = tree.as_arrays()
-                    if self._vr_idx >= 0:
-                        roots = np.flatnonzero(arrs["level"] == 1)
-                    else:
-                        roots = np.array(tree._roots_idx, dtype=np.int64)
+                    arrs = self.tree.as_arrays()
+                    roots = np.flatnonzero(arrs["level"] == 1)
                     order = np.argsort(arrs["tin"][roots], kind="stable")
                     roots = roots[order]
                     data = (arrs["tin"][roots], roots)
@@ -145,10 +129,6 @@ class TreeSnapshot:
     def _indices(self, vs: Sequence[Vertex]):
         """int64 tree indices for *vs* (raises ``VertexNotFound`` on unknown
         ids, like the scalar accessors)."""
-        import numpy as np
-
-        from repro.exceptions import VertexNotFound
-
         idx = self.tree._idx
         try:
             return np.fromiter((idx[v] for v in vs), dtype=np.int64, count=len(vs))
@@ -179,20 +159,17 @@ class TreeSnapshot:
     def lca(self, a: Vertex, b: Vertex) -> Optional[Vertex]:
         """Lowest common ancestor of *a* and *b*, or ``None`` when they sit in
         different components (their tree LCA is the virtual root)."""
-        answer = self._index().lca(a, b)
+        try:
+            answer = self._index().lca(a, b)
+        except TreeError:
+            self._indices((a, b))  # raises VertexNotFound for the unknown id
+            raise
         return None if is_virtual_root(answer) else answer
 
     def component(self, v: Vertex) -> Optional[Vertex]:
         """Component id of *v* — the root of its DFS component (``None`` for
         the virtual root itself)."""
-        if _have_numpy():
-            return self.component_batch([v])[0]
-        tree = self.tree
-        if self._vr_idx >= 0:
-            if is_virtual_root(v):
-                return None
-            return tree.level_ancestor(v, 1)
-        return tree.level_ancestor(v, 0)
+        return self.component_batch([v])[0]
 
     def connected(self, a: Vertex, b: Vertex) -> bool:
         """True iff *a* and *b* lie in the same component of the snapshot."""
@@ -215,20 +192,21 @@ class TreeSnapshot:
         return self.tree.parent_map()
 
     # ------------------------------------------------------------------ #
-    # Batch queries (vectorized with numpy, scalar loop without)
+    # Batch queries
     # ------------------------------------------------------------------ #
     def lca_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[Optional[Vertex]]:
         """LCAs of the pairs ``zip(avs, bvs)`` in one vectorized pass
         (``None`` per disconnected pair); equals the scalar :meth:`lca` answers."""
-        if not _have_numpy():
-            return [self.lca(a, b) for a, b in zip(avs, bvs)]
-        raw = self._index().lca_batch(avs, bvs)
+        try:
+            raw = self._index().lca_batch(avs, bvs)
+        except TreeError:
+            self._indices(avs)  # raises VertexNotFound for the unknown id
+            self._indices(bvs)
+            raise
         return [None if is_virtual_root(x) else x for x in raw]
 
     def is_ancestor_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[bool]:
         """Batched :meth:`is_ancestor` over the pairs ``zip(avs, bvs)``."""
-        if not _have_numpy():
-            return [self.is_ancestor(a, b) for a, b in zip(avs, bvs)]
         arrs = self.tree.as_arrays()
         ia = self._indices(avs)
         ib = self._indices(bvs)
@@ -237,35 +215,23 @@ class TreeSnapshot:
 
     def subtree_size_batch(self, vs: Sequence[Vertex]) -> List[int]:
         """Batched :meth:`subtree_size` over *vs*."""
-        if not _have_numpy():
-            return [self.subtree_size(v) for v in vs]
         return self.tree.as_arrays()["size"][self._indices(vs)].tolist()
 
     def component_batch(self, vs: Sequence[Vertex]) -> List[Optional[Vertex]]:
         """Batched :meth:`component` over *vs* (one searchsorted over the
         component roots' entry intervals)."""
-        if not _have_numpy():
-            return [self.component(v) for v in vs]
-        import numpy as np
-
-        tree = self.tree
-        arrs = tree.as_arrays()
+        arrs = self.tree.as_arrays()
         root_tins, roots = self._components()
         iv = self._indices(vs)
         pos = np.searchsorted(root_tins, arrs["tin"][iv], side="right") - 1
         comp = roots[np.maximum(pos, 0)]
         out = arrs["vertices"][comp].tolist()
-        if self._vr_idx >= 0:
-            for i in np.flatnonzero(pos < 0).tolist():
-                out[i] = None
+        for i in np.flatnonzero(pos < 0).tolist():  # the virtual root itself
+            out[i] = None
         return out
 
     def connected_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[bool]:
         """Batched :meth:`connected` over the pairs ``zip(avs, bvs)``."""
-        if not _have_numpy():
-            return [self.connected(a, b) for a, b in zip(avs, bvs)]
-        import numpy as np
-
         arrs = self.tree.as_arrays()
         root_tins, roots = self._components()
         tin = arrs["tin"]
@@ -278,19 +244,14 @@ class TreeSnapshot:
     ) -> List[Optional[int]]:
         """Batched :meth:`path_length` over the pairs ``zip(avs, bvs)``
         (``None`` per disconnected pair)."""
-        if not _have_numpy():
-            return [self.path_length(a, b) for a, b in zip(avs, bvs)]
-        import numpy as np
-
         index = self._index()
         ia = self._indices(avs)
         ib = self._indices(bvs)
         li = index.lca_indices_batch(ia, ib)
         level = self.tree.as_arrays()["level"]
         out = (level[ia] + level[ib] - 2 * level[li]).tolist()
-        if self._vr_idx >= 0:
-            for i in np.flatnonzero(li == self._vr_idx).tolist():
-                out[i] = None
+        for i in np.flatnonzero(li == self._vr_idx).tolist():
+            out[i] = None
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

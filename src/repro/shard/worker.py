@@ -2,7 +2,7 @@
 
 A worker owns every tenant placed on the shards assigned to it.  Each tenant
 is one independent :class:`~repro.core.dynamic_dfs.FullyDynamicDFS` engine
-(array backend where numpy is available) fronted by its own
+(on the backend the worker is given) fronted by its own
 :class:`~repro.service.DFSTreeService`, so the MVCC read path and the
 amortized write path of the single-graph service carry over per tenant
 unchanged.  Each *shard* gets one strict

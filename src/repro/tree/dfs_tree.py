@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import TreeError, VertexNotFound
 
 Vertex = Hashable
@@ -215,13 +217,9 @@ class DFSTree:
         ``"tin"``, ``"tout"``, all aligned with the tree's internal vertex
         indexing (``parent`` is ``-1`` at roots).  The snapshot is immutable,
         so the arrays are built once and shared; callers must not write to
-        them.  Requires numpy (the array backend's tree constructors and
-        :class:`repro.tree.lca.ArrayLCAIndex` use this; dict-backend code never
-        calls it).
+        them.
         """
         if self._arrays is None:
-            import numpy as np
-
             n = len(self._verts)
             verts = np.empty(n, dtype=object)
             verts[:] = self._verts

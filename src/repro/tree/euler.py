@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
+import numpy as np
+
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
@@ -68,8 +70,6 @@ def euler_tour_arrays(tree: DFSTree, root: Vertex | None = None):
     event sequence ``ev[tin[v]] = v``, ``ev[tout[v]] = parent(v)`` sliced to
     ``[tin[root], tout[root])``.
     """
-    import numpy as np
-
     if root is None:
         root = tree.root
     arrs = tree.as_arrays()

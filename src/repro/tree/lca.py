@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List
 
+import numpy as np
+
 from repro.exceptions import TreeError
 from repro.tree.dfs_tree import DFSTree
 from repro.tree.euler import euler_tour, euler_tour_arrays
@@ -120,17 +122,14 @@ class EulerTourLCA:
 class ArrayLCAIndex:
     """Euler-tour sparse-table LCA over numpy arrays, with batch queries.
 
-    The array-backend counterpart of :class:`EulerTourLCA`: same tour, same
+    The vectorized counterpart of :class:`EulerTourLCA`: same tour, same
     range-minimum sparse table, same answers, but the table is a single padded
     2-D int64 array built with vectorized ``np.where`` sweeps and
     :meth:`lca_batch` answers many queries in one shot (two fancy-indexed
-    table look-ups for the whole batch).  Requires numpy.
+    table look-ups for the whole batch).
     """
 
     def __init__(self, tree: DFSTree, root: Vertex | None = None) -> None:
-        import numpy as np
-
-        self._np = np
         self._tree = tree
         tour, first, depths = euler_tour_arrays(tree, root)
         self._tour = tour
@@ -170,7 +169,6 @@ class ArrayLCAIndex:
         dict path; a non-int root (e.g. the virtual root) is tolerated by
         masking its slot out.
         """
-        np = self._np
         verts = tree._verts
         n = len(verts)
         if not n:
@@ -203,7 +201,6 @@ class ArrayLCAIndex:
     def _batch_indices(self, vs, n: int):
         """Tree indices for *vs* via the dense table, or ``None`` to signal
         the caller to use the dict path (object ids, unknown ids, no table)."""
-        np = self._np
         table = self._vert2idx
         if table is None:
             return None
@@ -248,14 +245,18 @@ class ArrayLCAIndex:
         b) for a, b in zip(avs, bvs)]`` but the whole batch costs two sparse
         table gathers.
         """
-        np = self._np
         na = len(avs)
         ia = self._batch_indices(avs, na)
         ib = self._batch_indices(bvs, na) if ia is not None else None
         if ia is None or ib is None:
             idx = self._tree._idx
-            ia = np.fromiter((idx[a] for a in avs), dtype=np.int64, count=na)
-            ib = np.fromiter((idx[b] for b in bvs), dtype=np.int64, count=na)
+            try:
+                ia = np.fromiter((idx[a] for a in avs), dtype=np.int64, count=na)
+                ib = np.fromiter((idx[b] for b in bvs), dtype=np.int64, count=na)
+            except KeyError as exc:
+                raise TreeError(
+                    f"vertex {exc.args[0]!r} is not indexed by this LCA structure"
+                ) from None
         return self._verts[self.lca_indices_batch(ia, ib)].tolist()
 
     def lca_indices_batch(self, ia, ib):
@@ -267,7 +268,6 @@ class ArrayLCAIndex:
         callers that already hold indices (e.g. the snapshot service's
         vectorized path-length) skip the conversions entirely.
         """
-        np = self._np
         fa = self._first[ia]
         fb = self._first[ib]
         if len(ia) and (int(fa.min()) < 0 or int(fb.min()) < 0):

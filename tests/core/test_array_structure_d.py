@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
-np = pytest.importorskip("numpy")
+import numpy as np
 
 from repro.constants import VIRTUAL_ROOT
 from repro.core.array_structure_d import ArrayStructureD

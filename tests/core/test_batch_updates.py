@@ -123,8 +123,6 @@ class _Stepper:
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", ["edge_churn", "mixed_updates", "dense_edge_churn"])
 def test_auto_policy_rebuilds_exactly_when_the_tree_moves(kind, seed, backend):
-    if backend == "array":
-        pytest.importorskip("numpy")
     graph, updates = _stale_tree_stream(kind, seed)
     label = (kind, seed, backend)
     auto = _Stepper(graph, backend, None)

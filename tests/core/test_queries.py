@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.backends import HAVE_NUMPY, native_graph, structure_class
+from repro.backends import BACKENDS, native_graph, structure_class
 from repro.core.overlay import apply_update
 from repro.core.queries import BruteForceQueryService, DQueryService, EdgeQuery
 from repro.core.structure_d import StructureD
@@ -17,9 +17,6 @@ from repro.graph.traversal import static_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
 from repro.tree.tree_utils import hanging_subtrees
-
-#: Backends whose ``D`` the oracle tests query (the array core needs numpy).
-BACKENDS = ("dict", "array") if HAVE_NUMPY else ("dict",)
 
 
 def build(seed=0, n=45, p=0.1):
@@ -236,8 +233,6 @@ def batch_and_counts(backend, overlay, one_at_a_time):
 @pytest.mark.parametrize("overlay", [False, True], ids=["fresh", "overlay_view"])
 @pytest.mark.parametrize("backend", ["dict", "array"])
 def test_shared_target_batch_equals_one_query_at_a_time(backend, overlay):
-    if backend == "array" and not HAVE_NUMPY:
-        pytest.skip("the array backend needs numpy")
     g, tree, queries, batched, counts = batch_and_counts(backend, overlay, False)
     _, _, _, single, single_counts = batch_and_counts(backend, overlay, True)
 

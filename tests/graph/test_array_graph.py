@@ -6,8 +6,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.exceptions import DuplicateEdge, EdgeNotFound, VertexNotFound
 from repro.graph.array_graph import ArrayGraph
 from repro.graph.generators import gnp_random_graph

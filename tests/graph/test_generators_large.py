@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.graph.array_graph import ArrayGraph
 from repro.graph.generators import (
     barabasi_albert_graph,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.constants import is_virtual_root
 from repro.core.overlay import apply_update
 from repro.core.updates import (
     EdgeDeletion,
@@ -97,3 +98,22 @@ def decode_ops(graph: UndirectedGraph, ops) -> List[Update]:
         apply_update(scratch, update)
         updates.append(update)
     return updates
+
+
+def assert_snapshot_batches_match_tree(snap, avs, bvs) -> None:
+    """Every ``TreeSnapshot`` batch query on the pairs ``zip(avs, bvs)``
+    answers what the snapshot tree's own accessors give (the virtual root
+    surfacing as ``None``)."""
+    tree = snap.tree
+    pairs = list(zip(avs, bvs))
+    lcas = [None if is_virtual_root(x) else x for x in (tree.lca(a, b) for a, b in pairs)]
+    comp = {v: tree.level_ancestor(v, 1) for v in [*avs, *bvs]}
+    assert snap.lca_batch(avs, bvs) == lcas
+    assert snap.connected_batch(avs, bvs) == [comp[a] == comp[b] for a, b in pairs]
+    assert snap.is_ancestor_batch(avs, bvs) == [tree.is_ancestor(a, b) for a, b in pairs]
+    assert snap.path_length_batch(avs, bvs) == [
+        None if l is None else tree.level(a) + tree.level(b) - 2 * tree.level(l)
+        for (a, b), l in zip(pairs, lcas)
+    ]
+    assert snap.subtree_size_batch(avs) == [tree.subtree_size(v) for v in avs]
+    assert snap.component_batch(avs) == [comp[v] for v in avs]

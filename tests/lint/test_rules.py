@@ -20,7 +20,6 @@ ALL_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.py"))
 RULE_FIXTURES = {
     "counter-registry": "counter_registry_bad",
     "dynamic-counter-key": "dynamic_key_bad",
-    "numpy-isolation": "numpy_bad",
     "unseeded-random": "unseeded_random_bad",
     "wallclock-time": "wallclock_bad",
     "set-iteration-order": "set_order_bad",

@@ -103,7 +103,7 @@ def test_bad_query_fails_only_its_own_future():
         return results
 
     r_good, r_bad, r_good2 = asyncio.run(run())
-    assert isinstance(r_bad, Exception)
+    assert isinstance(r_bad, VertexNotFound)
     assert isinstance(r_good, QueryResult)
     assert r_good.answer == svc.snapshot().lca(verts[0], verts[1])
     assert r_good2.answer == svc.snapshot().subtree_size(verts[2])

@@ -1,10 +1,10 @@
-"""TreeSnapshot unit tests: scalar semantics, batch==scalar, both query paths.
+"""TreeSnapshot unit tests: scalar semantics, batch answers, error types.
 
 The snapshot is the MVCC read currency, so these tests pin the semantics the
 service and the asyncio front build on: virtual-root sentinels never leak
-(``None``/``False`` instead), every ``*_batch`` method equals its scalar
-counterpart element for element, and the numpy-free fallback path answers
-byte-identically to the vectorized path.
+(``None``/``False`` instead), every ``*_batch`` method answers element for
+element what the tree's own accessors give, and every query on an unknown
+vertex raises :class:`VertexNotFound`.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import random
 
 import pytest
 
-import repro.backends as backends
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
 from repro.exceptions import VertexNotFound
 from repro.graph.generators import gnp_random_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.service import TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
+from tests.helpers import assert_snapshot_batches_match_tree
 
 
 def _snapshot(n=40, p=0.08, seed=5, version=7):
@@ -28,15 +28,7 @@ def _snapshot(n=40, p=0.08, seed=5, version=7):
     return g, tree, TreeSnapshot(version, tree)
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def query_path(request, monkeypatch):
-    """Run the test body once per snapshot query path."""
-    if request.param == "fallback":
-        monkeypatch.setattr(backends, "HAVE_NUMPY", False)
-    return request.param
-
-
-def test_scalar_queries_match_tree_semantics(query_path):
+def test_scalar_queries_match_tree_semantics():
     g, tree, snap = _snapshot()
     assert snap.version == 7
     verts = [v for v in tree.vertices() if not is_virtual_root(v)]
@@ -64,33 +56,48 @@ def test_scalar_queries_match_tree_semantics(query_path):
         assert snap.is_ancestor(a, b) == tree.is_ancestor(a, b)
 
 
-def test_batch_equals_scalar_all_kinds(query_path):
+def test_batch_equals_scalar_all_kinds():
     _, tree, snap = _snapshot(seed=11)
     verts = [v for v in tree.vertices() if not is_virtual_root(v)]
     rng = random.Random(17)
     avs = [rng.choice(verts) for _ in range(120)]
     bvs = [rng.choice(verts) for _ in range(120)]
-    assert snap.lca_batch(avs, bvs) == [snap.lca(a, b) for a, b in zip(avs, bvs)]
-    assert snap.connected_batch(avs, bvs) == [
-        snap.connected(a, b) for a, b in zip(avs, bvs)
-    ]
-    assert snap.is_ancestor_batch(avs, bvs) == [
-        snap.is_ancestor(a, b) for a, b in zip(avs, bvs)
-    ]
-    assert snap.path_length_batch(avs, bvs) == [
-        snap.path_length(a, b) for a, b in zip(avs, bvs)
-    ]
-    assert snap.subtree_size_batch(avs) == [snap.subtree_size(v) for v in avs]
-    assert snap.component_batch(avs) == [snap.component(v) for v in avs]
+    assert_snapshot_batches_match_tree(snap, avs, bvs)
 
 
-def test_unknown_vertex_raises_vertex_not_found(query_path):
+#: Every snapshot query -> its arguments around a known id *k* and a probe *x*.
+QUERY_ARGS = {
+    "parent": lambda k, x: (x,),
+    "depth": lambda k, x: (x,),
+    "subtree_size": lambda k, x: (x,),
+    "component": lambda k, x: (x,),
+    "is_ancestor": lambda k, x: (k, x),
+    "lca": lambda k, x: (k, x),
+    "connected": lambda k, x: (k, x),
+    "path_length": lambda k, x: (k, x),
+    "subtree_size_batch": lambda k, x: ([k, x],),
+    "component_batch": lambda k, x: ([k, x],),
+    "lca_batch": lambda k, x: ([k], [x]),
+    "is_ancestor_batch": lambda k, x: ([k], [x]),
+    "connected_batch": lambda k, x: ([k], [x]),
+    "path_length_batch": lambda k, x: ([k], [x]),
+}
+
+
+@pytest.mark.parametrize("unknown", ["nope", 10**6])
+@pytest.mark.parametrize("method", sorted(QUERY_ARGS))
+def test_unknown_vertex_raises_vertex_not_found(method, unknown):
     _, tree, snap = _snapshot()
     known = next(v for v in tree.vertices() if not is_virtual_root(v))
-    with pytest.raises(VertexNotFound):
-        snap.subtree_size_batch([known, "nope"])
-    with pytest.raises((VertexNotFound, Exception)):
-        snap.lca_batch([known], ["nope"])
+    with pytest.raises(VertexNotFound) as excinfo:
+        getattr(snap, method)(*QUERY_ARGS[method](known, unknown))
+    assert excinfo.value.vertex == unknown
+
+
+def test_snapshot_rejects_a_tree_not_rooted_at_the_virtual_root():
+    for parent in ({0: None, 1: 0, 2: 0, 10: None, 11: 10}, {0: None, 1: 0}):
+        with pytest.raises(ValueError, match="virtual root"):
+            TreeSnapshot(1, DFSTree(parent))
 
 
 def test_parent_map_is_the_trees_parent_map():

@@ -14,14 +14,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import HAVE_NUMPY
+from repro.backends import BACKENDS
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.graph.generators import gnm_random_graph
 from repro.shard import ShardRouter
 from repro.workloads.multi_tenant import multi_tenant_churn, round_items
 from tests.helpers import decode_ops
-
-BACKENDS = ["dict"] + (["array"] if HAVE_NUMPY else [])
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,16 +1,12 @@
 """Backend selection: the ``backend="dict"|"array"`` knob and its env fallback.
 
-The dict backend must stay importable and fully functional without numpy;
-the array backend must fail with a clean :class:`BackendUnavailable` when
-numpy is missing, and — when present — drive every driver to byte-identical
-parent maps.
+Both backends drive every driver to byte-identical parent maps.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.backends as backends
 from repro.backends import (
     BACKEND_ENV_VAR,
     graph_class,
@@ -21,13 +17,10 @@ from repro.backends import (
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.fault_tolerant import FaultTolerantDFS
 from repro.core.structure_d import StructureD
-from repro.exceptions import BackendUnavailable, ReproError
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import UndirectedGraph
 from repro.streaming.semi_streaming_dfs import SemiStreamingDynamicDFS
 from repro.workloads.updates import mixed_updates
-
-HAVE_NUMPY = backends.HAVE_NUMPY
 
 
 def test_resolve_backend_defaults_and_env(monkeypatch):
@@ -36,26 +29,15 @@ def test_resolve_backend_defaults_and_env(monkeypatch):
     assert resolve_backend("dict") == "dict"
     monkeypatch.setenv(BACKEND_ENV_VAR, "dict")
     assert resolve_backend(None) == "dict"
-    if HAVE_NUMPY:
-        monkeypatch.setenv(BACKEND_ENV_VAR, "array")
-        assert resolve_backend(None) == "array"
-        # an explicit knob wins over the environment
-        assert resolve_backend("dict") == "dict"
+    monkeypatch.setenv(BACKEND_ENV_VAR, "array")
+    assert resolve_backend(None) == "array"
+    # an explicit knob wins over the environment
+    assert resolve_backend("dict") == "dict"
 
 
 def test_resolve_backend_rejects_unknown_names():
     with pytest.raises(ValueError, match="unknown backend"):
         resolve_backend("sparse")
-
-
-def test_array_without_numpy_raises_clean_error(monkeypatch):
-    monkeypatch.setattr(backends, "HAVE_NUMPY", False)
-    with pytest.raises(BackendUnavailable, match="numpy"):
-        resolve_backend("array")
-    # BackendUnavailable is both a ReproError and an ImportError, so generic
-    # optional-dependency handling catches it too.
-    assert issubclass(BackendUnavailable, ReproError)
-    assert issubclass(BackendUnavailable, ImportError)
 
 
 def test_dict_backend_classes_never_need_numpy():
@@ -67,7 +49,6 @@ def test_dict_backend_classes_never_need_numpy():
     assert copy == g and copy is not g
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array backend requires numpy")
 def test_array_backend_classes_and_conversion():
     from repro.core.array_structure_d import ArrayStructureD
     from repro.graph.array_graph import ArrayGraph
@@ -85,7 +66,6 @@ def test_array_backend_classes_and_conversion():
     assert native_graph(ag, "array", copy=True) is not ag
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array backend requires numpy")
 def test_drivers_expose_backend_and_env_resolution(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
     g = gnp_random_graph(12, 0.25, seed=3, connected=True)
@@ -98,7 +78,6 @@ def test_drivers_expose_backend_and_env_resolution(monkeypatch):
         assert cls(g).backend == "array", cls.__name__
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="array backend requires numpy")
 def test_backends_byte_identical_on_mixed_updates():
     g = gnp_random_graph(24, 0.15, seed=7, connected=True)
     updates = mixed_updates(g, 30, seed=9)

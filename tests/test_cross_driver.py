@@ -29,7 +29,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import HAVE_NUMPY
+from repro.backends import BACKENDS
 from repro.baselines.static_recompute import StaticRecomputeDFS
 from repro.constants import is_virtual_root
 from repro.core.dynamic_dfs import FullyDynamicDFS
@@ -44,9 +44,6 @@ from repro.workloads.updates import mixed_updates
 from tests.helpers import decode_ops as _decode_ops
 
 AMORTIZED_K = 10
-
-#: Storage backends every combo must agree across ("array" needs numpy).
-BACKENDS = ["dict"] + (["array"] if HAVE_NUMPY else [])
 
 
 def _drive(name, factory, updates):

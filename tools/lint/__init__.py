@@ -1,9 +1,8 @@
 """repro-lint: AST-based invariant checkers for the dynamic-DFS reproduction.
 
 Every contract the repo enforces dynamically — strict counter registries,
-the numpy-free dict backend, deterministic core paths, the paired
-``begin_update``/``end_update`` writer protocol, the documented public API —
-is proven statically here, in seconds, before any test runs.  See
+deterministic core paths, the paired ``begin_update``/``end_update`` writer
+protocol, the documented public API — is proven statically here, in seconds, before any test runs.  See
 ``docs/lint.md`` for the rule catalog and the suppression policy.
 
 Programmatic entry points::

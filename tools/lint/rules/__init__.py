@@ -1,13 +1,11 @@
 """The repro-lint checker suite.
 
-Five checkers, one per contract the repo makes (see ``docs/lint.md`` for the
+Four checkers, one per contract the repo makes (see ``docs/lint.md`` for the
 full rule catalog):
 
 * :class:`~tools.lint.rules.counters.CounterRegistryChecker` — every
   string-literal metric key is registered; every registered counter is bumped
   somewhere (dead-counter report).
-* :class:`~tools.lint.rules.numpy_isolation.NumpyIsolationChecker` — numpy
-  only at module level in the allowlisted array modules; lazy elsewhere.
 * :class:`~tools.lint.rules.determinism.DeterminismChecker` — no unseeded
   ``random.*``, no wall-clock reads outside the metrics layer, no iteration
   over set-ordered collections in core paths.
@@ -27,14 +25,12 @@ from tools.lint.core import Checker
 from tools.lint.registry import RegistryEntry, load_registry
 from tools.lint.rules.counters import CounterRegistryChecker
 from tools.lint.rules.determinism import DeterminismChecker
-from tools.lint.rules.numpy_isolation import NumpyIsolationChecker
 from tools.lint.rules.public_api import PublicApiChecker
 from tools.lint.rules.writer_protocol import WriterProtocolChecker
 
 __all__ = [
     "CounterRegistryChecker",
     "DeterminismChecker",
-    "NumpyIsolationChecker",
     "PublicApiChecker",
     "WriterProtocolChecker",
     "default_checkers",
@@ -46,7 +42,6 @@ def default_checkers(root: Path) -> List[Checker]:
     registry: Dict[str, RegistryEntry] = load_registry(root)
     return [
         CounterRegistryChecker(registry),
-        NumpyIsolationChecker(),
         DeterminismChecker(),
         WriterProtocolChecker(),
         PublicApiChecker(),
