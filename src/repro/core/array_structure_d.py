@@ -52,16 +52,16 @@ class ArrayStructureD(StructureD):
     """``D`` over flat postorder-sorted arrays, query-identical to the dict core.
 
     Accepts the same ``(graph, tree, metrics=...)`` constructor as
-    :class:`StructureD`.  When *graph* is an :class:`ArrayGraph` the sorted
-    adjacency is built by one argsort over its half-edge arrays; for any other
-    graph (e.g. a semi-streaming snapshot materialised as a plain dict graph)
-    it silently falls back to the inherited per-vertex build, so callers never
-    need to special-case.
+    :class:`StructureD`, but *graph* must be an :class:`ArrayGraph` (any other
+    graph raises ``TypeError``): the sorted adjacency is built by one argsort
+    over its half-edge arrays.
     """
 
     def _build(self) -> None:
         graph = self._graph
         tree = self._tree
+        if not isinstance(graph, ArrayGraph):
+            raise TypeError(f"ArrayStructureD needs an ArrayGraph, got {type(graph).__name__}")
         self._flat_posts: Optional[np.ndarray] = None
         self._flat_dst_slots: Optional[np.ndarray] = None
         self._flat_indptr: Optional[np.ndarray] = None
@@ -75,13 +75,6 @@ class ArrayStructureD(StructureD):
         # Base-tree rows in ``_dirty`` by post-order number (see
         # :meth:`_dirty_rows`); dropped whenever ``_dirty`` changes.
         self._dirty_rows_cache: Optional[Tuple[List[int], List[Vertex], np.ndarray]] = None
-        # True when the rows live in the inherited per-vertex python lists
-        # (a graph that is not an ArrayGraph) instead of the flat arrays.
-        self._materialized = False
-        if not isinstance(graph, ArrayGraph):
-            self._materialized = True
-            super()._build()
-            return
         # Arm the lazy caches: ``_post`` / ``_slot_of_frozen`` / ``_flat_ids``
         # are python-level dicts/object arrays the vectorized build never
         # touches; the first *scalar* access materializes them from the
@@ -173,10 +166,10 @@ class ArrayStructureD(StructureD):
 
     # ------------------------------------------------------------------ #
     # Lazy python-level views of the build-time snapshots.  These are
-    # ``cached_property``s (non-data descriptors): the base class's plain
-    # attribute writes shadow them on the fallback paths, while the
-    # vectorized build pops/never-sets the instance slot so the first scalar
-    # access pays the dict construction exactly once.
+    # ``cached_property``s (non-data descriptors): the base constructor's
+    # plain ``_post`` write would shadow one, so the build pops/never-sets
+    # the instance slot and the first scalar access pays the dict
+    # construction exactly once.
     # ------------------------------------------------------------------ #
     @cached_property
     def _post(self) -> Dict[Vertex, int]:
@@ -234,8 +227,6 @@ class ArrayStructureD(StructureD):
         posts = self._sorted_posts.get(u)
         if posts is not None:
             return posts, self._sorted_nbrs[u]
-        if self._materialized:
-            return None
         s = self._slot_of_frozen.get(u)
         if s is None:
             return None
@@ -245,12 +236,9 @@ class ArrayStructureD(StructureD):
 
     def size(self) -> int:
         """Total number of indexed adjacency entries (``O(overlay)``)."""
-        total = sum(len(lst) for lst in self._sorted_nbrs.values())
-        if not self._materialized:
-            # Over the flat build the dict rows are exactly the
-            # overlay-inserted vertices, disjoint from the flat rows.
-            total += self._flat_total
-        return total
+        # The dict rows are exactly the overlay-inserted vertices, disjoint
+        # from the flat rows.
+        return sum(len(lst) for lst in self._sorted_nbrs.values()) + self._flat_total
 
     # ------------------------------------------------------------------ #
     # Overlay bookkeeping: track which rows the flat arrays no longer answer
@@ -307,11 +295,12 @@ class ArrayStructureD(StructureD):
         self, us: Sequence[Vertex], los: Sequence[int], his: Sequence[int]
     ) -> Tuple[List[Optional[Vertex]], int]:
         """Batched min-post re-anchor probes; counts the call under
-        ``d_batch_queries`` (and ``d_batch_query_fallbacks`` when the flat
-        arrays cannot answer it) and returns :meth:`search_min_post_batch`."""
+        ``d_batch_queries`` (and an empty call, which never reaches the flat
+        arrays, under ``d_batch_query_fallbacks``) and returns
+        :meth:`search_min_post_batch`."""
         if self._metrics is not None:
             self._metrics.inc("d_batch_queries")
-            if self._materialized or not len(us):
+            if not len(us):
                 self._metrics.inc("d_batch_query_fallbacks")
         return self.search_min_post_batch(us, los, his)
 
@@ -324,11 +313,11 @@ class ArrayStructureD(StructureD):
         The first flat entry of a clean row with post-order number in
         ``[lo, hi]`` is alive by definition, so the bisect plus one gather
         resolves the whole clean subset (probes: 1 per hit, 0 per miss — the
-        scalar accounting).  Dirty, materialized or unindexed rows take the
-        inherited scalar path; answers equal the scalar method's exactly.
+        scalar accounting).  Dirty or unindexed rows take the inherited
+        scalar path; answers equal the scalar method's exactly.
         """
         n = len(us)
-        if self._materialized or n == 0:
+        if n == 0:
             return super().search_min_post_batch(us, los, his)
         slots, clean = self._clean_query_slots(us, n)
         out_arr = np.full(n, None, dtype=object)
@@ -415,8 +404,6 @@ class ArrayStructureD(StructureD):
         or the largest, reduced with ``np.minimum.reduceat``.  Dirty rows
         take :meth:`search_segment`.
         """
-        if self._materialized:
-            return super().search_subtrees(roots, segments)
         tree = self._tree
         piece_lo: List[int] = []
         sizes: List[int] = []

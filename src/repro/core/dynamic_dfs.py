@@ -51,7 +51,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 from repro.backends import native_graph, resolve_backend, structure_class
 from repro.constants import VIRTUAL_ROOT
 from repro.core.engine import Backend, UpdateEngine
-from repro.core.maintenance import CostModel, CostSignal, MaintenanceController
 from repro.core.overlay import (
     apply_update,
     reused_vertex_id_needs_rebuild,
@@ -81,6 +80,11 @@ class DStructureBackend(Backend):
     tree; the update itself then enters ``D`` as an overlay, which keeps every
     vertex of the updated graph visible to ``D`` even when the update inserts
     a vertex the current tree cannot index yet.
+
+    Under ``rebuild_every=None``, :meth:`rebuild_due` asks for a rebuild once
+    the overlay reaches its Theorem 9 budget or the committed tree has moved
+    away from ``D``'s base tree (counted under ``d_stale_rebuilds``);
+    :meth:`must_rebuild` vetoes overlay service for a re-used vertex id.
     """
 
     name = "dynamic_dfs"
@@ -101,16 +105,6 @@ class DStructureBackend(Backend):
         # True while the committed tree is not D's base tree (set on commit,
         # cleared when a rebuild re-bases D on the current tree).
         self._tree_moved = False
-        # Cost-model maintenance: the auto-tuned rebuild cadence rebuilds D
-        # once the overlay fills the Theorem 9 budget, or once the committed
-        # tree moves away from D's base tree — D on the current tree answers
-        # every query by the direct range search (Theorem 8), while a stale
-        # one pays the role-reversed sweep on every query (Theorem 9).
-        self.controller = MaintenanceController(metrics=metrics)
-        self.controller.add(
-            CostModel("overlay", self.overlay_budget, inclusive=True)
-        )
-        self.controller.add(CostModel("stale_tree", lambda: 0.0))
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:
         self.metrics.inc("d_rebuilds")
@@ -119,14 +113,17 @@ class DStructureBackend(Backend):
             self._tree_moved = False
         with self.metrics.timer("build_d"):
             self.structure = self._structure_cls(self.graph, tree, metrics=self.metrics)
-        self.controller.on_refresh()
+
+    def rebuild_due(self) -> bool:
+        # Rebuild D once the overlay fills the Theorem 9 budget, or once the
+        # committed tree moves away from D's base tree: D on the current tree
+        # answers every query by the direct range search (Theorem 8), while a
+        # stale one pays the role-reversed sweep on every query (Theorem 9).
+        return self._tree_moved or self.structure.overlay_size() >= self.overlay_budget()
 
     def must_rebuild(self, update: Update) -> bool:
         # Re-used vertex ids make overlays ambiguous.
         return reused_vertex_id_needs_rebuild(self.structure, update)
-
-    def overlay_size(self) -> int:
-        return self.structure.overlay_size()
 
     def overlay_budget(self) -> float:
         return theorem9_overlay_budget(self.graph.num_edges)
@@ -144,13 +141,6 @@ class DStructureBackend(Backend):
         # The engine keeps the tree object when an update leaves the tree
         # unchanged, so identity tells whether D's base tree is still current.
         self._tree_moved = tree is not self.structure.base_tree
-
-    def end_update(self, update: Update) -> None:
-        # Report the cost signals to the controller; the policy decision of
-        # the next update reads them from there.
-        if self.structure is not None:
-            self.controller.report(CostSignal("overlay", float(self.structure.overlay_size())))
-            self.controller.report(CostSignal("stale_tree", float(self._tree_moved)))
 
 
 class BruteBackend(Backend):
@@ -304,7 +294,10 @@ class FullyDynamicDFS:
         self._engine.remove_commit_listener(listener)
 
     def overlay_budget(self) -> int:
-        """Overlay size that triggers a rebuild under the auto-tuned policy."""
+        """Overlay size that triggers a rebuild under the auto-tuned policy
+        (``0`` with ``service="brute"``, which keeps no overlay)."""
+        if isinstance(self._backend, BruteBackend):
+            return 0
         return int(self._backend.overlay_budget())
 
     def parent_map(self, *, include_virtual_root: bool = True) -> Dict[Vertex, Optional[Vertex]]:

@@ -29,27 +29,19 @@ maintain byte-identical trees; the policy changes the cost, never the output.
   behaviour of all four drivers);
 * ``k > 1`` — rebuild on every ``k``-th update, serve the rest from the
   backend's overlay state;
-* ``None`` — auto-tuned: rebuild when one of the backend's cadence models is
-  due — the overlay grows past its budget (``~sqrt(2m)`` for ``D``-based
-  backends; never, for backends whose overlays do not decay queries), or, for
-  the in-memory ``D`` backend in rebuild mode, the previous update moved the
-  committed tree away from ``D``'s base tree.
+* ``None`` — auto-tuned: rebuild when the backend says a rebuild is due
+  (:meth:`Backend.rebuild_due`) — for ``D``-based backends, once the overlay
+  reaches its Theorem 9 budget (``~sqrt(2m)``) or, for the in-memory ``D``
+  backend, once the previous update moved the committed tree away from
+  ``D``'s base tree; never, for backends without such a cadence.
 
-A backend can veto overlay service for a specific update
+Under every policy a backend can veto overlay service for a specific update
 (:meth:`Backend.must_rebuild`, e.g. a re-used vertex id whose stale base
-entries would make overlays ambiguous) and can declare that its cached state
-became structurally invalid after a mutation (:meth:`Backend.cache_invalid`,
-e.g. a deleted BFS-tree edge in the CONGEST backend).
-
-**Cost-model maintenance.**  A backend may attach a
-:class:`~repro.core.maintenance.MaintenanceController`; the engine then
-consults it at every policy decision.  Its *cadence* models implement the
-auto-tuned ``rebuild_every=None`` policy (the Theorem 9 overlay budget, and
-the stale-tree model of ``D``), and its *forcing* models veto overlay service
-under any policy — the CONGEST depth-drift voluntary rebuild flows through
-this single path instead of per-backend trigger plumbing.
-Controller-demanded refreshes are counted under ``service_rebuilds_forced``
-plus ``cost_model_triggers``.
+entries would make overlays ambiguous, or the CONGEST backend's accumulated
+broadcast depth drift outweighing an ``O(D)`` rebuild) and can declare that
+its cached state became structurally invalid after a mutation
+(:meth:`Backend.cache_invalid`, e.g. a deleted BFS-tree edge in the CONGEST
+backend).  Vetoes are counted under ``service_rebuilds_forced``.
 """
 
 from __future__ import annotations
@@ -110,16 +102,6 @@ class Backend:
     #: The environment's live graph (mutated through :meth:`mutate` only).
     graph: UndirectedGraph
 
-    #: Optional cost-model maintenance controller (see
-    #: :mod:`repro.core.maintenance`).  Backends that attach one report
-    #: :class:`~repro.core.maintenance.CostSignal` observations in
-    #: :meth:`end_update`; the engine consults the controller's cadence
-    #: models under the auto-tuned policy and its forcing models under every
-    #: policy.  When None, the auto-tuned policy falls back to the raw
-    #: :meth:`overlay_size` / :meth:`overlay_budget` comparison (the
-    #: fault-tolerant backend's never-rebuild infinite budget).
-    controller = None
-
     # ------------------------------------------------------------------ #
     # State refresh
     # ------------------------------------------------------------------ #
@@ -131,22 +113,21 @@ class Backend:
         """
         raise NotImplementedError
 
+    def rebuild_due(self) -> bool:
+        """Auto-tuned cadence (``rebuild_every=None``): True when the cached
+        state should be refreshed before the next update.  The default never
+        rebuilds."""
+        return False
+
     def must_rebuild(self, update: Update) -> bool:
-        """Backend veto: True when *update* cannot be served from overlays."""
+        """Veto under every policy: True when *update* must not be served from
+        the cached state."""
         return False
 
     def cache_invalid(self, update: Update) -> bool:
         """Post-mutation check (``rebuild_stage == "post"`` only): True when
         the mutation structurally invalidated the cached state."""
         return False
-
-    def overlay_size(self) -> int:
-        """Current overlay size (drives the auto-tuned policy)."""
-        return 0
-
-    def overlay_budget(self) -> float:
-        """Overlay size that triggers a rebuild under the auto-tuned policy."""
-        return 0
 
     # ------------------------------------------------------------------ #
     # Update plumbing
@@ -367,27 +348,16 @@ class UpdateEngine:
         backend = self.backend
         if not backend.supports_amortization:
             return False
-        controller = backend.controller
         if self._rebuild_every is not None:
-            allowed = self._updates_since_rebuild + 1 < self._rebuild_every
-        elif controller is not None:
-            allowed = controller.cadence_due() is None
-        else:
-            allowed = backend.overlay_size() < backend.overlay_budget()
-        if not allowed:
+            if self._updates_since_rebuild + 1 >= self._rebuild_every:
+                return False
+        elif backend.rebuild_due():
             return False
         if backend.must_rebuild(update):
-            # Backend veto (re-used vertex id): the refresh happens now rather
-            # than at the next cadence point.  Counted only here — a veto
-            # coinciding with a cadence rebuild forced nothing extra.
+            # The veto refreshes now rather than at the next cadence point.
+            # Counted only here: a veto coinciding with a cadence rebuild
+            # forced nothing extra.
             self.metrics.inc("service_rebuilds_forced")
-            return False
-        if controller is not None and controller.forced_due() is not None:
-            # Cost-model veto (accumulated broadcast depth-drift cost): the
-            # excess per-update cost the cached state was charging has
-            # caught up with the refresh cost it avoided.
-            self.metrics.inc("service_rebuilds_forced")
-            self.metrics.inc("cost_model_triggers")
             return False
         return True
 

@@ -16,9 +16,10 @@ updated graph, computed *without ever rebuilding* ``D``:
   counts are recorded in the metrics so benchmark E2 can reproduce that growth.
 
 In :class:`~repro.core.engine.UpdateEngine` terms the driver is simply the
-``D`` pipeline with a *never-rebuild* policy: the backend reports an infinite
-overlay budget, so every update of a query batch is overlay-served against the
-preprocessed structure.  Because the preprocessed state is never modified
+``D`` pipeline with a *never-rebuild* policy: the backend keeps the default
+:meth:`~repro.core.engine.Backend.rebuild_due` (never) and never vetoes, so
+every update of a query batch is overlay-served against the preprocessed
+structure.  Because the preprocessed state is never modified
 (overlays are reset after each query), :meth:`FaultTolerantDFS.query` may be
 called any number of times with independent update batches, exactly like a
 fault-tolerant data structure.
@@ -26,7 +27,6 @@ fault-tolerant data structure.
 
 from __future__ import annotations
 
-import math
 from typing import Hashable, Optional, Sequence, Tuple
 
 from repro.backends import native_graph, resolve_backend, structure_class
@@ -57,9 +57,6 @@ class _PreprocessedDBackend(Backend):
         self.graph = graph
         self.structure = structure
         self.metrics = metrics
-
-    def overlay_budget(self) -> float:
-        return math.inf  # never rebuild: the preprocessed D must stay pristine
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:  # pragma: no cover
         raise AssertionError("the fault-tolerant backend never rebuilds D")
@@ -180,7 +177,7 @@ class FaultTolerantDFS:
         engine = UpdateEngine(
             backend,
             self._tree0,
-            rebuild_every=None,  # with an infinite budget: never rebuild
+            rebuild_every=None,  # the backend's rebuild_due() is never true
             validate=self._validate,
             metrics=self.metrics,
             initial_rebuild=False,

@@ -45,17 +45,17 @@ comparison harnesses.
 
 **Depth-drift cost model.**  Pipelined waves pay the broadcast forest's max
 depth per chunk, so a cached tree deeper than a fresh rebuild's charges its
-excess depth on every wave.  The backend therefore runs two cost-model
-decisions on the shared :class:`~repro.core.maintenance.MaintenanceController`:
+excess depth on every wave.  The backend therefore makes two cost decisions:
 a *repair gate* (a local repair whose resulting forest would be deeper than
 the fallback rebuild's falls back to that rebuild instead) and a *voluntary
-rebuild* (an accumulating ``depth_drift`` account of observed *waves ×
-drift*, measured inside the updated component; once it exceeds the modeled
-``O(D)`` rebuild cost, the next update rebuilds the component from a
-**2-sweep BFS center** — two accounted BFS sweeps pick a root whose
-eccentricity is within a factor 2 of the component's true radius, counted
-under ``voluntary_rebuilds`` / ``center_sweeps`` /
-``max_voluntary_rebuild_root_depth``).  Together they close the
+rebuild*.  For the latter it keeps a ``drift_account`` of observed *waves ×
+drift*, measured inside the updated component; once the account exceeds the
+modeled ``O(D)`` rebuild cost, :meth:`CongestBackend.must_rebuild` vetoes
+overlay service under every policy, and the next update rebuilds the
+component from a **2-sweep BFS center** — two accounted BFS sweeps pick a
+root whose eccentricity is within a factor 2 of the component's true radius,
+counted under ``voluntary_rebuilds`` / ``center_sweeps`` /
+``max_voluntary_rebuild_root_depth``.  Together they close the
 ``rebuild_every=None`` regression where pure repair rode a permanently
 deeper tree than rebuild-on-invalidation on low-diameter graphs (benchmark
 E9); ``voluntary_root="initiator"`` restores the best-observed-initiator
@@ -73,7 +73,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT
 from repro.core.engine import Backend, UpdateEngine, update_words
-from repro.core.maintenance import CostModel, CostSignal, MaintenanceController
 from repro.core.queries import Answer, BruteForceQueryService, EdgeQuery, QueryService
 from repro.core.updates import (
     EdgeDeletion,
@@ -163,19 +162,19 @@ class CongestBackend(Backend):
     leave the cached tree deeper than the tree a fresh BFS would build, and
     every pipelined wave pays the tree's max depth per chunk — so a
     permanently drifted tree charges its excess depth on every later
-    broadcast/convergecast.  The backend therefore reports a ``depth_drift``
-    :class:`CostSignal` after each update — *observed waves × (current
-    component depth − fresh-rebuild depth)*, the excess rounds the stale tree
-    charged that update, both measured inside the updated component — into an
-    accumulating :class:`CostModel`, and once the account exceeds the modeled
-    rebuild cost the controller forces a *voluntary* rebuild
-    (``voluntary_rebuilds``), which re-minimises the depths and resets the
-    account.  Under ``voluntary_root="center"`` (default) the voluntary
-    rebuild runs a **2-sweep BFS center approximation** inside the triggering
-    component — two *accounted* sweeps (``center_sweeps``) find a farthest
-    vertex ``u`` and a farthest-from-``u`` vertex ``w``, and the final flood
-    roots at the midpoint of the ``u → w`` path, whose eccentricity is within
-    a factor 2 of the component's true radius (and equals it on trees) —
+    broadcast/convergecast.  The backend therefore adds, after each update,
+    *observed waves × (current component depth − fresh-rebuild depth)* — the
+    excess rounds the stale tree charged that update, both measured inside
+    the updated component — to :attr:`drift_account`, and once the account
+    exceeds the modeled rebuild cost :meth:`must_rebuild` forces a
+    *voluntary* rebuild (``voluntary_rebuilds``), which re-minimises the
+    depths and resets the account.  Under ``voluntary_root="center"``
+    (default) the voluntary rebuild runs a **2-sweep BFS center
+    approximation** inside the triggering component — two *accounted* sweeps
+    (``center_sweeps``) find a farthest vertex ``u`` and a farthest-from-``u``
+    vertex ``w``, and the final flood roots at the midpoint of the ``u → w``
+    path, whose eccentricity is within a factor 2 of the component's true
+    radius (and equals it on trees) —
     strictly shallower than the best *observed* initiator whenever update
     sites hug the periphery.  ``voluntary_root="initiator"`` keeps the legacy
     best-observed-initiator root.  The drift signal itself is computed
@@ -232,25 +231,29 @@ class CongestBackend(Backend):
         self._query_batches_before = 0.0
         self.articulation: set = set()
         self.bridges: set = set()
-        # Cost-model maintenance: only repair mode can drift the tree depth
-        # (conservative invalidation rebuilds — and therefore re-minimises —
-        # on every broadcast-tree death), so only repair mode carries the
-        # drift account.
-        self.controller = MaintenanceController(metrics=metrics)
-        if local_repair:
-            self.controller.add(
-                CostModel(
-                    "depth_drift", self._modeled_rebuild_cost, kind="excess", forces=True
-                )
-            )
+        #: Excess rounds the drifted broadcast forest charged since the last
+        #: rebuild (*waves × drift*; repair mode only — conservative
+        #: invalidation rebuilds, and so re-minimises, on every tree death).
+        self.drift_account = 0.0
 
     # ------------------------------------------------------------------ #
-    def overlay_budget(self) -> float:
-        """Infinite: a stale (but intact) broadcast tree never degrades query
-        answers — only the round accounting of its depths, which the
-        ``depth_drift`` cost model governs — so the cadence policy rebuilds
-        only when the cache is structurally broken."""
-        return float("inf")
+    # Rebuild policy.  A stale (but intact) broadcast tree never degrades
+    # query answers, only the round accounting of its depths, so the backend
+    # keeps the default rebuild_due() (never): it rebuilds on a broken cache
+    # (cache_invalid) or on the drift veto below.
+    # ------------------------------------------------------------------ #
+    def drift_due(self) -> bool:
+        """True when the drift account has outgrown the modeled rebuild cost:
+        the next rebuild is *voluntary*."""
+        return self._local_repair and self.drift_account > self._modeled_rebuild_cost()
+
+    def must_rebuild(self, update: Update) -> bool:
+        """Veto overlay service once :meth:`drift_due` (counted under
+        ``cost_model_triggers``)."""
+        if self.drift_due():
+            self.metrics.inc("cost_model_triggers")
+            return True
+        return False
 
     def _modeled_rebuild_cost(self) -> float:
         """Rounds a voluntary rebuild costs, in waves of the as-built depth:
@@ -315,10 +318,7 @@ class CongestBackend(Backend):
         ``voluntary_rebuilds``, ``center_sweeps`` and
         ``max_voluntary_rebuild_root_depth``."""
         self._rebuilt_this_update = True
-        voluntary = (
-            self.controller.has_model("depth_drift")
-            and self.controller.model("depth_drift").due()
-        )
+        voluntary = self.drift_due()
         if voluntary:
             # The accumulated excess rounds the drifted tree charged have
             # caught up with this rebuild's cost: the rebuild is voluntary
@@ -352,7 +352,7 @@ class CongestBackend(Backend):
             )
         self._drift_initiator = None
         self._drift_seed = None
-        self.controller.on_refresh()
+        self.drift_account = 0.0
 
     def _voluntary_rebuild_root(
         self, tree: DFSTree, update: Optional[Update]
@@ -724,12 +724,13 @@ class CongestBackend(Backend):
         return component, best_depth
 
     def end_update(self, update: Update) -> None:
-        """Flush the per-update round/message maxima and report the
-        ``depth_drift`` :class:`CostSignal` — *waves × drift*, both measured
-        inside the updated component (see :meth:`_drift_reference`)."""
+        """Flush the per-update round/message maxima and add the update's
+        *waves × drift*, both measured inside the updated component (see
+        :meth:`_drift_reference`), to :attr:`drift_account` and
+        ``cost_model_excess``."""
         self.metrics.observe_max("rounds_per_update", self.network.rounds - self._rounds_before)
         self.metrics.observe_max("messages_per_update", self.network.messages - self._messages_before)
-        if self.controller.has_model("depth_drift") and self.bfs_depth:
+        if self._local_repair and self.bfs_depth:
             # Excess rounds the stale tree charged this update: every
             # pipelined wave (the dissemination broadcast plus a convergecast
             # and a broadcast per query batch) pays the tree's max depth per
@@ -745,8 +746,9 @@ class CongestBackend(Backend):
                 drift = current - fresh
                 if drift > 0:
                     batches = self.metrics["query_batches"] - self._query_batches_before
-                    waves = 1 + 2 * batches
-                    self.controller.report(CostSignal("depth_drift", waves * drift))
+                    excess = (1 + 2 * batches) * drift
+                    self.drift_account += excess
+                    self.metrics.inc("cost_model_excess", excess)
 
 
 class DistributedDynamicDFS:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.graph.graph import UndirectedGraph
 
@@ -317,14 +317,6 @@ def lollipop_graph(clique: int, tail: int) -> UndirectedGraph:
         g.add_edge(prev, v)
         prev = v
     return g
-
-
-# --------------------------------------------------------------------------- #
-# Helpers
-# --------------------------------------------------------------------------- #
-def graph_from_edges(edges: Iterable[Edge], *, vertices: Optional[Sequence[int]] = None) -> UndirectedGraph:
-    """Build a graph from an edge list (convenience wrapper)."""
-    return UndirectedGraph(vertices=vertices, edges=edges)
 
 
 FAMILIES = {

@@ -35,9 +35,9 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "overlay_served_updates": "updates served from the existing service state instead of a rebuild",
     "max_overlay_size": "largest overlay (masked + extra entries) observed between rebuilds",
     "commit_listener_errors": "commit listeners that raised and were isolated by UpdateEngine (the writer is never poisoned; end_update still ran)",
-    # Cost-model maintenance (MaintenanceController)
-    "cost_model_triggers": "service refreshes demanded by a MaintenanceController forcing model (cost-model veto of overlay service)",
-    "cost_model_excess": "excess per-update cost accumulated by MaintenanceController excess models (e.g. depth-drift rounds)",
+    # Cost-model maintenance (the CONGEST depth-drift veto)
+    "cost_model_triggers": "service refreshes forced by CongestBackend.must_rebuild once the depth-drift account exceeds the modeled rebuild cost",
+    "cost_model_excess": "excess rounds (waves x depth drift) added to CongestBackend's depth-drift account",
     # Data structure D (Theorems 8-9) and its maintenance policies
     "d_builds": "StructureD constructions (one per full rebuild of D)",
     "d_build_work": "total adjacency entries processed while building D",

@@ -223,6 +223,8 @@ class TreeSnapshot:
         arrs = self.tree.as_arrays()
         root_tins, roots = self._components()
         iv = self._indices(vs)
+        if not len(roots):  # an empty graph: only the virtual root exists
+            return [None] * len(iv)
         pos = np.searchsorted(root_tins, arrs["tin"][iv], side="right") - 1
         comp = roots[np.maximum(pos, 0)]
         out = arrs["vertices"][comp].tolist()

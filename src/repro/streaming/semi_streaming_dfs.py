@@ -14,7 +14,9 @@ of query batches, which the paper bounds by ``O(log^2 n)``.
 trades local memory for passes: every ``k``-th update *snapshots* the stream
 into the data structure ``D`` with a single pass, and the updates in between
 are served from ``D`` plus Theorem 9 overlays with **zero** passes — the
-update stream itself tells the driver exactly how the graph changed.  The
+update stream itself tells the driver exactly how the graph changed.  Under
+``rebuild_every=None`` the snapshot is retaken once its Theorem 9 overlay
+reaches ``~sqrt(2m)`` entries (:meth:`StreamSnapshotBackend.rebuild_due`).  The
 amortized pass cost drops from ``O(log^2 n)`` per update to ``O(1/k)``, at the
 price of ``O(m)`` local memory for the snapshot (no longer semi-streaming in
 the strict sense; the classic ``rebuild_every=1`` default keeps the paper's
@@ -29,7 +31,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
 from repro.backends import graph_class, native_graph, resolve_backend, structure_class
 from repro.constants import VIRTUAL_ROOT
 from repro.core.engine import Backend, UpdateEngine
-from repro.core.maintenance import CostModel, CostSignal, MaintenanceController
 from repro.core.overlay import reused_vertex_id_needs_rebuild, theorem9_overlay_budget
 from repro.core.queries import Answer, DQueryService, EdgeQuery, QueryService
 from repro.core.structure_d import StructureD
@@ -189,12 +190,6 @@ class StreamSnapshotBackend(_StreamBackendBase):
         # pass straight into an ArrayGraph/ArrayStructureD pair.
         self._graph_cls = graph_cls
         self._structure_cls = structure_cls
-        # The snapshot policy on the shared cost-model controller: one
-        # snapshot pass per refresh amortizes against the per-query overlay
-        # scans the stale snapshot charges, so the cadence model re-snapshots
-        # exactly when the Theorem 9 overlay outgrows its budget.
-        self.controller = MaintenanceController(metrics=metrics)
-        self.controller.add(CostModel("overlay", self.overlay_budget, inclusive=True))
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:
         self.metrics.inc("d_rebuilds")
@@ -203,21 +198,15 @@ class StreamSnapshotBackend(_StreamBackendBase):
             # current tree's post-order numbers (Theorem 8 on a snapshot).
             snapshot = self._graph_cls(vertices=list(self.vertices), edges=self.stream.pass_over())
             self.structure = self._structure_cls(snapshot, tree, metrics=self.metrics)
-        self.controller.on_refresh()
+
+    def rebuild_due(self) -> bool:
+        # One snapshot pass per refresh amortizes against the per-query
+        # overlay scans a stale snapshot charges: re-snapshot once the
+        # Theorem 9 overlay fills its budget.
+        return self.structure.overlay_size() >= theorem9_overlay_budget(self.stream.num_edges)
 
     def must_rebuild(self, update: Update) -> bool:
         return reused_vertex_id_needs_rebuild(self.structure, update)
-
-    def end_update(self, update: Update) -> None:
-        super().end_update(update)
-        if self.structure is not None:
-            self.controller.report(CostSignal("overlay", float(self.structure.overlay_size())))
-
-    def overlay_size(self) -> int:
-        return self.structure.overlay_size()
-
-    def overlay_budget(self) -> float:
-        return theorem9_overlay_budget(self.stream.num_edges)
 
     def mutate(self, update: Update) -> None:
         _mutate_stream(self.graph, self.stream, self.vertices, update, self.structure)

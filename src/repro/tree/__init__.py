@@ -3,7 +3,7 @@ path/subtree utilities used by the rerooting algorithms."""
 
 from repro.tree.dfs_tree import DFSTree
 from repro.tree.euler import euler_tour
-from repro.tree.lca import BinaryLiftingLCA, EulerTourLCA
+from repro.tree.lca import EulerTourLCA
 from repro.tree.tree_utils import (
     ancestor_descendant_segments,
     hanging_subtrees,
@@ -14,7 +14,6 @@ from repro.tree.tree_utils import (
 __all__ = [
     "DFSTree",
     "euler_tour",
-    "BinaryLiftingLCA",
     "EulerTourLCA",
     "tree_path",
     "hanging_subtrees",

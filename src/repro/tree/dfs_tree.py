@@ -369,15 +369,5 @@ class DFSTree:
         order = sorted(range(len(self._verts)), key=lambda i: self._post[i])
         return [self._verts[i] for i in order]
 
-    # ------------------------------------------------------------------ #
-    # Derived trees
-    # ------------------------------------------------------------------ #
-    def rerooted_subtree(self, new_parent: Mapping[Vertex, Optional[Vertex]]) -> "DFSTree":
-        """Return a new tree where the vertices in *new_parent* take their new
-        parents and every other vertex keeps its current parent."""
-        merged = self.parent_map()
-        merged.update(new_parent)
-        return DFSTree(merged, root=self.root if self.root in merged else None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DFSTree(n={len(self._verts)}, roots={self.roots()!r})"

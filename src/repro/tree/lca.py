@@ -1,13 +1,15 @@
 """Lowest-common-ancestor indices.
 
-Two interchangeable implementations:
+:class:`~repro.tree.dfs_tree.DFSTree` answers LCA and level-ancestor queries
+itself from a lazily built binary-lifting table (``O(n log n)`` build,
+``O(log n)`` query).  This module adds the constant-time indices:
 
-* :class:`BinaryLiftingLCA` — sparse ancestor table, ``O(n log n)`` build,
-  ``O(log n)`` query, also answers level-ancestor queries.
 * :class:`EulerTourLCA` — Euler tour + sparse table over depths, ``O(n log n)``
   build, ``O(1)`` query.  This is the classical stand-in for Schieber–Vishkin
   (Theorem 5/6 of the paper): the query bound matches and the construction
   parallelises with ``O(log n)`` depth (see :mod:`repro.pram.lca_parallel`).
+* :class:`ArrayLCAIndex` — the same index over numpy arrays, with batch
+  queries.
 """
 
 from __future__ import annotations
@@ -21,30 +23,6 @@ from repro.tree.dfs_tree import DFSTree
 from repro.tree.euler import euler_tour, euler_tour_arrays
 
 Vertex = Hashable
-
-
-class BinaryLiftingLCA:
-    """LCA/level-ancestor queries via binary lifting.
-
-    This simply delegates to the lazily-built lifting table inside
-    :class:`DFSTree`; it exists so callers can depend on an explicit index
-    object with the same interface as :class:`EulerTourLCA`.
-    """
-
-    def __init__(self, tree: DFSTree) -> None:
-        self._tree = tree
-
-    def lca(self, a: Vertex, b: Vertex) -> Vertex:
-        """Lowest common ancestor of *a* and *b*."""
-        return self._tree.lca(a, b)
-
-    def is_ancestor(self, a: Vertex, b: Vertex) -> bool:
-        """True iff *a* is an ancestor of *b*."""
-        return self._tree.is_ancestor(a, b)
-
-    def level_ancestor(self, v: Vertex, level: int) -> Vertex:
-        """Ancestor of *v* at the given depth."""
-        return self._tree.level_ancestor(v, level)
 
 
 class EulerTourLCA:

@@ -3,8 +3,7 @@
 Everything here is differential against the dict reference ``StructureD`` —
 identical rows, identical query answers, identical probe counters — plus the
 array-only machinery: the batched re-anchor path, the row-batched subtree
-search of a query round, and their scalar fallbacks, including the per-vertex
-build over a graph that is not an ``ArrayGraph``.
+search of a query round, and their scalar fallbacks for overlay-dirtied rows.
 """
 
 from __future__ import annotations
@@ -12,6 +11,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
 from repro.constants import VIRTUAL_ROOT
 from repro.core.array_structure_d import ArrayStructureD
@@ -177,33 +177,12 @@ def test_batch_reanchor_identical_and_counts_fallbacks():
     assert ma["d_batch_query_fallbacks"] == 0
 
 
-def test_batch_falls_back_after_materialization():
-    """Built over a plain ``UndirectedGraph`` (not an ``ArrayGraph``), the
-    rows are the inherited python lists and every batched call takes the
-    scalar path."""
+def test_requires_an_array_graph():
+    """The flat build reads an ``ArrayGraph``'s half-edge arrays; any other
+    graph is rejected instead of silently taking a per-vertex build."""
     g, _, tree = _pair()
-    ma = MetricsRecorder()
-    da = ArrayStructureD(g, tree, metrics=ma)
-    dd = StructureD(g, tree)
-    assert da._materialized
-    verts = list(g.vertices())
-    u, w = verts[0], verts[1]
-    dd.note_vertex_deleted(u)
-    da.note_vertex_deleted(u)
-    lo, hi = _interval(tree, w)
-    assert da.min_post_alive_neighbor_batch([w], [lo], [hi]) == StructureD.min_post_alive_neighbor_batch(
-        dd, [w], [lo], [hi]
-    )
-    assert ma["d_batch_query_fallbacks"] == 1
-    # The row-batched subtree search and the round it serves fall back to
-    # the reference loop, with the overlays applied.
-    rng = random.Random(4)
-    _overlay_every_kind(rng, g, (dd, da), max(verts) + 1)
-    for _ in range(10):
-        roots, segments = _random_layer(rng, tree, 6)
-        assert da.search_subtrees(roots, segments) == StructureD.search_subtrees(dd, roots, segments)
-    _same_rounds(dd, da, _composite_queries(rng, tree, 30))
-    assert ma["d_batch_query_fallbacks"] == 1  # uncounted cores count nothing
+    with pytest.raises(TypeError, match="ArrayGraph"):
+        ArrayStructureD(g, tree)
 
 
 def test_non_int_vertices_take_the_python_path():

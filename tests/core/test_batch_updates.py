@@ -4,6 +4,7 @@ must be identical to the per-update-rebuild trees on randomized churn."""
 import pytest
 
 from repro.core.dynamic_dfs import FullyDynamicDFS
+from repro.core.overlay import theorem9_overlay_budget
 from repro.graph.generators import barabasi_albert_graph, complete_graph, gnp_random_graph
 from repro.metrics.counters import MetricsRecorder
 from repro.workloads.scenarios import build_scenario
@@ -75,6 +76,17 @@ def test_auto_policy_bounds_overlay_by_budget():
     assert delta["d_rebuilds"] - 1 < len(updates) / 2  # -1 for the initial build
 
 
+@pytest.mark.parametrize("service", ["d", "brute"])
+def test_overlay_budget_per_service(service):
+    """The public budget is Theorem 9's ``~sqrt(2m)`` over ``D`` and ``0`` for
+    the brute-force oracle, which keeps no overlay."""
+    graph = gnp_random_graph(60, 0.1, seed=4, connected=True)
+    dyn = FullyDynamicDFS(graph, service=service)
+    expected = theorem9_overlay_budget(graph.num_edges) if service == "d" else 0
+    assert dyn.overlay_budget() == expected
+    assert isinstance(dyn.overlay_budget(), int)
+
+
 def _stale_tree_stream(kind, seed):
     if kind == "edge_churn":
         graph = gnp_random_graph(150, 0.04, seed=seed, connected=True)
@@ -116,7 +128,7 @@ class _Stepper:
             }
         )
         self.moved = self.dyn.tree is not tree
-        self.full = d.overlay_size() >= d.overlay_budget()
+        self.full = d.structure.overlay_size() >= d.overlay_budget()
 
 
 @pytest.mark.parametrize("backend", ["dict", "array"])
@@ -153,7 +165,6 @@ def test_auto_policy_rebuilds_exactly_when_the_tree_moves(kind, seed, backend):
     assert f["d_rebuilds"] - 1 - f["d_stale_rebuilds"] == sum(
         not s["after_move"] for s in fresh.steps
     )
-    assert auto.dyn.update_engine.backend.controller.has_model("stale_tree")
 
 
 def test_explicit_rebuild_every_validation():

@@ -14,10 +14,12 @@ import random
 import pytest
 
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
+from repro.core import FullyDynamicDFS
 from repro.exceptions import VertexNotFound
 from repro.graph.generators import gnp_random_graph
+from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import static_dfs_forest
-from repro.service import TreeSnapshot
+from repro.service import DFSTreeService, TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
 from tests.helpers import assert_snapshot_batches_match_tree
 
@@ -54,6 +56,17 @@ def test_scalar_queries_match_tree_semantics():
                 tree.level(a) + tree.level(b) - 2 * tree.level(expect)
             )
         assert snap.is_ancestor(a, b) == tree.is_ancestor(a, b)
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+def test_empty_graph_virtual_root_is_in_no_component(backend):
+    """With no vertex but the virtual root there is no component root; the
+    virtual root still answers ``None`` / ``False``, as on a non-empty graph."""
+    snap = DFSTreeService(FullyDynamicDFS(UndirectedGraph(), backend=backend)).snapshot()
+    assert snap.component(VIRTUAL_ROOT) is None
+    assert snap.component_batch([VIRTUAL_ROOT]) == [None]
+    assert snap.connected(VIRTUAL_ROOT, VIRTUAL_ROOT) is False
+    assert snap.connected_batch([VIRTUAL_ROOT], [VIRTUAL_ROOT]) == [False]
 
 
 def test_batch_equals_scalar_all_kinds():

@@ -9,9 +9,10 @@ Two policies are covered:
   shallow orphaned subtree is repaired in strictly fewer rounds than the full
   rebuild the conservative invalidation pays.
 
-* **Depth-aware voluntary rebuilds** (the ``depth_drift``
-  :class:`~repro.core.maintenance.CostModel`): a voluntary rebuild fires iff
-  the accumulated *waves × drift* account exceeds the modeled rebuild cost —
+* **Depth-aware voluntary rebuilds** (``CongestBackend.drift_account`` and
+  its :meth:`~repro.distributed.distributed_dfs.CongestBackend.must_rebuild`
+  veto): a voluntary rebuild fires iff the accumulated *waves × drift*
+  account exceeds the modeled rebuild cost —
   with exact accumulator-reset arithmetic replayed by a shadow account — and
   under the auto-tuned policy on low-diameter workloads the repairing driver
   never falls behind rebuild-on-invalidation by more than the cost model's
@@ -142,13 +143,12 @@ def test_local_repair_certifies_like_a_rebuild(case):
     # the account only ever exceeds it for the one update that triggers the
     # voluntary rebuild, which resets it.
     backend = repair._backend
-    model = backend.controller.model("depth_drift")
     if backend.bfs_depth:
         assert (
             max(backend.bfs_depth.values())
             <= backend._as_built_depth + backend._modeled_rebuild_cost()
         )
-    assert model.value() <= model.budget() or backend.controller.forced_due() == "depth_drift"
+    assert backend.drift_account <= backend._modeled_rebuild_cost() or backend.drift_due()
 
 
 def test_shallow_subtree_repair_beats_rebuild_rounds():
@@ -238,26 +238,29 @@ def test_voluntary_rebuild_fires_iff_account_exceeds_budget(case):
     metrics = MetricsRecorder("dist", strict=True)
     driver = DistributedDynamicDFS(graph, rebuild_every=None, local_repair=True, metrics=metrics)
     backend = driver._backend
-    model = backend.controller.model("depth_drift")
     shadow = 0.0
     for update in updates:
-        due = model.value() > model.budget()
-        assert due == (backend.controller.forced_due() == "depth_drift")
+        due = backend.drift_account > backend._modeled_rebuild_cost()
+        assert due == backend.drift_due()
         before = metrics.as_dict()
         driver.apply(update)
         delta = metrics.snapshot_delta(before)
         assert delta.get("voluntary_rebuilds", 0) == (1 if due else 0), (
             "voluntary rebuild must fire iff the account exceeded the budget"
         )
+        # Under auto the drift veto is the backend's only veto: it fires
+        # exactly when the account is due and counts under both counters.
+        vetoes = 1 if due else 0
+        assert delta.get("cost_model_triggers", 0) == vetoes
+        assert delta.get("service_rebuilds_forced", 0) == vetoes
         if due:
-            assert delta.get("cost_model_triggers", 0) == 1
             assert delta.get("service_rebuilds", 0) >= 1
         contribution = _observed_drift_contribution(backend, driver.graph, update, delta)
         if delta.get("service_rebuilds", 0) >= 1:
             shadow = contribution  # rebuild reset the account mid-update
         else:
             shadow += contribution
-        assert model.value() == pytest.approx(shadow), "accumulator arithmetic drifted"
+        assert backend.drift_account == pytest.approx(shadow), "accumulator arithmetic drifted"
     assert driver.is_valid()
 
 

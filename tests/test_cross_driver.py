@@ -167,10 +167,10 @@ DIFFERENTIAL_COMBOS = [
         "dist_amortized_repair",
         lambda g, m, b: DistributedDynamicDFS(g, rebuild_every=DIFFERENTIAL_K, local_repair=True, metrics=m, backend=b),
     ),
-    # Cost-model-controller-driven configurations: the auto-tuned policy where
-    # every rebuild is demanded by a MaintenanceController model — the
-    # depth-drift voluntary rebuild (default), the pure-repair extreme that
-    # disables it, and the core driver's default overlay / stale-tree cadence.
+    # Auto-tuned configurations, where every rebuild is demanded by a backend
+    # policy hook: the depth-drift voluntary rebuild (the CONGEST
+    # must_rebuild veto, default), the pure-repair extreme that disables it,
+    # and the core driver's default overlay / stale-tree rebuild_due cadence.
     (
         "dist_auto_voluntary",
         lambda g, m, b: DistributedDynamicDFS(g, rebuild_every=None, local_repair=True, metrics=m, backend=b),

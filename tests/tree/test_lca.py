@@ -8,7 +8,7 @@ from repro.exceptions import TreeError
 from repro.graph.generators import path_graph, random_tree
 from repro.graph.traversal import static_dfs_tree
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.lca import BinaryLiftingLCA, EulerTourLCA
+from repro.tree.lca import EulerTourLCA
 
 
 def _tree(seed=0, n=50):
@@ -20,13 +20,11 @@ def test_both_indices_agree_with_tree_lca():
     rng = random.Random(1)
     for seed in range(3):
         tree = _tree(seed=seed)
-        bl = BinaryLiftingLCA(tree)
         et = EulerTourLCA(tree)
         verts = list(tree.vertices())
         for _ in range(300):
             a, b = rng.choice(verts), rng.choice(verts)
             expected = tree.lca(a, b)
-            assert bl.lca(a, b) == expected
             assert et.lca(a, b) == expected
 
 
@@ -50,12 +48,11 @@ def test_euler_tour_lca_unknown_vertex_raises():
 
 def test_binary_lifting_level_ancestor():
     tree = _tree(seed=4)
-    bl = BinaryLiftingLCA(tree)
     for v in list(tree.vertices())[:20]:
         lvl = tree.level(v)
         if lvl >= 1:
-            assert tree.level(bl.level_ancestor(v, lvl - 1)) == lvl - 1
-        assert bl.level_ancestor(v, 0) == tree.root
+            assert tree.level(tree.level_ancestor(v, lvl - 1)) == lvl - 1
+        assert tree.level_ancestor(v, 0) == tree.root
 
 
 def test_single_vertex_tree():

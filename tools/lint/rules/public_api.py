@@ -27,7 +27,6 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
     "src/repro/distributed/distributed_dfs.py": ("CongestBackend", "DistributedDynamicDFS"),
     "src/repro/distributed/network.py": ("CongestNetwork",),
     "src/repro/core/engine.py": ("Backend", "UpdateEngine"),
-    "src/repro/core/maintenance.py": ("CostModel", "CostSignal", "MaintenanceController"),
     "src/repro/metrics/counters.py": ("MetricsRecorder",),
     "src/repro/service/service.py": ("DFSTreeService",),
     "src/repro/service/snapshot.py": ("TreeSnapshot",),
