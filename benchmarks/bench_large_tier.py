@@ -29,7 +29,6 @@ from repro.graph.generators import barabasi_albert_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.lca import ArrayLCAIndex, EulerTourLCA
 
 SPEEDUP_MIN = 10.0
 #: The XL tier floor is a sanity bound, not the headline claim: at n = 10^6
@@ -92,14 +91,15 @@ def test_array_backend_speedups_at_large_n(benchmark):
     anchor_speedup = t_anchor_dict / t_anchor_array
 
     # --- query path: LCA batches --------------------------------------- #
-    scalar_lca = EulerTourLCA(tree)
-    array_lca = ArrayLCAIndex(tree)
-    # Query vertex ids in bulk int64 form too; both backends see the same
-    # arrays (the dict index accepts np.int64 keys — same hashes).
+    # The scalar reference is the tree's own per-pair DFSTree.lca loop; both
+    # sides read the same index, built once before timing.
+    array_lca = tree.lca_index()
+    # Query vertex ids in bulk int64 form too; both sides see the same
+    # arrays (the tree's dict index accepts np.int64 keys — same hashes).
     avs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     bvs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     t_lca_dict, lcas_dict = timed_median(
-        lambda: [scalar_lca.lca(a, b) for a, b in zip(avs, bvs)], k=3
+        lambda: [tree.lca(a, b) for a, b in zip(avs, bvs)], k=3
     )
     t_lca_array, lcas_array = timed_median(lambda: array_lca.lca_batch(avs, bvs), k=3)
     assert lcas_dict == lcas_array
@@ -209,7 +209,7 @@ def test_array_backend_xl_tier(benchmark):
     anchor_speedup = t_anchor_dict / t_anchor_array
     assert anchor_speedup >= XL_SPEEDUP_MIN
 
-    array_lca = ArrayLCAIndex(tree)
+    array_lca = tree.lca_index()
     avs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     bvs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     t_lca_scalar, lcas_scalar = timed_median(

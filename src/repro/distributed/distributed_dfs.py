@@ -168,7 +168,10 @@ class CongestBackend(Backend):
     the updated component — to :attr:`drift_account`, and once the account
     exceeds the modeled rebuild cost :meth:`must_rebuild` forces a
     *voluntary* rebuild (``voluntary_rebuilds``), which re-minimises the
-    depths and resets the account.  Under ``voluntary_root="center"``
+    depths and resets the account.  Only a voluntary rebuild resets it: a
+    recovery rebuild must flood from the update's initiator and may leave
+    the component just as drifted, so the excess charged before it still
+    counts.  Under ``voluntary_root="center"``
     (default) the voluntary rebuild runs a **2-sweep BFS center
     approximation** inside the triggering component — two *accounted* sweeps
     (``center_sweeps``) find a farthest vertex ``u`` and a farthest-from-``u``
@@ -232,7 +235,7 @@ class CongestBackend(Backend):
         self.articulation: set = set()
         self.bridges: set = set()
         #: Excess rounds the drifted broadcast forest charged since the last
-        #: rebuild (*waves × drift*; repair mode only — conservative
+        #: voluntary rebuild (*waves × drift*; repair mode only — conservative
         #: invalidation rebuilds, and so re-minimises, on every tree death).
         self.drift_account = 0.0
 
@@ -314,9 +317,9 @@ class CongestBackend(Backend):
         the update's canonical initiator; a *voluntary* rebuild (demanded by
         the ``depth_drift`` cost model) roots the triggering component at the
         2-sweep center (or, in initiator mode, at the best observed
-        initiator) instead.  Emits ``service_rebuilds`` (via the engine),
-        ``voluntary_rebuilds``, ``center_sweeps`` and
-        ``max_voluntary_rebuild_root_depth``."""
+        initiator) instead, and resets :attr:`drift_account`.  Emits
+        ``service_rebuilds`` (via the engine), ``voluntary_rebuilds``,
+        ``center_sweeps`` and ``max_voluntary_rebuild_root_depth``."""
         self._rebuilt_this_update = True
         voluntary = self.drift_due()
         if voluntary:
@@ -352,14 +355,16 @@ class CongestBackend(Backend):
             )
         self._drift_initiator = None
         self._drift_seed = None
-        self.drift_account = 0.0
+        if voluntary:
+            self.drift_account = 0.0
 
     def _voluntary_rebuild_root(
         self, tree: DFSTree, update: Optional[Update]
     ) -> Optional[Vertex]:
         """Root a voluntary rebuild floods the triggering component from:
-        the accounted 2-sweep center (center mode) seeded at the vertex the
-        drift account was last measured against, or the best observed
+        the shallower of the accounted 2-sweep center (center mode) seeded at
+        the vertex the drift account was last measured against and the drift
+        yardstick's own best root on the current graph, or the best observed
         initiator (initiator mode).  None when no remembered seed survives —
         the caller falls back to the update's canonical initiator."""
         if self._voluntary_root == "center":
@@ -368,13 +373,22 @@ class CongestBackend(Backend):
                 seed = self._pick_initiator(tree, update)
             if not self.graph.has_vertex(seed):
                 return None
-            midpoint, seed_ecc = self._accounted_center(seed)
-            # Flood from whichever of {accounted midpoint, remembered best}
-            # is shallower — evaluated locally, like every depth yardstick.
+            midpoint, best_ecc = self._accounted_center(seed)
+            best = seed
+            # The update may have moved the shallowest root since the
+            # account was charged: the yardstick re-evaluates its candidates
+            # (the update's initiator, the seed, their 2-sweep center) on the
+            # current graph and records the best as the seed, so the rebuild
+            # reaches the depth the next drift is measured against.
+            component, fresh = self._drift_reference(update)
+            if component is not None and seed in component:
+                best, best_ecc = self._drift_seed, fresh
+            # Flood from whichever of {accounted midpoint, best} is
+            # shallower — evaluated locally, like every depth yardstick.
             _, mid_depth = bfs_tree(self.graph, midpoint)
-            if max(mid_depth.values(), default=0) <= seed_ecc:
+            if max(mid_depth.values(), default=0) <= best_ecc:
                 return midpoint
-            return seed
+            return best
         if self._drift_initiator is not None and self.graph.has_vertex(self._drift_initiator):
             return self._drift_initiator
         return None

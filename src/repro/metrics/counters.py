@@ -59,7 +59,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "max_queries_per_round": "largest independent query batch in one round",
     # MVCC snapshot service (repro.service)
     "snapshots_published": "versioned TreeSnapshots published by DFSTreeService commit hooks",
-    "snapshot_build_ms": "milliseconds spent lazily building snapshot indices (Euler tour / LCA / component ids; paid once per version by the first reader that needs them)",
+    "snapshot_build_ms": "milliseconds readers spent lazily building a committed tree's LCA index (Euler tour + sparse table, shared by every snapshot of that tree; paid once per tree by the first reader that needs it, nothing when the writer built it first)",
     "queries_served": "reader queries answered from published snapshots (scalar and batched)",
     "max_query_batch_size": "largest coalesced batch one snapshot query pass answered",
     "snapshot_staleness_updates": "total staleness observed by snapshot reads, in committed-but-unpublished-to-this-reader updates (committed_version - snapshot.version summed over answered queries)",

@@ -16,18 +16,28 @@ from typing import Dict, Hashable, List, Sequence, Tuple
 from repro.exceptions import TreeError
 from repro.pram.machine import PRAM
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.euler import euler_tour
+from repro.tree.euler import euler_tour_arrays
 
 Vertex = Hashable
 
 
 class ParallelLCA:
-    """Sparse-table LCA whose construction is metered on the PRAM simulator."""
+    """Sparse-table LCA whose construction is metered on the PRAM simulator.
 
-    def __init__(self, pram: PRAM, tree: DFSTree, root: Vertex | None = None) -> None:
+    Indexes the tree of the forest's first root.
+    """
+
+    def __init__(self, pram: PRAM, tree: DFSTree) -> None:
         self._pram = pram
-        self._tree = tree
-        tour, first, depths = euler_tour(tree, root)
+        events, event_depths = euler_tour_arrays(tree)
+        arrs = tree.as_arrays()
+        root = tree._roots_idx[0]
+        lo, hi = int(arrs["tin"][root]), int(arrs["tout"][root])
+        tour: List[Vertex] = arrs["vertices"][events[lo:hi]].tolist()
+        depths: List[int] = event_depths[lo:hi].tolist()
+        first: Dict[Vertex, int] = {}
+        for i, v in enumerate(tour):
+            first.setdefault(v, i)
         # Building the tour itself is an Euler-tour + list-ranking computation
         # (see repro.pram.tree_functions); charge its model cost explicitly.
         n = max(len(tour), 2)

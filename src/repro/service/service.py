@@ -16,8 +16,8 @@ difference between the service's ``committed_version`` and the answering
 snapshot's ``version`` is accumulated under ``snapshot_staleness_updates``.
 
 Counters recorded (all registered in ``WELL_KNOWN_COUNTERS``):
-``snapshots_published``, ``snapshot_build_ms`` (lazy per-version index
-builds), ``queries_served``, ``query_batches`` + ``max_query_batch_size``
+``snapshots_published``, ``snapshot_build_ms`` (lazy LCA index builds a
+reader performed, at most one per committed tree), ``queries_served``, ``query_batches`` + ``max_query_batch_size``
 (batched reads), ``snapshot_staleness_updates``.
 """
 

@@ -8,11 +8,13 @@ structural — a snapshot wraps a committed :class:`~repro.tree.dfs_tree.DFSTree
 published version can never change underneath a reader.
 
 Publication must be O(1) on the writer's commit path, so the heavy read
-indices (Euler tour, LCA sparse table, component intervals) are built *lazily
-inside the snapshot* by the first reader that needs them — at most one reader
-per version pays the build (serialized by a small internal lock; steady-state
-reads take no lock at all) and the cost is reported through the
-``snapshot_build_ms`` counter rather than charged to the writer.
+indices are built *lazily* by the first reader that needs them.  The LCA
+index is the tree's own (:meth:`~repro.tree.dfs_tree.DFSTree.lca_index`, one
+per tree, shared with the writer's scalar LCA queries); the component
+intervals are the snapshot's.  Builds are serialized per snapshot by a small
+internal lock (steady-state reads take no lock at all), and a reader that
+performs the LCA index build reports its cost through the
+``snapshot_build_ms`` counter rather than charging it to the writer.
 
 The ``*_batch`` methods answer whole query batches with
 :class:`~repro.tree.lca.ArrayLCAIndex` gathers and tin/tout/size array
@@ -63,7 +65,6 @@ class TreeSnapshot:
         "version",
         "tree",
         "_build_lock",
-        "_lca_index",
         "_comp_data",
         "_on_build_ms",
         "_vr_idx",
@@ -82,7 +83,6 @@ class TreeSnapshot:
         self.version = version
         self.tree = tree
         self._build_lock = threading.Lock()
-        self._lca_index = None
         self._comp_data = None
         self._on_build_ms = on_build_ms
         self._vr_idx = roots[0]
@@ -91,21 +91,17 @@ class TreeSnapshot:
     # Lazy indices
     # ------------------------------------------------------------------ #
     def _index(self):
-        """The lazily built :class:`ArrayLCAIndex`.  Double-checked so
-        steady-state reads never lock; the one builder per version reports its
-        cost."""
-        index = self._lca_index
+        """The tree's :class:`~repro.tree.lca.ArrayLCAIndex`.  Once the tree
+        holds it, reads take no lock; otherwise the first reader builds it
+        under the snapshot's lock and reports the cost of that build."""
+        tree = self.tree
+        index = tree._lca
         if index is None:
             with self._build_lock:
-                index = self._lca_index
+                index = tree._lca
                 if index is None:
                     start = time.perf_counter()
-                    # Looked up on the module at build time, so a wrapper
-                    # patched onto repro.tree.lca (tracing) sees the build.
-                    from repro.tree.lca import ArrayLCAIndex
-
-                    index = ArrayLCAIndex(self.tree)
-                    self._lca_index = index
+                    index = tree.lca_index()
                     if self._on_build_ms is not None:
                         self._on_build_ms((time.perf_counter() - start) * 1e3)
         return index
@@ -197,13 +193,17 @@ class TreeSnapshot:
     def lca_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[Optional[Vertex]]:
         """LCAs of the pairs ``zip(avs, bvs)`` in one vectorized pass
         (``None`` per disconnected pair); equals the scalar :meth:`lca` answers."""
+        index = self._index()
         try:
-            raw = self._index().lca_batch(avs, bvs)
+            li = index.lca_indices_batch(index.indices(avs), index.indices(bvs))
         except TreeError:
             self._indices(avs)  # raises VertexNotFound for the unknown id
             self._indices(bvs)
             raise
-        return [None if is_virtual_root(x) else x for x in raw]
+        out = self.tree.as_arrays()["vertices"][li].tolist()
+        for i in np.flatnonzero(li == self._vr_idx).tolist():
+            out[i] = None
+        return out
 
     def is_ancestor_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[bool]:
         """Batched :meth:`is_ancestor` over the pairs ``zip(avs, bvs)``."""

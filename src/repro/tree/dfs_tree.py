@@ -3,8 +3,12 @@
 A :class:`DFSTree` is an immutable snapshot of a rooted spanning tree/forest
 (usually a DFS tree) together with the per-vertex tree indices the paper's
 algorithms rely on (Theorem 4/10): post-order number, level (depth), subtree
-size, entry/exit intervals for O(1) ancestor tests, and a lazily-built binary
-lifting table for O(log n) LCA / level-ancestor queries.
+size and entry/exit intervals for O(1) ancestor tests.  LCA and
+level-ancestor queries read the tree's one
+:class:`~repro.tree.lca.ArrayLCAIndex` (Euler tour + sparse table, the
+stand-in for Schieber–Vishkin in Theorems 5–6), built lazily on the first
+query that needs it and shared with every
+:class:`~repro.service.snapshot.TreeSnapshot` of the tree.
 
 The dynamic algorithms never mutate a :class:`DFSTree`; they produce a new
 parent map and build a fresh snapshot (mirroring the paper, where the data
@@ -13,18 +17,19 @@ structures on ``T`` are rebuilt in ``O(log n)`` parallel time after an update).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.exceptions import TreeError, VertexNotFound
+from repro.tree import lca as lca_module
 
 Vertex = Hashable
 ParentMap = Mapping[Vertex, Optional[Vertex]]
 
 
 class DFSTree:
-    """Immutable rooted forest with O(1)/O(log n) structural queries.
+    """Immutable rooted forest with O(1) structural queries.
 
     Parameters
     ----------
@@ -53,9 +58,8 @@ class DFSTree:
         "_post",
         "_level",
         "_size",
-        "_up",
-        "_log",
         "_arrays",
+        "_lca",
     )
 
     def __init__(self, parent: ParentMap, *, root: Optional[Vertex] = None) -> None:
@@ -94,9 +98,8 @@ class DFSTree:
         self._children_idx = children_idx
         self._roots_idx = roots
         self._compute_indices()
-        self._up: Optional[List[List[int]]] = None
-        self._log = max(1, (n - 1).bit_length()) if n else 1
         self._arrays: Optional[Dict[str, object]] = None
+        self._lca = None
 
     # ------------------------------------------------------------------ #
     # Index computation
@@ -142,16 +145,6 @@ class DFSTree:
         self._post = post
         self._level = level
         self._size = size
-
-    def _build_lifting(self) -> List[List[int]]:
-        if self._up is None:
-            n = len(self._verts)
-            up: List[List[int]] = [list(self._parent_idx)]
-            for k in range(1, self._log + 1):
-                prev = up[-1]
-                up.append([(-1 if prev[v] == -1 else prev[prev[v]]) for v in range(n)])
-            self._up = up
-        return self._up
 
     # ------------------------------------------------------------------ #
     # Basic accessors
@@ -234,6 +227,22 @@ class DFSTree:
             }
         return self._arrays
 
+    def lca_index(self) -> "lca_module.ArrayLCAIndex":
+        """The tree's LCA / level-ancestor index (lazy, cached).
+
+        Built once, through the module attribute
+        ``repro.tree.lca.ArrayLCAIndex``, by the first query that needs it;
+        :meth:`lca`, :meth:`level_ancestor` and the snapshots of this tree all
+        read the same index.  The index holds no reference back to the tree,
+        so a dropped tree is freed by reference counting alone.  Two threads
+        asking first may both build; the indices are identical and the last
+        one assigned is kept.
+        """
+        index = self._lca
+        if index is None:
+            index = self._lca = lca_module.ArrayLCAIndex(self)
+        return index
+
     def parent_map(self) -> Dict[Vertex, Optional[Vertex]]:
         """Return a plain parent map copy of the forest."""
         out: Dict[Vertex, Optional[Vertex]] = {}
@@ -262,20 +271,16 @@ class DFSTree:
         return self._verts[li]
 
     def _lca_idx(self, ai: int, bi: int) -> int:
+        """Tree index of the LCA of tree indices *ai*, *bi* (``-1`` when they
+        are in different trees)."""
         if self._is_ancestor_idx(ai, bi):
             return ai
         if self._is_ancestor_idx(bi, ai):
             return bi
-        up = self._build_lifting()
-        v = ai
-        for k in range(self._log, -1, -1):
-            cand = up[k][v]
-            if cand != -1 and not self._is_ancestor_idx(cand, bi):
-                v = cand
-        v = up[0][v]
-        if v == -1 or not self._is_ancestor_idx(v, bi):
-            return -1
-        return v
+        lo, hi = self._tin[ai], self._tin[bi]
+        if lo > hi:
+            lo, hi = hi, lo
+        return self.lca_index().lca_at(lo, hi)
 
     def level_ancestor(self, v: Vertex, target_level: int) -> Vertex:
         """Ancestor of *v* at depth *target_level* (0 = root of v's tree)."""
@@ -285,15 +290,7 @@ class DFSTree:
             raise TreeError(
                 f"vertex {v!r} at level {cur_level} has no ancestor at level {target_level}"
             )
-        steps = cur_level - target_level
-        up = self._build_lifting()
-        k = 0
-        while steps:
-            if steps & 1:
-                vi = up[k][vi]
-            steps >>= 1
-            k += 1
-        return self._verts[vi]
+        return self._verts[self.lca_index().level_ancestor_at(self._tin[vi], target_level)]
 
     def child_towards(self, ancestor: Vertex, descendant: Vertex) -> Vertex:
         """Child of *ancestor* on the tree path to *descendant*.

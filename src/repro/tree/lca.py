@@ -1,129 +1,65 @@
-"""Lowest-common-ancestor indices.
+"""The tree's lowest-common-ancestor and level-ancestor index.
 
-:class:`~repro.tree.dfs_tree.DFSTree` answers LCA and level-ancestor queries
-itself from a lazily built binary-lifting table (``O(n log n)`` build,
-``O(log n)`` query).  This module adds the constant-time indices:
+:class:`ArrayLCAIndex` is the classical Euler tour + sparse table over depths:
+``O(n log n)`` build, ``O(1)`` LCA query.  It is the stand-in for
+Schieber–Vishkin (Theorems 5–6 of the paper): the query bound matches and the
+construction parallelises with ``O(log n)`` depth (the metered version is
+:mod:`repro.pram.lca_parallel`).  Level-ancestor queries descend the same
+table in ``O(log n)`` steps.
 
-* :class:`EulerTourLCA` — Euler tour + sparse table over depths, ``O(n log n)``
-  build, ``O(1)`` query.  This is the classical stand-in for Schieber–Vishkin
-  (Theorem 5/6 of the paper): the query bound matches and the construction
-  parallelises with ``O(log n)`` depth (see :mod:`repro.pram.lca_parallel`).
-* :class:`ArrayLCAIndex` — the same index over numpy arrays, with batch
-  queries.
+Each :class:`~repro.tree.dfs_tree.DFSTree` builds one index lazily
+(:meth:`~repro.tree.dfs_tree.DFSTree.lca_index`); the tree's scalar ``lca`` /
+``level_ancestor`` and every :class:`~repro.service.snapshot.TreeSnapshot`
+of the tree read it, the snapshots through the vectorized batch queries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import TYPE_CHECKING, Hashable, List
 
 import numpy as np
 
 from repro.exceptions import TreeError
-from repro.tree.dfs_tree import DFSTree
-from repro.tree.euler import euler_tour, euler_tour_arrays
+from repro.tree.euler import euler_tour_arrays
+
+if TYPE_CHECKING:
+    from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
-
-
-class EulerTourLCA:
-    """Constant-time LCA queries via Euler tour + sparse table (range-minimum).
-
-    Build time and space are ``O(n log n)``; each query performs two table
-    look-ups.  Only vertices of the tree containing ``root`` are indexed.
-    """
-
-    def __init__(self, tree: DFSTree, root: Vertex | None = None) -> None:
-        self._tree = tree
-        tour, first, depths = euler_tour(tree, root)
-        self._tour = tour
-        self._first = first
-        m = len(tour)
-        self._log_table = self._build_log_table(m)
-        self._sparse = self._build_sparse(depths)
-
-    @staticmethod
-    def _build_log_table(m: int) -> List[int]:
-        log = [0] * (m + 1)
-        for i in range(2, m + 1):
-            log[i] = log[i // 2] + 1
-        return log
-
-    def _build_sparse(self, depths: List[int]) -> List[List[int]]:
-        m = len(depths)
-        if m == 0:
-            return [[]]
-        levels = self._log_table[m] + 1
-        # sparse[k][i] = index (into the tour) of the minimum-depth entry in
-        # tour[i : i + 2^k].
-        sparse: List[List[int]] = [list(range(m))]
-        for k in range(1, levels):
-            half = 1 << (k - 1)
-            prev = sparse[k - 1]
-            width = m - (1 << k) + 1
-            row = []
-            for i in range(max(width, 0)):
-                left = prev[i]
-                right = prev[i + half]
-                row.append(left if depths[left] <= depths[right] else right)
-            sparse.append(row)
-        self._depths = depths
-        return sparse
-
-    def _range_min_index(self, lo: int, hi: int) -> int:
-        """Index of the minimum-depth tour entry in the inclusive range [lo, hi]."""
-        span = hi - lo + 1
-        k = self._log_table[span]
-        left = self._sparse[k][lo]
-        right = self._sparse[k][hi - (1 << k) + 1]
-        return left if self._depths[left] <= self._depths[right] else right
-
-    def lca(self, a: Vertex, b: Vertex) -> Vertex:
-        """Lowest common ancestor of *a* and *b* (O(1))."""
-        try:
-            ia, ib = self._first[a], self._first[b]
-        except KeyError as exc:
-            raise TreeError(f"vertex {exc.args[0]!r} is not indexed by this LCA structure") from None
-        if ia > ib:
-            ia, ib = ib, ia
-        return self._tour[self._range_min_index(ia, ib)]
-
-    def is_ancestor(self, a: Vertex, b: Vertex) -> bool:
-        """True iff *a* is an ancestor of *b*."""
-        return self.lca(a, b) == a
-
-    def distance(self, a: Vertex, b: Vertex) -> int:
-        """Number of tree edges between *a* and *b*."""
-        l = self.lca(a, b)
-        return self._tree.level(a) + self._tree.level(b) - 2 * self._tree.level(l)
 
 
 class ArrayLCAIndex:
     """Euler-tour sparse-table LCA over numpy arrays, with batch queries.
 
-    The vectorized counterpart of :class:`EulerTourLCA`: same tour, same
-    range-minimum sparse table, same answers, but the table is a single padded
-    2-D int64 array built with vectorized ``np.where`` sweeps and
-    :meth:`lca_batch` answers many queries in one shot (two fancy-indexed
-    table look-ups for the whole batch).
+    The tour is the whole forest's entry/exit event array of
+    :func:`~repro.tree.euler.euler_tour_arrays`, so vertex ``i`` is entered at
+    tour position ``tin[i]`` and each tree's span is closed by a depth ``-1``
+    entry: a range that crosses two trees has its minimum there.  The table is
+    a single padded 2-D int64 array built with vectorized ``np.where`` sweeps;
+    :meth:`lca_batch` answers many queries with two fancy-indexed table
+    look-ups for the whole batch.
+
+    The index copies nothing it does not need from the tree and keeps no
+    reference to it.
     """
 
-    def __init__(self, tree: DFSTree, root: Vertex | None = None) -> None:
-        self._tree = tree
-        tour, first, depths = euler_tour_arrays(tree, root)
-        self._tour = tour
-        self._first = first
-        self._depths = depths
+    __slots__ = ("_idx", "_verts", "_tin", "_tour", "_depths", "_log", "_table", "_vert2idx")
+
+    def __init__(self, tree: DFSTree) -> None:
+        tour, depths = euler_tour_arrays(tree)
         arrs = tree.as_arrays()
+        self._idx = tree._idx
         self._verts = arrs["vertices"]
         self._tin = arrs["tin"]
-        self._tout = arrs["tout"]
+        self._tour = tour
+        self._depths = depths
         m = len(tour)
         log = np.zeros(m + 1, dtype=np.int64)
         for k in range(1, m.bit_length()):
             log[1 << k :] = k
         self._log = log
         levels = int(log[m]) + 1 if m else 1
-        # table[k][i] = tour index of the minimum-depth entry in
+        # table[k][i] = tour position of the minimum-depth entry in
         # tour[i : i + 2^k]; positions past the valid width are padding
         # (copied from the previous level, never read by a query).
         table = np.empty((levels, max(m, 1)), dtype=np.int64)
@@ -137,52 +73,67 @@ class ArrayLCAIndex:
             table[k, :width] = np.where(depths[left] <= depths[right], left, right)
             table[k, width:] = prev[width:]
         self._table = table
-        self._vert2idx = self._build_vert2idx(tree)
+        self._vert2idx = _dense_ids(tree._verts, tree._roots_idx)
 
-    def _build_vert2idx(self, tree: DFSTree):
-        """Dense int-id -> tree-index table when vertex ids allow it.
+    # ------------------------------------------------------------------ #
+    # Scalar queries over tour positions (DFSTree's entry times)
+    # ------------------------------------------------------------------ #
+    def lca_at(self, lo: int, hi: int) -> int:
+        """Tree index of the LCA of the vertices entered at tour positions
+        ``lo <= hi``, or ``-1`` when they lie in different trees."""
+        k = (hi - lo + 1).bit_length() - 1
+        row = self._table[k]
+        left = row[lo]
+        right = row[hi - (1 << k) + 1]
+        depths = self._depths
+        return int(self._tour[left if depths[left] <= depths[right] else right])
 
-        Lets :meth:`lca_batch` replace the per-vertex dict lookups with one
-        gather.  ``None`` (object ids, huge/negative ids) falls back to the
-        dict path; a non-int root (e.g. the virtual root) is tolerated by
-        masking its slot out.
+    def level_ancestor_at(self, pos: int, depth: int) -> int:
+        """Tree index of the ancestor at *depth* of the vertex entered at tour
+        position *pos* (``0 <= depth <=`` that vertex's level).
+
+        Binary descent over the table: consecutive tour depths differ by one,
+        so the answer is the last entry at or before *pos* no deeper than
+        *depth*; each step skips a block of ``2^k`` entries whose minimum
+        depth is still deeper.
         """
-        verts = tree._verts
-        n = len(verts)
-        if not n:
-            return None
-        ids = verts
-        root = tree.root
-        if not isinstance(root, int):
-            try:
-                ri = verts.index(root)
-            except ValueError:
-                ri = -1
-            if ri >= 0:
-                ids = list(verts)
-                ids[ri] = -1
-        # bools are ints here, which is fine (hash(True) == hash(1)); floats
-        # and other objects must NOT silently truncate into the table.
-        if not all(isinstance(v, int) for v in ids):
-            return None
-        arr = np.array(ids, dtype=np.int64)
-        mask = arr >= 0
-        if not bool(mask.any()):
-            return None
-        pos = arr[mask]
-        if int(pos.min()) < 0 or int(pos.max()) > 8 * n + 64:
-            return None
-        table = np.full(int(pos.max()) + 1, -1, dtype=np.int64)
-        table[pos] = np.flatnonzero(mask)
-        return table
+        table = self._table
+        depths = self._depths
+        for k in range(len(table) - 1, -1, -1):
+            lo = pos - (1 << k) + 1
+            if lo >= 0 and depths[table[k, lo]] > depth:
+                pos = lo - 1
+        return int(self._tour[pos])
 
-    def _batch_indices(self, vs, n: int):
+    def lca(self, a: Vertex, b: Vertex) -> Vertex:
+        """Lowest common ancestor of *a* and *b* (O(1))."""
+        ta = int(self._tin[self._index_of(a)])
+        tb = int(self._tin[self._index_of(b)])
+        li = self.lca_at(ta, tb) if ta <= tb else self.lca_at(tb, ta)
+        if li < 0:
+            raise TreeError(f"{a!r} and {b!r} are in different trees of the forest")
+        return self._verts[li]
+
+    def _index_of(self, v: Vertex) -> int:
+        try:
+            return self._idx[v]
+        except KeyError:
+            raise TreeError(f"vertex {v!r} is not indexed by this LCA structure") from None
+
+    # ------------------------------------------------------------------ #
+    # Batch queries
+    # ------------------------------------------------------------------ #
+    def _dense_indices(self, vs):
         """Tree indices for *vs* via the dense table, or ``None`` to signal
         the caller to use the dict path (object ids, unknown ids, no table)."""
+        n = len(vs)
         table = self._vert2idx
         if table is None:
             return None
-        arr = np.asarray(vs)
+        try:
+            arr = np.asarray(vs)
+        except ValueError:  # ragged ids, e.g. the virtual-root tuple among ints
+            return None
         if arr.shape != (n,) or arr.dtype.kind not in "iub":
             return None
         arr = arr.astype(np.int64, copy=False)
@@ -195,26 +146,20 @@ class ArrayLCAIndex:
             return None
         return out
 
-    def _first_of(self, v: Vertex):
-        try:
-            f = self._first[self._tree._idx[v]]
-        except KeyError:
-            raise TreeError(f"vertex {v!r} is not indexed by this LCA structure") from None
-        if f < 0:
-            raise TreeError(f"vertex {v!r} is not indexed by this LCA structure")
-        return f
-
-    def lca(self, a: Vertex, b: Vertex) -> Vertex:
-        """Lowest common ancestor of *a* and *b* (O(1))."""
-        ia = self._first_of(a)
-        ib = self._first_of(b)
-        if ia > ib:
-            ia, ib = ib, ia
-        k = self._log[ib - ia + 1]
-        left = self._table[k, ia]
-        right = self._table[k, ib - (1 << int(k)) + 1]
-        m = left if self._depths[left] <= self._depths[right] else right
-        return self._verts[self._tour[m]]
+    def indices(self, vs):
+        """int64 tree indices of the vertices *vs*: one gather through the
+        dense id table when the ids allow it, dict look-ups otherwise.
+        Raises :class:`TreeError` on an unknown vertex."""
+        out = self._dense_indices(vs)
+        if out is None:
+            idx = self._idx
+            try:
+                out = np.fromiter((idx[v] for v in vs), dtype=np.int64, count=len(vs))
+            except KeyError as exc:
+                raise TreeError(
+                    f"vertex {exc.args[0]!r} is not indexed by this LCA structure"
+                ) from None
+        return out
 
     def lca_batch(self, avs, bvs) -> List[Vertex]:
         """Lowest common ancestors of the pairs ``zip(avs, bvs)``, vectorized.
@@ -223,36 +168,24 @@ class ArrayLCAIndex:
         b) for a, b in zip(avs, bvs)]`` but the whole batch costs two sparse
         table gathers.
         """
-        na = len(avs)
-        ia = self._batch_indices(avs, na)
-        ib = self._batch_indices(bvs, na) if ia is not None else None
-        if ia is None or ib is None:
-            idx = self._tree._idx
-            try:
-                ia = np.fromiter((idx[a] for a in avs), dtype=np.int64, count=na)
-                ib = np.fromiter((idx[b] for b in bvs), dtype=np.int64, count=na)
-            except KeyError as exc:
-                raise TreeError(
-                    f"vertex {exc.args[0]!r} is not indexed by this LCA structure"
-                ) from None
-        return self._verts[self.lca_indices_batch(ia, ib)].tolist()
+        li = self.lca_indices_batch(self.indices(avs), self.indices(bvs))
+        if len(li) and int(li.min()) < 0:
+            i = int(np.argmin(li))
+            raise TreeError(f"{avs[i]!r} and {bvs[i]!r} are in different trees of the forest")
+        return self._verts[li].tolist()
 
     def lca_indices_batch(self, ia, ib):
         """Vectorized LCA core over *tree index* arrays.
 
         Takes two aligned int64 arrays of tree indices (as used by
-        ``tree.as_arrays()``) and returns the int64 array of LCA tree indices.
-        :meth:`lca_batch` is this plus the vertex-id resolution on both ends;
-        callers that already hold indices (e.g. the snapshot service's
-        vectorized path-length) skip the conversions entirely.
+        ``tree.as_arrays()``) and returns the int64 array of LCA tree indices,
+        ``-1`` for a pair in different trees.  :meth:`lca_batch` is this plus
+        the vertex-id resolution on both ends; callers that already hold
+        indices (e.g. the snapshot service's vectorized path-length) skip the
+        conversions entirely.
         """
-        fa = self._first[ia]
-        fb = self._first[ib]
-        if len(ia) and (int(fa.min()) < 0 or int(fb.min()) < 0):
-            bad_i = int(ia[int(np.argmin(fa))]) if int(fa.min()) < 0 else int(ib[int(np.argmin(fb))])
-            raise TreeError(
-                f"vertex {self._tree._verts[bad_i]!r} is not indexed by this LCA structure"
-            )
+        fa = self._tin[ia]
+        fb = self._tin[ib]
         lo = np.minimum(fa, fb)
         hi = np.maximum(fa, fb)
         ks = self._log[hi - lo + 1]
@@ -261,13 +194,34 @@ class ArrayLCAIndex:
         mins = np.where(self._depths[left] <= self._depths[right], left, right)
         return self._tour[mins]
 
-    def is_ancestor(self, a: Vertex, b: Vertex) -> bool:
-        """True iff *a* is an ancestor of *b* (O(1) via entry/exit intervals)."""
-        ai = self._tree._i(a)
-        bi = self._tree._i(b)
-        return bool(self._tin[ai] <= self._tin[bi] and self._tout[bi] <= self._tout[ai])
 
-    def distance(self, a: Vertex, b: Vertex) -> int:
-        """Number of tree edges between *a* and *b*."""
-        l = self.lca(a, b)
-        return self._tree.level(a) + self._tree.level(b) - 2 * self._tree.level(l)
+def _dense_ids(verts: List[Vertex], roots: List[int]):
+    """Dense int-id -> tree-index table when vertex ids allow it.
+
+    Lets :meth:`ArrayLCAIndex.lca_batch` replace the per-vertex dict lookups
+    with one gather.  ``None`` (object ids, huge/negative ids) falls back to
+    the dict path; a non-int first root (e.g. the virtual root) is tolerated
+    by masking its slot out.
+    """
+    n = len(verts)
+    if not n:
+        return None
+    ids = verts
+    root = verts[roots[0]]
+    if not isinstance(root, int):
+        ids = list(verts)
+        ids[roots[0]] = -1
+    # bools are ints here, which is fine (hash(True) == hash(1)); floats
+    # and other objects must NOT silently truncate into the table.
+    if not all(isinstance(v, int) for v in ids):
+        return None
+    arr = np.array(ids, dtype=np.int64)
+    mask = arr >= 0
+    if not bool(mask.any()):
+        return None
+    pos = arr[mask]
+    if int(pos.max()) > 8 * n + 64:
+        return None
+    table = np.full(int(pos.max()) + 1, -1, dtype=np.int64)
+    table[pos] = np.flatnonzero(mask)
+    return table

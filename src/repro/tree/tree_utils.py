@@ -10,7 +10,7 @@ data structure ``D``).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import TreeError
 from repro.tree.dfs_tree import DFSTree
@@ -18,37 +18,9 @@ from repro.tree.dfs_tree import DFSTree
 Vertex = Hashable
 
 
-def tree_path(tree: DFSTree, a: Vertex, b: Vertex) -> List[Vertex]:
-    """Vertices of the tree path from *a* to *b* (inclusive)."""
-    return tree.path(a, b)
-
-
 def is_back_edge(tree: DFSTree, u: Vertex, v: Vertex) -> bool:
     """True iff ``(u, v)`` joins an ancestor–descendant pair of *tree*."""
     return tree.is_ancestor(u, v) or tree.is_ancestor(v, u)
-
-
-def is_vertical_path(tree: DFSTree, vertices: Sequence[Vertex]) -> bool:
-    """True iff *vertices* (in order) form an ancestor–descendant tree path.
-
-    The sequence may run top-down or bottom-up; every consecutive pair must be a
-    parent/child pair and the direction must not change.
-    """
-    if len(vertices) <= 1:
-        return True
-    direction = 0  # +1 going down (levels increase), -1 going up
-    for a, b in zip(vertices, vertices[1:]):
-        if tree.parent(b) == a:
-            step = 1
-        elif tree.parent(a) == b:
-            step = -1
-        else:
-            return False
-        if direction == 0:
-            direction = step
-        elif direction != step:
-            return False
-    return True
 
 
 def hanging_subtrees(
@@ -99,18 +71,6 @@ def heavy_vertex(tree: DFSTree, subtree_root: Vertex, threshold: int) -> Vertex:
         v = heavy_children[0]
 
 
-def heavy_chain(tree: DFSTree, subtree_root: Vertex, threshold: int) -> List[Vertex]:
-    """The chain of heavy vertices from *subtree_root* down to ``v_H``."""
-    chain = [subtree_root]
-    v = subtree_root
-    while True:
-        heavy_children = [c for c in tree.children(v) if tree.subtree_size(c) > threshold]
-        if not heavy_children:
-            return chain
-        v = max(heavy_children, key=tree.subtree_size)
-        chain.append(v)
-
-
 def ancestor_descendant_segments(
     tree: DFSTree, vertices: Sequence[Vertex]
 ) -> List[List[Vertex]]:
@@ -153,42 +113,3 @@ def segment_orientation(tree: DFSTree, segment: Sequence[Vertex]) -> Tuple[Verte
     if tree.level(first) <= tree.level(last):
         return first, last
     return last, first
-
-
-def split_path_at(path_vertices: Sequence[Vertex], vertex: Vertex) -> Tuple[List[Vertex], List[Vertex]]:
-    """Split *path_vertices* at *vertex*.
-
-    Returns ``(prefix, suffix)`` where ``prefix`` ends at *vertex* (inclusive)
-    and ``suffix`` starts right after it.  Raises :class:`ValueError` when the
-    vertex is not on the path.
-    """
-    try:
-        i = list(path_vertices).index(vertex)
-    except ValueError:
-        raise ValueError(f"{vertex!r} is not on the given path") from None
-    lst = list(path_vertices)
-    return lst[: i + 1], lst[i + 1 :]
-
-
-def farther_endpoint(tree: DFSTree, path_vertices: Sequence[Vertex], v: Vertex) -> Vertex:
-    """Endpoint of *path_vertices* farther (in tree distance) from *v* on it.
-
-    *v* must lie on the path.  Used by the path-halving traversal: the DFS walks
-    from ``r_c`` towards the farther end so the untraversed remainder has at
-    most half the length.
-    """
-    lst = list(path_vertices)
-    if v not in lst:
-        raise ValueError(f"{v!r} is not on the given path")
-    i = lst.index(v)
-    return lst[0] if i >= len(lst) - 1 - i else lst[-1]
-
-
-def subtree_vertex_count(tree: DFSTree, roots: Iterable[Vertex]) -> int:
-    """Total number of vertices in the (disjoint) subtrees rooted at *roots*."""
-    return sum(tree.subtree_size(r) for r in roots)
-
-
-def path_level_map(tree: DFSTree, path_vertices: Sequence[Vertex]) -> Dict[Vertex, int]:
-    """Map each path vertex to its position on the path (0 = first)."""
-    return {v: i for i, v in enumerate(path_vertices)}

@@ -11,10 +11,11 @@ import random
 import pytest
 
 from repro.constants import VIRTUAL_ROOT
+from repro.core import FullyDynamicDFS
 from repro.core.queries import BruteForceQueryService, QueryService
 from repro.core.reduction import RerootTask, reduce_update
 from repro.core.reroot_parallel import ParallelRerootEngine
-from repro.core.updates import VertexDeletion
+from repro.core.updates import EdgeInsertion, VertexDeletion
 from repro.exceptions import InvariantViolation
 from repro.graph.generators import (
     caterpillar_graph,
@@ -27,6 +28,7 @@ from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
+from repro.workloads.updates import mixed_updates
 
 
 def run_reroot(graph, task_list, **engine_kwargs):
@@ -92,6 +94,33 @@ def heavy_case_graph():
     rng = random.Random(0)
     g = gnp_random_graph(120, 0.06, seed=13, connected=True)
     return g
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+@pytest.mark.parametrize(
+    "config",
+    [{}, {"rebuild_every": 1}, {"service": "brute"}],
+    ids=["auto", "rebuild_every_1", "brute"],
+)
+def test_heavy_special_case_witness(backend, config):
+    """Section 4.4 / Figure 5: update 30, ``insert edge (84, 117)``, resolves
+    a heavy traversal through the special case on both cores and every query
+    service, and every tree equals the dict ``rebuild_every=1`` reference."""
+    g = gnp_random_graph(133, 0.03618, seed=906898, connected=True)
+    updates = mixed_updates(g, 40, seed=906898)
+    metrics = MetricsRecorder(strict=True)
+    driver = FullyDynamicDFS(g.copy(), backend=backend, metrics=metrics, **config)
+    reference = FullyDynamicDFS(g.copy(), backend="dict", rebuild_every=1)
+    fired = []
+    for i, update in enumerate(updates):
+        before = metrics["heavy_special_case"]
+        driver.apply(update)
+        reference.apply(update)
+        assert driver.parent_map() == reference.parent_map(), i
+        if metrics["heavy_special_case"] > before:
+            fired.append(i)
+    assert fired == [30]
+    assert updates[30] == EdgeInsertion(84, 117)
 
 
 def test_heavy_subtree_traversal_is_exercised_and_correct():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+import pytest
+
 from repro.constants import is_virtual_root
 from repro.core.overlay import apply_update
 from repro.core.updates import (
@@ -13,6 +15,7 @@ from repro.core.updates import (
     VertexDeletion,
     VertexInsertion,
 )
+from repro.exceptions import TreeError
 from repro.graph.generators import (
     broom_graph,
     caterpillar_graph,
@@ -100,20 +103,103 @@ def decode_ops(graph: UndirectedGraph, ops) -> List[Update]:
     return updates
 
 
-def assert_snapshot_batches_match_tree(snap, avs, bvs) -> None:
-    """Every ``TreeSnapshot`` batch query on the pairs ``zip(avs, bvs)``
-    answers what the snapshot tree's own accessors give (the virtual root
-    surfacing as ``None``)."""
-    tree = snap.tree
+class ParentWalk:
+    """Tree answers by walking parent pointers: the independent oracle the
+    tree's LCA index and the snapshot queries are checked against.
+
+    Built from a plain parent map (roots map to ``None``; a forest is fine),
+    it shares no code with :class:`~repro.tree.dfs_tree.DFSTree`.
+    """
+
+    def __init__(self, parent) -> None:
+        self.parent = dict(parent)
+
+    def ancestors(self, v) -> list:
+        """*v*, its parent, ..., up to its root."""
+        out = [v]
+        while self.parent[out[-1]] is not None:
+            out.append(self.parent[out[-1]])
+        return out
+
+    def level(self, v) -> int:
+        return len(self.ancestors(v)) - 1
+
+    def is_ancestor(self, a, b) -> bool:
+        return a in self.ancestors(b)
+
+    def lca(self, a, b):
+        """The lowest common ancestor, or ``None`` across two trees."""
+        up_b = set(self.ancestors(b))
+        return next((x for x in self.ancestors(a) if x in up_b), None)
+
+    def level_ancestor(self, v, level: int):
+        up = self.ancestors(v)
+        return up[len(up) - 1 - level]
+
+    def child_towards(self, ancestor, descendant):
+        return self.level_ancestor(descendant, self.level(ancestor) + 1)
+
+    def path(self, a, b) -> list:
+        l = self.lca(a, b)
+        up_a = self.ancestors(a)
+        up_b = self.ancestors(b)
+        return up_a[: up_a.index(l) + 1] + up_b[: up_b.index(l)][::-1]
+
+    def subtree_size(self, v) -> int:
+        return sum(1 for x in self.parent if self.is_ancestor(v, x))
+
+
+def assert_tree_matches_oracle(tree, pairs) -> None:
+    """Every LCA-index-backed :class:`DFSTree` query on *pairs* answers what
+    the parent-walk oracle gives; a pair in two trees raises ``TreeError``."""
+    oracle = ParentWalk(tree.parent_map())
+    for a, b in pairs:
+        l = oracle.lca(a, b)
+        if l is None:
+            for query in (tree.lca, tree.path, tree.path_length):
+                with pytest.raises(TreeError):
+                    query(a, b)
+            continue
+        assert tree.lca(a, b) == l
+        path = oracle.path(a, b)
+        assert tree.path(a, b) == path
+        assert tree.path_length(a, b) == len(path) - 1
+        for v in (a, b, l, oracle.ancestors(a)[-1]):
+            assert tree.on_path(v, a, b) == (v in path)
+        for v, w in ((a, b), (b, a)):
+            level = oracle.level(v)
+            assert tree.level(v) == level
+            for target in {0, level // 2, max(level - 1, 0), level}:
+                assert tree.level_ancestor(v, target) == oracle.level_ancestor(v, target)
+            if w != v and oracle.is_ancestor(w, v):
+                assert tree.child_towards(w, v) == oracle.child_towards(w, v)
+
+
+def assert_snapshot_matches_oracle(snap, avs, bvs) -> None:
+    """Every ``TreeSnapshot`` query, scalar and batched, on the pairs
+    ``zip(avs, bvs)`` answers what the parent-walk oracle gives (the virtual
+    root surfacing as ``None``)."""
+    oracle = ParentWalk(snap.tree.parent_map())
     pairs = list(zip(avs, bvs))
-    lcas = [None if is_virtual_root(x) else x for x in (tree.lca(a, b) for a, b in pairs)]
-    comp = {v: tree.level_ancestor(v, 1) for v in [*avs, *bvs]}
-    assert snap.lca_batch(avs, bvs) == lcas
-    assert snap.connected_batch(avs, bvs) == [comp[a] == comp[b] for a, b in pairs]
-    assert snap.is_ancestor_batch(avs, bvs) == [tree.is_ancestor(a, b) for a, b in pairs]
-    assert snap.path_length_batch(avs, bvs) == [
-        None if l is None else tree.level(a) + tree.level(b) - 2 * tree.level(l)
+    comp = {v: oracle.level_ancestor(v, 1) for v in [*avs, *bvs]}
+    lcas = [None if is_virtual_root(x) else x for x in (oracle.lca(a, b) for a, b in pairs)]
+    lengths = [
+        None if l is None else oracle.level(a) + oracle.level(b) - 2 * oracle.level(l)
         for (a, b), l in zip(pairs, lcas)
     ]
-    assert snap.subtree_size_batch(avs) == [tree.subtree_size(v) for v in avs]
+    ancestry = [oracle.is_ancestor(a, b) for a, b in pairs]
+    connected = [comp[a] == comp[b] for a, b in pairs]
+    sizes = [oracle.subtree_size(v) for v in avs]
+    assert snap.lca_batch(avs, bvs) == lcas
+    assert [snap.lca(a, b) for a, b in pairs] == lcas
+    assert snap.path_length_batch(avs, bvs) == lengths
+    assert [snap.path_length(a, b) for a, b in pairs] == lengths
+    assert snap.is_ancestor_batch(avs, bvs) == ancestry
+    assert [snap.is_ancestor(a, b) for a, b in pairs] == ancestry
+    assert snap.connected_batch(avs, bvs) == connected
+    assert [snap.connected(a, b) for a, b in pairs] == connected
+    assert snap.subtree_size_batch(avs) == sizes
+    assert [snap.subtree_size(v) for v in avs] == sizes
     assert snap.component_batch(avs) == [comp[v] for v in avs]
+    assert [snap.component(v) for v in avs] == [comp[v] for v in avs]
+    assert [snap.depth(v) for v in avs] == [oracle.level(v) for v in avs]

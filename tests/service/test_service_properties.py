@@ -19,7 +19,7 @@ from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.graph.generators import gnp_random_graph
 from repro.metrics.counters import MetricsRecorder
 from repro.service import DFSTreeService
-from tests.helpers import assert_snapshot_batches_match_tree, make_updates
+from tests.helpers import assert_snapshot_matches_oracle, make_updates
 
 
 @st.composite
@@ -70,4 +70,4 @@ def test_batched_equals_scalar_on_both_query_paths(case):
     rng = random.Random(snap.version)
     avs = [rng.choice(verts) for _ in range(30)]
     bvs = [rng.choice(verts) for _ in range(30)]
-    assert_snapshot_batches_match_tree(snap, avs, bvs)
+    assert_snapshot_matches_oracle(snap, avs, bvs)

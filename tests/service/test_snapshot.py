@@ -21,7 +21,7 @@ from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import static_dfs_forest
 from repro.service import DFSTreeService, TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
-from tests.helpers import assert_snapshot_batches_match_tree
+from tests.helpers import assert_snapshot_matches_oracle
 
 
 def _snapshot(n=40, p=0.08, seed=5, version=7):
@@ -38,24 +38,10 @@ def test_scalar_queries_match_tree_semantics():
         p = snap.parent(v)
         tp = tree.parent(v)
         assert p == (None if tp is None or is_virtual_root(tp) else tp)
-        assert snap.depth(v) == tree.level(v)
-        assert snap.subtree_size(v) == tree.subtree_size(v)
-        comp = snap.component(v)
-        assert comp == tree.level_ancestor(v, 1)
     rng = random.Random(3)
-    for _ in range(150):
-        a, b = rng.choice(verts), rng.choice(verts)
-        raw = tree.lca(a, b)
-        expect = None if is_virtual_root(raw) else raw
-        assert snap.lca(a, b) == expect
-        assert snap.connected(a, b) == (expect is not None)
-        if expect is None:
-            assert snap.path_length(a, b) is None
-        else:
-            assert snap.path_length(a, b) == (
-                tree.level(a) + tree.level(b) - 2 * tree.level(expect)
-            )
-        assert snap.is_ancestor(a, b) == tree.is_ancestor(a, b)
+    avs = [rng.choice(verts) for _ in range(150)]
+    bvs = [rng.choice(verts) for _ in range(150)]
+    assert_snapshot_matches_oracle(snap, avs, bvs)
 
 
 @pytest.mark.parametrize("backend", ["dict", "array"])
@@ -75,7 +61,7 @@ def test_batch_equals_scalar_all_kinds():
     rng = random.Random(17)
     avs = [rng.choice(verts) for _ in range(120)]
     bvs = [rng.choice(verts) for _ in range(120)]
-    assert_snapshot_batches_match_tree(snap, avs, bvs)
+    assert_snapshot_matches_oracle(snap, avs, bvs)
 
 
 #: Every snapshot query -> its arguments around a known id *k* and a probe *x*.
@@ -128,3 +114,20 @@ def test_lazy_index_built_once_and_reports_cost():
     snap.lca(verts[0], verts[1])
     snap.lca_batch(verts[:4], verts[4:8])
     assert len(costs) == 1 and costs[0] >= 0.0
+    # The index is the tree's own: a second snapshot of the same tree reads
+    # it and reports no build of its own.
+    again = TreeSnapshot(2, tree, on_build_ms=costs.append)
+    again.path_length_batch(verts[:4], verts[4:8])
+    assert len(costs) == 1
+    assert again._index() is snap._index() is tree.lca_index()
+
+
+def test_snapshot_reads_the_index_the_writer_built():
+    costs = []
+    g = gnp_random_graph(30, 0.1, seed=2)
+    tree = DFSTree(static_dfs_forest(g), root=VIRTUAL_ROOT)
+    verts = [v for v in tree.vertices() if not is_virtual_root(v)]
+    index = tree.lca_index()
+    snap = TreeSnapshot(1, tree, on_build_ms=costs.append)
+    snap.lca(verts[0], verts[1])
+    assert costs == [] and snap._index() is index

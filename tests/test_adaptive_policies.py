@@ -231,8 +231,10 @@ def test_voluntary_rebuild_fires_iff_account_exceeds_budget(case):
     """``voluntary_rebuilds`` increments iff the accumulated waves × drift
     account strictly exceeded the modeled rebuild cost at update start, and
     the accumulator follows exact arithmetic: each update adds its observed
-    contribution, and any service rebuild resets the account to just the
-    post-rebuild observation — replayed here by a shadow account."""
+    contribution, and a voluntary rebuild resets the account to just the
+    post-rebuild observation, while a recovery rebuild (which floods from the
+    update's initiator and may leave the tree drifted) keeps it — replayed
+    here by a shadow account."""
     graph, updates = case
     assume(updates)
     metrics = MetricsRecorder("dist", strict=True)
@@ -256,8 +258,8 @@ def test_voluntary_rebuild_fires_iff_account_exceeds_budget(case):
         if due:
             assert delta.get("service_rebuilds", 0) >= 1
         contribution = _observed_drift_contribution(backend, driver.graph, update, delta)
-        if delta.get("service_rebuilds", 0) >= 1:
-            shadow = contribution  # rebuild reset the account mid-update
+        if delta.get("voluntary_rebuilds", 0):
+            shadow = contribution  # the voluntary rebuild reset the account
         else:
             shadow += contribution
         assert backend.drift_account == pytest.approx(shadow), "accumulator arithmetic drifted"
@@ -297,6 +299,38 @@ def test_low_diameter_auto_policy_repair_bounded_regret(case):
         conservative.rounds(),
         max_budget,
     )
+
+
+@pytest.mark.parametrize(
+    "n, m, graph_seed, churn_seed, count",
+    [
+        # A local repair reshaped the broadcast tree, a later deletion of one
+        # of its edges forced a recovery rebuild from an off-center initiator,
+        # and that rebuild used to wipe the drift account.
+        (27, 106, 327, 832, 16),
+        # A voluntary rebuild used to ignore the yardstick's own best root and
+        # rebuild just as deep, so a second voluntary rebuild followed.
+        (27, 54, 54, 390, 21),
+    ],
+)
+def test_low_diameter_bounded_regret_regressions(n, m, graph_seed, churn_seed, count):
+    """Pinned cases of :func:`test_low_diameter_auto_policy_repair_bounded_regret`."""
+    graph = gnm_random_graph(n, m, seed=graph_seed)
+    updates = _connectivity_preserving_churn(graph, count, seed=churn_seed)
+    repair = DistributedDynamicDFS(
+        graph, rebuild_every=None, local_repair=True, metrics=MetricsRecorder("repair", strict=True)
+    )
+    conservative = DistributedDynamicDFS(
+        graph, rebuild_every=None, local_repair=False,
+        metrics=MetricsRecorder("conservative", strict=True),
+    )
+    max_budget = 0.0
+    for update in updates:
+        repair.apply(update)
+        conservative.apply(update)
+        assert repair.parent_map() == conservative.parent_map()
+        max_budget = max(max_budget, repair._backend._modeled_rebuild_cost())
+    assert repair.rounds() <= conservative.rounds() + 2 * max_budget
 
 
 @pytest.mark.parametrize("seed", [1, 9])

@@ -170,7 +170,8 @@ DIFFERENTIAL_COMBOS = [
     # Auto-tuned configurations, where every rebuild is demanded by a backend
     # policy hook: the depth-drift voluntary rebuild (the CONGEST
     # must_rebuild veto, default), the pure-repair extreme that disables it,
-    # and the core driver's default overlay / stale-tree rebuild_due cadence.
+    # the core driver's default overlay / stale-tree rebuild_due cadence and
+    # the streaming driver's rebuild_due.
     (
         "dist_auto_voluntary",
         lambda g, m, b: DistributedDynamicDFS(g, rebuild_every=None, local_repair=True, metrics=m, backend=b),
@@ -182,6 +183,7 @@ DIFFERENTIAL_COMBOS = [
         ),
     ),
     ("core_auto", lambda g, m, b: FullyDynamicDFS(g, rebuild_every=None, metrics=m, backend=b)),
+    ("stream_auto", lambda g, m, b: SemiStreamingDynamicDFS(g, rebuild_every=None, metrics=m, backend=b)),
     # Per-component accounting configurations (PR 5): charging waves inside
     # the component that executes them — or the legacy free-dissemination
     # accounting, or the initiator-rooted voluntary rebuild — changes the

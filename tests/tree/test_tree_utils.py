@@ -8,16 +8,10 @@ from repro.graph.traversal import static_dfs_tree
 from repro.tree.dfs_tree import DFSTree
 from repro.tree.tree_utils import (
     ancestor_descendant_segments,
-    farther_endpoint,
     hanging_subtrees,
-    heavy_chain,
     heavy_vertex,
     is_back_edge,
-    is_vertical_path,
-    path_level_map,
     segment_orientation,
-    split_path_at,
-    subtree_vertex_count,
 )
 
 
@@ -29,12 +23,12 @@ def caterpillar_tree():
 
 
 def test_is_vertical_path(caterpillar_tree):
+    # A vertical path is exactly a sequence the segmenter keeps whole.
     t = caterpillar_tree
-    assert is_vertical_path(t, [0, 1, 2, 3])
-    assert is_vertical_path(t, [3, 2, 1])
-    assert is_vertical_path(t, [2])
-    assert not is_vertical_path(t, [1, 2, 13, 12])  # direction change / sibling hop
-    assert not is_vertical_path(t, [0, 2])  # not adjacent
+    for seq in ([0, 1, 2, 3], [3, 2, 1], [2]):
+        assert ancestor_descendant_segments(t, seq) == [seq]
+    assert len(ancestor_descendant_segments(t, [1, 2, 13, 12])) > 1  # sibling hop
+    assert len(ancestor_descendant_segments(t, [0, 2])) > 1  # not adjacent
 
 
 def test_hanging_subtrees(caterpillar_tree):
@@ -51,7 +45,8 @@ def test_heavy_vertex_and_chain():
     parent = {i: (i - 1 if i else None) for i in range(10)}
     t = DFSTree(parent, root=0)
     assert heavy_vertex(t, 0, 3) == 6  # |T(6)| = 4 > 3, |T(7)| = 3
-    assert heavy_chain(t, 0, 3) == [0, 1, 2, 3, 4, 5, 6]
+    # Every vertex of the heavy chain 0..6 leads down to the same v_H.
+    assert {heavy_vertex(t, v, 3) for v in range(7)} == {6}
     with pytest.raises(TreeError):
         heavy_vertex(t, 7, 5)
 
@@ -82,22 +77,23 @@ def test_segment_orientation_and_split(caterpillar_tree):
     t = caterpillar_tree
     assert segment_orientation(t, [3, 2, 1]) == (1, 3)
     assert segment_orientation(t, [1, 2, 3]) == (1, 3)
-    prefix, suffix = split_path_at([5, 6, 7, 8], 6)
-    assert prefix == [5, 6] and suffix == [7, 8]
-    with pytest.raises(ValueError):
-        split_path_at([1, 2], 9)
+    # The pieces a path of T* splits into orient top-down.
+    segs = ancestor_descendant_segments(t, [11, 1, 0, 14, 3, 2])
+    assert [segment_orientation(t, s) for s in segs] == [(0, 11), (2, 14)]
 
 
-def test_farther_endpoint_and_misc(caterpillar_tree):
+def test_is_back_edge(caterpillar_tree):
     t = caterpillar_tree
-    assert farther_endpoint(t, [0, 1, 2, 3], 1) == 3
-    assert farther_endpoint(t, [0, 1, 2, 3], 3) == 0
-    with pytest.raises(ValueError):
-        farther_endpoint(t, [0, 1], 5)
     assert is_back_edge(t, 0, 14)
     assert not is_back_edge(t, 10, 14)
-    assert subtree_vertex_count(t, [1, 10]) == t.subtree_size(1) + 1
-    assert path_level_map(t, [3, 2, 1]) == {3: 0, 2: 1, 1: 2}
+
+
+def _is_vertical(tree, vertices):
+    """True iff consecutive *vertices* are parent/child pairs, all stepping
+    the same way (down or up)."""
+    steps = {1 if tree.parent(b) == a else -1 if tree.parent(a) == b else 0
+             for a, b in zip(vertices, vertices[1:])}
+    return steps in (set(), {1}, {-1})
 
 
 def test_segments_on_random_trees_cover_and_are_vertical():
@@ -112,4 +108,4 @@ def test_segments_on_random_trees_cover_and_are_vertical():
         segs = ancestor_descendant_segments(t, seq)
         assert [v for s in segs for v in s] == seq
         for s in segs:
-            assert is_vertical_path(t, s)
+            assert _is_vertical(t, s)
