@@ -4,8 +4,8 @@ Given a rerooting task (the primitive both the paper and Baswana et al. reduce
 updates to), the naive approach simply runs a fresh DFS of the subgraph induced
 by the subtree's vertices from the new root.  Its cost is ``O(m_τ + n_τ)``
 *sequential* work with a dependency chain as long as the produced tree is deep —
-the strawman against which both rerooting engines are compared in the ablation
-benchmark.
+the strawman both rerooting engines are measured against.  Only the tests use
+it; no benchmark does.
 """
 
 from __future__ import annotations

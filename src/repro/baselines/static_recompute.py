@@ -4,7 +4,10 @@ This is the classical ``O(m + n)`` static algorithm ([47] in the paper) applied
 per update — the obvious competitor the dynamic algorithm must beat once the
 graph is large.  The class exposes the same update API as
 :class:`~repro.core.dynamic_dfs.FullyDynamicDFS` so benchmarks can drive both
-with identical workloads (experiment E7).
+with identical workloads (experiment E7).  Updates are checked by
+:func:`~repro.core.overlay.validate_update` and applied by
+:func:`~repro.core.overlay.apply_update`, as in every driver: a malformed
+update raises :class:`~repro.exceptions.UpdateError` before any counter moves.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Optional, Sequence
 
 from repro.constants import VIRTUAL_ROOT
+from repro.core.overlay import apply_update, validate_update
 from repro.core.updates import (
     EdgeDeletion,
     EdgeInsertion,
@@ -19,7 +23,6 @@ from repro.core.updates import (
     VertexDeletion,
     VertexInsertion,
 )
-from repro.exceptions import UpdateError
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
@@ -37,9 +40,8 @@ class StaticRecomputeDFS:
         graph: UndirectedGraph,
         *,
         metrics: Optional[MetricsRecorder] = None,
-        copy_graph: bool = True,
     ) -> None:
-        self._graph = graph.copy() if copy_graph else graph
+        self._graph = graph.copy()
         self.metrics = metrics or MetricsRecorder("static_recompute")
         self._tree = self._recompute()
 
@@ -81,18 +83,10 @@ class StaticRecomputeDFS:
 
     def apply(self, update: Update) -> DFSTree:
         """Apply *update* and recompute the whole forest."""
+        validate_update(self._graph, update)
         self.metrics.inc("updates")
         with self.metrics.timer("update"):
-            if isinstance(update, EdgeInsertion):
-                self._graph.add_edge(update.u, update.v)
-            elif isinstance(update, EdgeDeletion):
-                self._graph.remove_edge(update.u, update.v)
-            elif isinstance(update, VertexInsertion):
-                self._graph.add_vertex_with_edges(update.v, update.neighbors)
-            elif isinstance(update, VertexDeletion):
-                self._graph.remove_vertex(update.v)
-            else:
-                raise UpdateError(f"unknown update type {update!r}")
+            apply_update(self._graph, update)
             self._tree = self._recompute()
         return self._tree
 

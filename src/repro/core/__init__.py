@@ -21,7 +21,7 @@ from repro.core.updates import (
 )
 from repro.core.reroot_sequential import SequentialRerootEngine
 from repro.core.reroot_parallel import ParallelRerootEngine
-from repro.core.engine import Backend, UpdateEngine
+from repro.core.engine import Backend, EngineDriver, UpdateEngine
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.fault_tolerant import FaultTolerantDFS
 
@@ -46,6 +46,7 @@ __all__ = [
     "SequentialRerootEngine",
     "ParallelRerootEngine",
     "Backend",
+    "EngineDriver",
     "UpdateEngine",
     "FullyDynamicDFS",
     "FaultTolerantDFS",

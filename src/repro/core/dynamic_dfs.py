@@ -4,7 +4,8 @@
 arbitrary online sequence of edge/vertex insertions and deletions.  Each update
 is processed exactly as in the paper:
 
-1. the update is validated and applied to the graph;
+1. the update is validated and applied to the graph (through
+   :func:`~repro.core.overlay.apply_update`, as in every driver);
 2. the data structure ``D`` is brought up to date — either by a rebuild on
    the current tree (Theorem 8), or, between rebuilds, by recording the update
    as a small overlay on the existing ``D`` (the multi-update extension of
@@ -17,8 +18,10 @@ is processed exactly as in the paper:
 
 The pipeline itself — validation, metrics, the rebuild policy, the
 reduce → reroot → commit loop — lives in
-:class:`~repro.core.engine.UpdateEngine`; this module only provides the two
-in-memory backends (``D`` and the brute-force oracle).
+:class:`~repro.core.engine.UpdateEngine`, and the driver's update and read
+API in :class:`~repro.core.engine.EngineDriver`; this module only provides the
+two in-memory backends (``D`` and the brute-force oracle) and the driver's
+knobs.
 
 **Rebuild policy.**  Rebuilding ``D`` costs ``O(m)`` work per update, yet
 Theorem 9 answers queries correctly for up to ``k`` overlaid updates without
@@ -46,11 +49,10 @@ the virtual root are the roots of the DFS forest.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from typing import Optional
 
-from repro.backends import native_graph, resolve_backend, structure_class
-from repro.constants import VIRTUAL_ROOT
-from repro.core.engine import Backend, UpdateEngine
+from repro.backends import structure_class
+from repro.core.engine import Backend, EngineDriver, UpdateEngine
 from repro.core.overlay import (
     apply_update,
     reused_vertex_id_needs_rebuild,
@@ -58,19 +60,10 @@ from repro.core.overlay import (
 )
 from repro.core.queries import BruteForceQueryService, DQueryService, QueryService
 from repro.core.structure_d import StructureD
-from repro.core.updates import (
-    EdgeDeletion,
-    EdgeInsertion,
-    Update,
-    VertexDeletion,
-    VertexInsertion,
-)
+from repro.core.updates import Update
 from repro.graph.graph import UndirectedGraph
-from repro.graph.traversal import static_dfs_forest
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-
-Vertex = Hashable
 
 
 class DStructureBackend(Backend):
@@ -166,21 +159,23 @@ class BruteBackend(Backend):
         return BruteForceQueryService(self.graph, tree, metrics=self.metrics)
 
 
-class FullyDynamicDFS:
+class FullyDynamicDFS(EngineDriver):
     """Maintain a DFS forest of an undirected graph under updates.
+
+    The update, commit-listener and read API come from
+    :class:`~repro.core.engine.EngineDriver`; this class adds the in-memory
+    knobs and :meth:`overlay_budget`.
 
     Parameters
     ----------
     graph:
-        Initial graph.  It is copied unless ``copy_graph=False``.
+        Initial graph.  It is copied into the storage core.
     backend:
         Storage core: ``"dict"`` (the reference implementation, default) or
         ``"array"`` (numpy flat/CSR core — same results byte for byte, built
-        for large graphs).  ``None`` reads the
+        for large graphs; the input graph is converted to an
+        :class:`~repro.graph.array_graph.ArrayGraph`).  ``None`` reads the
         ``REPRO_BACKEND`` environment variable, falling back to ``"dict"``.
-        With ``backend="array"`` the input graph is converted to an
-        :class:`~repro.graph.array_graph.ArrayGraph` (always a copy unless it
-        already is one and ``copy_graph=False``).
     engine:
         ``"parallel"`` (the paper's algorithm) or ``"sequential"`` (the Baswana
         et al. baseline).
@@ -223,29 +218,21 @@ class FullyDynamicDFS:
         rebuild_every: Optional[int] = None,
         validate: bool = False,
         metrics: Optional[MetricsRecorder] = None,
-        copy_graph: bool = True,
     ) -> None:
         # Fail fast on every knob before copying the graph or running the
         # initial DFS, so a bad argument never records partial work.
-        backend_name = resolve_backend(backend)
         UpdateEngine.validate_options(engine, rebuild_every)
         if service not in ("d", "brute"):
             raise ValueError(f"unknown service {service!r}")
-        self._backend_name = backend_name
-        self._graph = native_graph(graph, backend_name, copy=copy_graph)
-        self.metrics = metrics or MetricsRecorder("dynamic_dfs")
-        with self.metrics.timer("initial_dfs"):
-            parent = static_dfs_forest(self._graph)
-        tree = DFSTree(parent, root=VIRTUAL_ROOT)
+        tree = self._start(graph, backend, metrics, "dynamic_dfs")
         if service == "d":
-            backend_impl: Backend = DStructureBackend(
-                self._graph, self.metrics, structure_cls=structure_class(backend_name)
+            self._backend = DStructureBackend(
+                self._graph, self.metrics, structure_cls=structure_class(self._backend_name)
             )
         else:
-            backend_impl = BruteBackend(self._graph, self.metrics)
-        self._backend = backend_impl
+            self._backend = BruteBackend(self._graph, self.metrics)
         self._engine = UpdateEngine(
-            backend_impl,
+            self._backend,
             tree,
             rebuild_every=rebuild_every,
             reroot_engine=engine,
@@ -253,92 +240,9 @@ class FullyDynamicDFS:
             metrics=self.metrics,
         )
 
-    # ------------------------------------------------------------------ #
-    # Read access
-    # ------------------------------------------------------------------ #
-    @property
-    def graph(self) -> UndirectedGraph:
-        """The current graph (do not mutate it directly; use the update API)."""
-        return self._graph
-
-    @property
-    def tree(self) -> DFSTree:
-        """The current DFS tree (rooted at the virtual root)."""
-        return self._engine.tree
-
-    @property
-    def rebuild_every(self) -> Optional[int]:
-        """The configured rebuild period (``None`` = auto-tuned)."""
-        return self._engine.rebuild_every
-
-    @property
-    def backend(self) -> str:
-        """The resolved storage backend name (``"dict"`` or ``"array"``)."""
-        return self._backend_name
-
-    @property
-    def update_engine(self) -> UpdateEngine:
-        """The shared :class:`UpdateEngine` driving this adapter."""
-        return self._engine
-
-    def add_commit_listener(self, listener) -> None:
-        """Register *listener* to run with the committed tree after every
-        update (the MVCC snapshot-publication hook; see
-        :meth:`UpdateEngine.add_commit_listener`)."""
-        self._engine.add_commit_listener(listener)
-
-    def remove_commit_listener(self, listener) -> None:
-        """Deregister a commit listener (the service-detach hook; unknown
-        listeners are ignored — see
-        :meth:`UpdateEngine.remove_commit_listener`)."""
-        self._engine.remove_commit_listener(listener)
-
     def overlay_budget(self) -> int:
         """Overlay size that triggers a rebuild under the auto-tuned policy
         (``0`` with ``service="brute"``, which keeps no overlay)."""
         if isinstance(self._backend, BruteBackend):
             return 0
         return int(self._backend.overlay_budget())
-
-    def parent_map(self, *, include_virtual_root: bool = True) -> Dict[Vertex, Optional[Vertex]]:
-        """Parent map of the maintained DFS forest.
-
-        Without the virtual root, component roots map to ``None`` (a plain DFS
-        forest of the graph).
-        """
-        return self._engine.parent_map(include_virtual_root=include_virtual_root)
-
-    def roots(self) -> List[Vertex]:
-        """Roots of the DFS forest (children of the virtual root)."""
-        return self._engine.roots()
-
-    def is_valid(self) -> bool:
-        """True iff the maintained tree is currently a valid DFS forest."""
-        return self._engine.is_valid()
-
-    # ------------------------------------------------------------------ #
-    # Update API
-    # ------------------------------------------------------------------ #
-    def insert_edge(self, u: Vertex, v: Vertex) -> DFSTree:
-        """Insert edge ``(u, v)`` and return the updated tree."""
-        return self.apply(EdgeInsertion(u, v))
-
-    def delete_edge(self, u: Vertex, v: Vertex) -> DFSTree:
-        """Delete edge ``(u, v)`` and return the updated tree."""
-        return self.apply(EdgeDeletion(u, v))
-
-    def insert_vertex(self, v: Vertex, neighbors: Iterable[Vertex] = ()) -> DFSTree:
-        """Insert vertex *v* with edges to *neighbors* and return the updated tree."""
-        return self.apply(VertexInsertion(v, tuple(neighbors)))
-
-    def delete_vertex(self, v: Vertex) -> DFSTree:
-        """Delete vertex *v* (and its incident edges) and return the updated tree."""
-        return self.apply(VertexDeletion(v))
-
-    def apply(self, update: Update) -> DFSTree:
-        """Apply one update and return the updated DFS tree."""
-        return self._engine.apply(update)
-
-    def apply_all(self, updates: Sequence[Update]) -> DFSTree:
-        """Apply a whole batch of updates in one pass; returns the final tree."""
-        return self._engine.apply_all(updates)

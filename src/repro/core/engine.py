@@ -1,4 +1,5 @@
-"""The shared update pipeline: :class:`UpdateEngine` over a :class:`Backend`.
+"""The shared update pipeline: :class:`UpdateEngine` over a :class:`Backend`,
+and :class:`EngineDriver`, the one public surface of the drivers built on it.
 
 Khan's framework maintains a DFS tree under updates with one conceptual
 pipeline, whatever the environment:
@@ -9,7 +10,8 @@ pipeline, whatever the environment:
 2. **refresh the query-service base state** when the rebuild policy demands it
    (rebuild ``D``, snapshot the stream, rebuild the BFS/broadcast tree), or
    serve the update from the existing state plus a small overlay (Theorem 9);
-3. **mutate** the graph and the backend's bookkeeping;
+3. **mutate** the graph (always through
+   :func:`~repro.core.overlay.apply_update`) and the backend's bookkeeping;
 4. **reduce** the update to independent rerooting tasks (Theorem 11) using the
    backend's :class:`~repro.core.queries.QueryService`;
 5. **reroot** the affected subtrees (Theorem 12) and **commit** the new tree.
@@ -22,6 +24,9 @@ commit loop — and every environment plugs in as a small :class:`Backend`.
 Because query answers are *canonical* (see
 :class:`~repro.core.queries.DQueryService`), all backends and all policies
 maintain byte-identical trees; the policy changes the cost, never the output.
+The fully dynamic, semi-streaming and distributed drivers inherit their
+update, commit-listener and read API from :class:`EngineDriver`; each adds
+only its knobs, its backend and its model-specific members.
 
 **Rebuild policy** (``rebuild_every``):
 
@@ -46,8 +51,9 @@ backend).  Vetoes are counted under ``service_rebuilds_forced``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
+from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
 from repro.core.overlay import validate_update
 from repro.core.queries import QueryService
@@ -63,13 +69,14 @@ from repro.core.updates import (
 )
 from repro.exceptions import NotADFSTree
 from repro.graph.graph import UndirectedGraph
+from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
 
-__all__ = ["Backend", "UpdateEngine"]
+__all__ = ["Backend", "EngineDriver", "UpdateEngine"]
 
 
 class Backend:
@@ -133,7 +140,9 @@ class Backend:
     # Update plumbing
     # ------------------------------------------------------------------ #
     def mutate(self, update: Update) -> None:
-        """Apply *update* to the graph and the backend's bookkeeping."""
+        """Apply *update* to the graph (through
+        :func:`~repro.core.overlay.apply_update`) and the backend's
+        bookkeeping."""
         raise NotImplementedError
 
     def on_mutated(self, update: Update) -> None:
@@ -433,6 +442,125 @@ class UpdateEngine:
                 else ""
             )
             raise NotADFSTree(prefix + "; ".join(problems[:5]))
+
+
+class EngineDriver:
+    """The public surface shared by the drivers built on one
+    :class:`UpdateEngine`: the update API, the commit-listener API and read
+    access.
+
+    A subclass checks its knobs, calls :meth:`_start` (storage core, graph
+    copy, initial DFS), then sets ``_backend`` to its :class:`Backend` and
+    ``_engine`` to the :class:`UpdateEngine` over it.  Every update method
+    makes exactly one call into the engine.
+    """
+
+    _backend: Backend
+    _engine: UpdateEngine
+
+    def _start(
+        self,
+        graph: UndirectedGraph,
+        backend: Optional[str],
+        metrics: Optional[MetricsRecorder],
+        name: str,
+    ) -> DFSTree:
+        """Resolve the storage core, copy *graph* into it and run the initial
+        static DFS (timed as ``initial_dfs``); returns the tree rooted at the
+        virtual root."""
+        self._backend_name = resolve_backend(backend)
+        self._graph = native_graph(graph, self._backend_name)
+        self.metrics = metrics or MetricsRecorder(name)
+        with self.metrics.timer("initial_dfs"):
+            parent = static_dfs_forest(self._graph)
+        return DFSTree(parent, root=VIRTUAL_ROOT)
+
+    # ------------------------------------------------------------------ #
+    # Read access
+    # ------------------------------------------------------------------ #
+    @property
+    def graph(self) -> UndirectedGraph:
+        """The current graph (do not mutate it directly; use the update API)."""
+        return self._graph
+
+    @property
+    def tree(self) -> DFSTree:
+        """The current DFS tree (rooted at the virtual root)."""
+        return self._engine.tree
+
+    @property
+    def rebuild_every(self) -> Optional[int]:
+        """The configured rebuild period (``None`` = auto-tuned)."""
+        return self._engine.rebuild_every
+
+    @property
+    def backend(self) -> str:
+        """The resolved storage backend name (``"dict"`` or ``"array"``)."""
+        return self._backend_name
+
+    @property
+    def update_engine(self) -> UpdateEngine:
+        """The :class:`UpdateEngine` this driver forwards to."""
+        return self._engine
+
+    def parent_map(self, *, include_virtual_root: bool = True) -> Dict[Vertex, Optional[Vertex]]:
+        """Parent map of the maintained DFS forest.
+
+        Without the virtual root, component roots map to ``None`` (a plain DFS
+        forest of the graph).
+        """
+        return self._engine.parent_map(include_virtual_root=include_virtual_root)
+
+    def roots(self) -> List[Vertex]:
+        """Roots of the DFS forest (children of the virtual root)."""
+        return self._engine.roots()
+
+    def is_valid(self) -> bool:
+        """True iff the maintained tree is currently a valid DFS forest of
+        the graph."""
+        return self._engine.is_valid()
+
+    def add_commit_listener(self, listener: Callable[[DFSTree], None]) -> None:
+        """Register *listener* to run with the committed tree after every
+        update (the MVCC snapshot-publication hook; see
+        :meth:`UpdateEngine.add_commit_listener`)."""
+        self._engine.add_commit_listener(listener)
+
+    def remove_commit_listener(self, listener: Callable[[DFSTree], None]) -> None:
+        """Deregister a commit listener (the service-detach hook; unknown
+        listeners are ignored — see
+        :meth:`UpdateEngine.remove_commit_listener`)."""
+        self._engine.remove_commit_listener(listener)
+
+    # ------------------------------------------------------------------ #
+    # Update API
+    # ------------------------------------------------------------------ #
+    def insert_edge(self, u: Vertex, v: Vertex) -> DFSTree:
+        """Insert edge ``(u, v)`` and return the updated tree."""
+        return self.apply(EdgeInsertion(u, v))
+
+    def delete_edge(self, u: Vertex, v: Vertex) -> DFSTree:
+        """Delete edge ``(u, v)`` and return the updated tree."""
+        return self.apply(EdgeDeletion(u, v))
+
+    def insert_vertex(self, v: Vertex, neighbors: Iterable[Vertex] = ()) -> DFSTree:
+        """Insert vertex *v* with edges to *neighbors* and return the updated tree."""
+        return self.apply(VertexInsertion(v, tuple(neighbors)))
+
+    def delete_vertex(self, v: Vertex) -> DFSTree:
+        """Delete vertex *v* (and its incident edges) and return the updated tree."""
+        return self.apply(VertexDeletion(v))
+
+    def apply(self, update: Update) -> DFSTree:
+        """Apply one update and return the updated DFS tree (see
+        :meth:`UpdateEngine.apply`)."""
+        return self._engine.apply(update)
+
+    def apply_all(self, updates: Sequence[Update]) -> DFSTree:
+        """Apply a whole batch in one pass (batch metrics, one end-of-batch
+        validation; see :meth:`UpdateEngine.apply_all`); returns the final
+        tree."""
+        return self._engine.apply_all(updates)
 
 
 def update_words(update: Update, graph: UndirectedGraph) -> int:

@@ -63,16 +63,20 @@ root choice E10 compares the center against.
 
 The driver reports rounds, messages and maximum message size per update so
 benchmark E4 can check the ``O(D log^2 n)`` rounds / ``O(nD log^2 n + m)``
-messages / ``O(n/D)`` message-size claims.
+messages / ``O(n/D)`` message-size claims.  It inherits its update,
+commit-listener and read API from :class:`~repro.core.engine.EngineDriver`;
+:meth:`CongestBackend.mutate` changes the graph through
+:func:`~repro.core.overlay.apply_update` and keeps only the broadcast-tree
+bookkeeping.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
-from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT
-from repro.core.engine import Backend, UpdateEngine, update_words
+from repro.core.engine import Backend, EngineDriver, UpdateEngine, update_words
+from repro.core.overlay import apply_update
 from repro.core.queries import Answer, BruteForceQueryService, EdgeQuery, QueryService
 from repro.core.updates import (
     EdgeDeletion,
@@ -90,9 +94,8 @@ from repro.distributed.forest import (
     reroot_parent_tree,
 )
 from repro.distributed.network import CongestNetwork, recommended_bandwidth
-from repro.exceptions import UpdateError
 from repro.graph.graph import UndirectedGraph
-from repro.graph.traversal import bfs_tree, component_of, static_dfs_forest
+from repro.graph.traversal import bfs_tree, component_of
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
 
@@ -584,28 +587,28 @@ class CongestBackend(Backend):
     def mutate(self, update: Update) -> None:
         """Apply the update to the graph and patch the cached broadcast tree.
 
-        A death of a broadcast-tree edge or node no longer breaks the cache
-        outright: the severed children are recorded as *pending orphans*, and
-        :meth:`cache_invalid` repairs them locally when the policy reuses the
-        cache.  Only the death of a broadcast root (no surviving tree above
-        its children) still forces the conservative full rebuild.
+        The graph changes through :func:`apply_update`; this method keeps
+        only the broadcast-tree bookkeeping.  A death of a broadcast-tree edge
+        or node no longer breaks the cache outright: the severed children are
+        recorded as *pending orphans*, and :meth:`cache_invalid` repairs them
+        locally when the policy reuses the cache.  Only the death of a
+        broadcast root (no surviving tree above its children) still forces the
+        conservative full rebuild.
         """
         self._update_words = update_words(update, self.graph)
-        if isinstance(update, EdgeInsertion):
-            self.graph.add_edge(update.u, update.v)
-        elif isinstance(update, EdgeDeletion):
-            self.graph.remove_edge(update.u, update.v)
+        if isinstance(update, VertexDeletion):
+            # Read the broadcast bookkeeping of the vertex before it goes.
+            children = [c for c, p in self.bfs_parent.items() if p == update.v]
+            was_root = update.v in self.bfs_parent and self.bfs_parent[update.v] is None
+        apply_update(self.graph, update)
+        if isinstance(update, EdgeDeletion):
             if self.bfs_parent.get(update.u) == update.v:
                 self._pending_orphans.append(update.u)  # a broadcast-tree edge died
             elif self.bfs_parent.get(update.v) == update.u:
                 self._pending_orphans.append(update.v)
         elif isinstance(update, VertexInsertion):
-            self.graph.add_vertex_with_edges(update.v, update.neighbors)
             self._attach_to_cache(update.v, update.neighbors)
         elif isinstance(update, VertexDeletion):
-            children = [c for c, p in self.bfs_parent.items() if p == update.v]
-            was_root = update.v in self.bfs_parent and self.bfs_parent[update.v] is None
-            self.graph.remove_vertex(update.v)
             self.bfs_parent.pop(update.v, None)
             self.bfs_depth.pop(update.v, None)
             if children and was_root:
@@ -613,8 +616,6 @@ class CongestBackend(Backend):
                 self._cache_broken = True
             else:
                 self._pending_orphans.extend(children)
-        else:
-            raise UpdateError(f"unknown update type {update!r}")
 
     def _attach_to_cache(self, v: Vertex, neighbors: Iterable[Vertex]) -> None:
         """Hook a joining node into the cached broadcast tree (one local
@@ -765,8 +766,18 @@ class CongestBackend(Backend):
                     self.metrics.inc("cost_model_excess", excess)
 
 
-class DistributedDynamicDFS:
+class DistributedDynamicDFS(EngineDriver):
     """Maintain a DFS forest in the CONGEST(n/D) model.
+
+    The update, commit-listener and read API come from
+    :class:`~repro.core.engine.EngineDriver`: :attr:`tree` is the DFS forest
+    stored at every node and :attr:`graph` the live graph every node stores a
+    copy of.  An update is disseminated (update stage), then the tree is
+    repaired (recovery stage) at ``O(D + q/B)`` rounds per batch of ``q``
+    queries; a vertex insertion is disseminated as an ``O(deg)``-word
+    broadcast.  A deleted broadcast-tree edge triggers a local repair
+    (``bfs_repairs``) or a rebuild; a vertex deletion's orphaned broadcast
+    subtrees are repaired or the forest is rebuilt per component.
 
     Parameters
     ----------
@@ -845,16 +856,11 @@ class DistributedDynamicDFS:
             raise ValueError(
                 f"drift_rebuild_cost must be a positive budget or None, got {drift_rebuild_cost!r}"
             )
-        self._backend_name = resolve_backend(backend)
-        self.metrics = metrics or MetricsRecorder("distributed_dfs")
-        self._graph = native_graph(graph, self._backend_name, copy=True)
+        tree = self._start(graph, backend, metrics, "distributed_dfs")
         root = next(iter(self._graph.vertices()))
         self.diameter, auto_bandwidth = recommended_bandwidth(self._graph, root)
         self.bandwidth = bandwidth_words if bandwidth_words is not None else auto_bandwidth
         self.network = CongestNetwork(self._graph, self.bandwidth, metrics=self.metrics)
-        with self.metrics.timer("initial_dfs"):
-            parent = static_dfs_forest(self._graph)
-        tree = DFSTree(parent, root=VIRTUAL_ROOT)
         self._backend = CongestBackend(
             self._graph,
             self.network,
@@ -879,52 +885,6 @@ class DistributedDynamicDFS:
             self._graph
         )
 
-    # ------------------------------------------------------------------ #
-    @property
-    def backend(self) -> str:
-        """The resolved storage backend name (``"dict"`` or ``"array"``)."""
-        return self._backend_name
-
-    @property
-    def tree(self) -> DFSTree:
-        """The DFS forest currently stored at every node."""
-        return self._engine.tree
-
-    @property
-    def graph(self) -> UndirectedGraph:
-        """The live graph every node stores a copy of."""
-        return self._graph
-
-    @property
-    def rebuild_every(self) -> Optional[int]:
-        """The configured broadcast-state rebuild policy."""
-        return self._engine.rebuild_every
-
-    @property
-    def update_engine(self) -> UpdateEngine:
-        """The shared :class:`UpdateEngine` driving this adapter."""
-        return self._engine
-
-    def add_commit_listener(self, listener) -> None:
-        """Register *listener* to run with the committed tree after every
-        update (the MVCC snapshot-publication hook; see
-        :meth:`UpdateEngine.add_commit_listener`)."""
-        self._engine.add_commit_listener(listener)
-
-    def remove_commit_listener(self, listener) -> None:
-        """Deregister a commit listener (the service-detach hook; unknown
-        listeners are ignored — see
-        :meth:`UpdateEngine.remove_commit_listener`)."""
-        self._engine.remove_commit_listener(listener)
-
-    def is_valid(self) -> bool:
-        """Validate the maintained forest."""
-        return self._engine.is_valid()
-
-    def parent_map(self, **kwargs) -> Dict[Vertex, Optional[Vertex]]:
-        """Parent map of the maintained DFS forest."""
-        return self._engine.parent_map(**kwargs)
-
     def rounds(self) -> int:
         """Total CONGEST rounds so far."""
         return self.network.rounds
@@ -939,34 +899,6 @@ class DistributedDynamicDFS:
         least :meth:`rounds` minus idle chunk rounds on connected graphs and
         strictly exceeds :meth:`rounds` once waves span several components."""
         return dict(self.network.component_rounds)
-
-    # ------------------------------------------------------------------ #
-    def insert_edge(self, u: Vertex, v: Vertex) -> DFSTree:
-        """Insert edge ``(u, v)`` (``O(D + q/B)`` rounds per query batch)."""
-        return self.apply(EdgeInsertion(u, v))
-
-    def delete_edge(self, u: Vertex, v: Vertex) -> DFSTree:
-        """Delete edge ``(u, v)``; a dead broadcast-tree edge triggers a local
-        repair (``bfs_repairs``) or a rebuild."""
-        return self.apply(EdgeDeletion(u, v))
-
-    def insert_vertex(self, v: Vertex, neighbors: Iterable[Vertex] = ()) -> DFSTree:
-        """Insert vertex *v* with *neighbors* (an ``O(deg)``-word broadcast)."""
-        return self.apply(VertexInsertion(v, tuple(neighbors)))
-
-    def delete_vertex(self, v: Vertex) -> DFSTree:
-        """Delete vertex *v*; orphaned broadcast subtrees are repaired or the
-        forest is rebuilt per component."""
-        return self.apply(VertexDeletion(v))
-
-    def apply(self, update: Update) -> DFSTree:
-        """Apply one update (update stage) and repair the tree (recovery stage)."""
-        return self._engine.apply(update)
-
-    def apply_all(self, updates: Sequence[Update]) -> DFSTree:
-        """Apply a whole batch through the shared engine (batch metrics, one
-        end-of-batch validation)."""
-        return self._engine.apply_all(updates)
 
     # ------------------------------------------------------------------ #
     @property

@@ -22,28 +22,28 @@ price of ``O(m)`` local memory for the snapshot (no longer semi-streaming in
 the strict sense; the classic ``rebuild_every=1`` default keeps the paper's
 ``O(n)`` space).  Because query answers are canonical, both policies maintain
 byte-identical trees.
+
+The driver inherits its update, commit-listener and read API from
+:class:`~repro.core.engine.EngineDriver`.  Each update reaches the reference
+graph (and the snapshot's overlays) through
+:func:`~repro.core.overlay.apply_update`, and is then mirrored in the stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Hashable, List, Optional, Sequence, Set
 
-from repro.backends import graph_class, native_graph, resolve_backend, structure_class
-from repro.constants import VIRTUAL_ROOT
-from repro.core.engine import Backend, UpdateEngine
-from repro.core.overlay import reused_vertex_id_needs_rebuild, theorem9_overlay_budget
+from repro.backends import graph_class, structure_class
+from repro.core.engine import Backend, EngineDriver, UpdateEngine
+from repro.core.overlay import (
+    apply_update,
+    reused_vertex_id_needs_rebuild,
+    theorem9_overlay_budget,
+)
 from repro.core.queries import Answer, DQueryService, EdgeQuery, QueryService
 from repro.core.structure_d import StructureD
-from repro.core.updates import (
-    EdgeDeletion,
-    EdgeInsertion,
-    Update,
-    VertexDeletion,
-    VertexInsertion,
-)
-from repro.exceptions import UpdateError
+from repro.core.updates import EdgeDeletion, EdgeInsertion, Update, VertexInsertion
 from repro.graph.graph import UndirectedGraph
-from repro.graph.traversal import static_dfs_forest
 from repro.metrics.counters import MetricsRecorder
 from repro.streaming.stream import EdgeStream
 from repro.tree.dfs_tree import DFSTree
@@ -223,41 +223,34 @@ def _mutate_stream(
     update: Update,
     structure: Optional[StructureD] = None,
 ) -> None:
-    """Apply *update* to the reference graph, the stream, the vertex set and
-    (when amortizing) the snapshot's Theorem 9 overlays."""
+    """Apply *update* to the reference graph and (when amortizing) the
+    snapshot's Theorem 9 overlays through :func:`apply_update`, then mirror
+    it in the stream and the vertex set.  An inserted vertex streams the
+    graph's normalised neighbour set (no repeats, no self loop)."""
+    apply_update(graph, update, structure)
     if isinstance(update, EdgeInsertion):
-        graph.add_edge(update.u, update.v)
         stream.insert_edge(update.u, update.v)
-        if structure is not None:
-            structure.note_edge_inserted(update.u, update.v)
     elif isinstance(update, EdgeDeletion):
-        graph.remove_edge(update.u, update.v)
         stream.delete_edge(update.u, update.v)
-        if structure is not None:
-            structure.note_edge_deleted(update.u, update.v)
     elif isinstance(update, VertexInsertion):
-        graph.add_vertex_with_edges(update.v, update.neighbors)
         vertices.add(update.v)
-        for w in update.neighbors:
+        for w in graph.neighbors(update.v):
             stream.insert_edge(update.v, w)
-        if structure is not None:
-            structure.note_vertex_inserted(update.v, update.neighbors)
-    elif isinstance(update, VertexDeletion):
-        graph.remove_vertex(update.v)
+    else:  # VertexDeletion: apply_update rejected every other type
         vertices.discard(update.v)
         stream.delete_vertex_edges(update.v)
-        if structure is not None:
-            structure.note_vertex_deleted(update.v)
-    else:
-        raise UpdateError(f"unknown update type {update!r}")
 
 
-class SemiStreamingDynamicDFS:
+class SemiStreamingDynamicDFS(EngineDriver):
     """Maintain a DFS forest with ``O(n)`` memory and stream passes only.
 
-    The public update API mirrors :class:`~repro.core.dynamic_dfs.FullyDynamicDFS`;
-    per-update pass counts are available from ``metrics["stream_passes"]`` (or
-    via the convenience property :attr:`passes`).
+    The update, commit-listener and read API come from
+    :class:`~repro.core.engine.EngineDriver`; :attr:`graph` is the reference
+    graph, used only for the initial DFS, update validation and tree checks.
+    Every update edits the stream first, then repairs the tree: an edge
+    insertion costs ``O(1)`` passes amortized (``stream_passes``, or
+    :attr:`passes`), a vertex insertion appends its edges to the stream, and
+    a vertex deletion removes every incident stream edge.
 
     Parameters
     ----------
@@ -284,18 +277,10 @@ class SemiStreamingDynamicDFS:
         validate: bool = False,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
-        self._backend_name = resolve_backend(backend)
         UpdateEngine.validate_options("parallel", rebuild_every)  # fail fast
-        self.metrics = metrics or MetricsRecorder("semi_streaming_dfs")
-        # The "reference" graph exists only for the initial DFS, update
-        # validation and tree checks; the algorithm itself touches edges only
-        # through the stream.
-        self._graph = native_graph(graph, self._backend_name, copy=True)
+        tree = self._start(graph, backend, metrics, "semi_streaming_dfs")
         self._stream = EdgeStream.from_graph(graph, metrics=self.metrics)
         self._vertices = set(graph.vertices())
-        with self.metrics.timer("initial_dfs"):
-            parent = static_dfs_forest(self._graph)
-        tree = DFSTree(parent, root=VIRTUAL_ROOT)
         if rebuild_every == 1:
             self._backend: _StreamBackendBase = StreamPassBackend(
                 self._graph, self._stream, self._vertices, self.metrics
@@ -317,12 +302,6 @@ class SemiStreamingDynamicDFS:
             metrics=self.metrics,
         )
 
-    # ------------------------------------------------------------------ #
-    @property
-    def tree(self) -> DFSTree:
-        """The current DFS forest."""
-        return self._engine.tree
-
     @property
     def passes(self) -> int:
         """Total number of stream passes performed so far."""
@@ -333,69 +312,8 @@ class SemiStreamingDynamicDFS:
         """The underlying edge stream."""
         return self._stream
 
-    @property
-    def rebuild_every(self) -> Optional[int]:
-        """The configured rebuild policy (``1`` = classic pass-based)."""
-        return self._engine.rebuild_every
-
-    @property
-    def backend(self) -> str:
-        """The resolved storage backend name (``"dict"`` or ``"array"``)."""
-        return self._backend_name
-
-    @property
-    def update_engine(self) -> UpdateEngine:
-        """The shared :class:`UpdateEngine` driving this adapter."""
-        return self._engine
-
-    def add_commit_listener(self, listener) -> None:
-        """Register *listener* to run with the committed tree after every
-        update (the MVCC snapshot-publication hook; see
-        :meth:`UpdateEngine.add_commit_listener`)."""
-        self._engine.add_commit_listener(listener)
-
-    def remove_commit_listener(self, listener) -> None:
-        """Deregister a commit listener (the service-detach hook; unknown
-        listeners are ignored — see
-        :meth:`UpdateEngine.remove_commit_listener`)."""
-        self._engine.remove_commit_listener(listener)
-
     def local_space(self) -> int:
         """Vertices of state kept between passes: ``O(n)`` for the classic
         policy, plus the ``O(m)`` snapshot in the amortized hybrid."""
         extra = getattr(self._backend, "structure", None)
         return self._engine.tree.num_vertices + (extra.size() if extra is not None else 0)
-
-    def is_valid(self) -> bool:
-        """Validate the maintained forest against the reference graph."""
-        return self._engine.is_valid()
-
-    def parent_map(self, **kwargs) -> Dict[Vertex, Optional[Vertex]]:
-        """Parent map of the maintained DFS forest."""
-        return self._engine.parent_map(**kwargs)
-
-    # ------------------------------------------------------------------ #
-    def insert_edge(self, u: Vertex, v: Vertex) -> DFSTree:
-        """Insert edge ``(u, v)`` (``O(1)`` passes amortized; ``stream_passes``)."""
-        return self.apply(EdgeInsertion(u, v))
-
-    def delete_edge(self, u: Vertex, v: Vertex) -> DFSTree:
-        """Delete edge ``(u, v)`` from the stream and repair the tree."""
-        return self.apply(EdgeDeletion(u, v))
-
-    def insert_vertex(self, v: Vertex, neighbors: Iterable[Vertex] = ()) -> DFSTree:
-        """Insert vertex *v* with *neighbors* appended to the stream."""
-        return self.apply(VertexInsertion(v, tuple(neighbors)))
-
-    def delete_vertex(self, v: Vertex) -> DFSTree:
-        """Delete vertex *v* and every incident stream edge."""
-        return self.apply(VertexDeletion(v))
-
-    def apply(self, update: Update) -> DFSTree:
-        """Apply one update; the stream is updated first, then the tree."""
-        return self._engine.apply(update)
-
-    def apply_all(self, updates: Sequence[Update]) -> DFSTree:
-        """Apply a whole batch through the shared engine (batch metrics, one
-        end-of-batch validation)."""
-        return self._engine.apply_all(updates)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.static_recompute import StaticRecomputeDFS
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.engine import Backend, UpdateEngine, update_words
 from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
@@ -60,6 +61,7 @@ def test_validation_precedes_metrics_across_adapters():
         FullyDynamicDFS(g),
         SemiStreamingDynamicDFS(g),
         DistributedDynamicDFS(g),
+        StaticRecomputeDFS(g),
     ):
         before = driver.metrics.as_dict()
         for bad in (EdgeInsertion(0, 0), EdgeDeletion(0, 5), VertexInsertion(3, ()), VertexDeletion("nope")):

@@ -34,6 +34,7 @@ from repro.baselines.static_recompute import StaticRecomputeDFS
 from repro.constants import is_virtual_root
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.fault_tolerant import FaultTolerantDFS
+from repro.core.updates import EdgeDeletion, VertexInsertion
 from repro.distributed.distributed_dfs import DistributedDynamicDFS
 from repro.graph.generators import gnm_random_graph
 from repro.graph.validation import check_dfs_tree
@@ -143,6 +144,24 @@ def test_all_drivers_identical_on_mixed_updates(seed):
     updates = mixed_updates(scenario.graph, 40, seed=seed + 20)
     results = _both_backend_maps(scenario.graph, updates)
     _assert_identical_and_valid(scenario.graph, updates, results)
+
+
+def test_all_drivers_apply_vertex_insertions_with_repeated_and_self_neighbours():
+    """A vertex insertion may name a neighbour twice, or the new vertex itself:
+    ``validate_update`` accepts both and the graph keeps one edge per distinct
+    neighbour.  Every driver must apply such updates and keep the same valid
+    tree, including the streaming driver, whose stream must receive only the
+    graph's normalised neighbour set."""
+    graph = gnm_random_graph(20, 40, seed=1)
+    a, b, c = 1, 2, 3
+    new, new2 = 100, 101
+    updates = [
+        VertexInsertion(new, (a, a, b)),
+        VertexInsertion(new2, (new2, c, new)),
+        EdgeDeletion(new, a),
+    ]
+    results = _both_backend_maps(graph, updates)
+    _assert_identical_and_valid(graph, updates, results)
 
 
 # --------------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ PUBLIC_API: Dict[str, Tuple[str, ...]] = {
     "src/repro/streaming/semi_streaming_dfs.py": ("SemiStreamingDynamicDFS",),
     "src/repro/distributed/distributed_dfs.py": ("CongestBackend", "DistributedDynamicDFS"),
     "src/repro/distributed/network.py": ("CongestNetwork",),
-    "src/repro/core/engine.py": ("Backend", "UpdateEngine"),
+    "src/repro/core/engine.py": ("Backend", "EngineDriver", "UpdateEngine"),
     "src/repro/metrics/counters.py": ("MetricsRecorder",),
     "src/repro/service/service.py": ("DFSTreeService",),
     "src/repro/service/snapshot.py": ("TreeSnapshot",),
