@@ -28,6 +28,7 @@ from repro.graph.array_graph import ArrayGraph
 from repro.graph.generators import barabasi_albert_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.metrics.counters import MetricsRecorder
+from repro.service import TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
 
 SPEEDUP_MIN = 10.0
@@ -91,9 +92,12 @@ def test_array_backend_speedups_at_large_n(benchmark):
     anchor_speedup = t_anchor_dict / t_anchor_array
 
     # --- query path: LCA batches --------------------------------------- #
-    # The scalar reference is the tree's own per-pair DFSTree.lca loop; both
-    # sides read the same index, built once before timing.
-    array_lca = tree.lca_index()
+    # The scalar reference is the tree's own per-pair DFSTree.lca loop; the
+    # batch is a snapshot's lca_batch, which resolves ids through the tree's
+    # id table.  Both sides read the same index, built once before timing
+    # (the graph is connected, so no answer is the virtual root).
+    tree.lca_index()
+    snap = TreeSnapshot(0, tree)
     # Query vertex ids in bulk int64 form too; both sides see the same
     # arrays (the tree's dict index accepts np.int64 keys — same hashes).
     avs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
@@ -101,7 +105,7 @@ def test_array_backend_speedups_at_large_n(benchmark):
     t_lca_dict, lcas_dict = timed_median(
         lambda: [tree.lca(a, b) for a, b in zip(avs, bvs)], k=3
     )
-    t_lca_array, lcas_array = timed_median(lambda: array_lca.lca_batch(avs, bvs), k=3)
+    t_lca_array, lcas_array = timed_median(lambda: snap.lca_batch(avs, bvs), k=3)
     assert lcas_dict == lcas_array
     lca_speedup = t_lca_dict / t_lca_array
 
@@ -141,7 +145,6 @@ def test_array_backend_speedups_at_large_n(benchmark):
             "queries": q,
             "d_build_work": dict_metrics["d_build_work"],
             "d_batch_queries": array_metrics["d_batch_queries"],
-            "d_batch_query_fallbacks": array_metrics["d_batch_query_fallbacks"],
         },
         asserts={
             "rebuild_speedup_min": SPEEDUP_MIN,
@@ -162,10 +165,9 @@ def test_array_backend_xl_tier(benchmark):
     """Opt-in n = 10^6 tier.
 
     Same rebuild and overlay-service comparisons as E11 with ``k=1`` timings
-    (the dict side alone is tens of seconds here), plus the array LCA index's
-    batch path against a scalar python loop over the *same* index — the dict
-    Euler sparse table is O(n log n) python list work and is not built at this
-    scale.  Results land in ``BENCH_E11_XL.json`` so the committed
+    (the dict side alone is tens of seconds here), plus a snapshot's
+    ``lca_batch`` against the tree's scalar ``lca`` loop, both over the tree's
+    one LCA index.  Results land in ``BENCH_E11_XL.json`` so the committed
     ``BENCH_E11.json`` trajectory stays byte-stable under default runs.
     """
     n = 1_000_000
@@ -209,14 +211,15 @@ def test_array_backend_xl_tier(benchmark):
     anchor_speedup = t_anchor_dict / t_anchor_array
     assert anchor_speedup >= XL_SPEEDUP_MIN
 
-    array_lca = tree.lca_index()
+    tree.lca_index()
+    snap = TreeSnapshot(0, tree)
     avs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     bvs = np.asarray([verts[rng.randrange(len(verts))] for _ in range(q)], dtype=np.int64)
     t_lca_scalar, lcas_scalar = timed_median(
-        lambda: [array_lca.lca(a, b) for a, b in zip(avs, bvs)], k=1,
+        lambda: [tree.lca(a, b) for a, b in zip(avs, bvs)], k=1,
     )
     t_lca_batch, lcas_batch = timed_median(
-        lambda: array_lca.lca_batch(avs, bvs), k=1,
+        lambda: snap.lca_batch(avs, bvs), k=1,
     )
     assert lcas_scalar == lcas_batch
     lca_batch_speedup = t_lca_scalar / t_lca_batch
@@ -252,4 +255,4 @@ def test_array_backend_xl_tier(benchmark):
             "overlay_service_speedup_min": XL_SPEEDUP_MIN,
         },
     )
-    benchmark(lambda: array_lca.lca_batch(avs, bvs))
+    benchmark(lambda: snap.lca_batch(avs, bvs))

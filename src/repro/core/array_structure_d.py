@@ -27,19 +27,25 @@ counters equal the dict backend's; the differential tests pin that.
 The flat arrays are immutable snapshots of the base lists: overlays mask and
 extend them without touching them (as in the paper), and only mark the rows
 they affect dirty.  A refresh of ``D`` builds fresh flat arrays.
+
+``D`` is defined on its base tree ``T`` (Theorem 8), and so are its rows:
+a vertex id reaches its row through ``T``'s id table
+(:meth:`~repro.tree.dfs_tree.DFSTree.indices`, tree index -> row), and the
+row's neighbour ids through ``T``'s post-order.  Nothing reads the graph's
+slot map after the build, so the graph may recycle a slot for a new vertex
+while overlays are served: the new id is not in ``T`` and has no flat row.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import repeat
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.structure_d import StructureD
-from repro.graph.array_graph import _FREE, ArrayGraph
+from repro.graph.array_graph import ArrayGraph
 
 Vertex = Hashable
 
@@ -62,54 +68,41 @@ class ArrayStructureD(StructureD):
         tree = self._tree
         if not isinstance(graph, ArrayGraph):
             raise TypeError(f"ArrayStructureD needs an ArrayGraph, got {type(graph).__name__}")
-        self._flat_posts: Optional[np.ndarray] = None
-        self._flat_dst_slots: Optional[np.ndarray] = None
-        self._flat_indptr: Optional[np.ndarray] = None
-        self._flat_total = 0
-        self._flat_bisect_iters = 0
-        self._post_of_slot: Optional[np.ndarray] = None
-        self._frozen_slot_ids: List = []
-        self._frozen_has_free = False
-        self._id2slot: Optional[np.ndarray] = None  # dense int-id -> slot table
         self._dirty: Set[Vertex] = set()
         # Base-tree rows in ``_dirty`` by post-order number (see
         # :meth:`_dirty_rows`); dropped whenever ``_dirty`` changes.
         self._dirty_rows_cache: Optional[Tuple[List[int], List[Vertex], np.ndarray]] = None
-        # Arm the lazy caches: ``_post`` / ``_slot_of_frozen`` / ``_flat_ids``
-        # are python-level dicts/object arrays the vectorized build never
-        # touches; the first *scalar* access materializes them from the
-        # build-time snapshots below.
+        # Arm the lazy caches: ``_post`` / ``_flat_ids`` are python-level
+        # dicts/object arrays the vectorized build never touches; the first
+        # *scalar* access materializes them.
         self.__dict__.pop("_post", None)
-        # Freeze the slot map at build time: if the graph later recycles a
-        # slot for a new vertex id, queries must keep resolving the *old*
-        # vertices (masked by overlays) and treat the new id as unindexed.
-        # ``list(...)`` is a C-level pointer copy, so freezing is O(n) cheap.
-        self._frozen_slot_ids = list(graph._slot_ids)
-        self._frozen_has_free = bool(graph._free_slots)
+        # Row r is the adjacency of the vertex in graph slot r at build time.
+        # Queries find rows through the base tree (tree index -> row), never
+        # through the graph's slot map, so a slot the graph later recycles for
+        # a new id cannot alias an old row.
         n_slots = graph.num_slots
-        slot_of = graph.slot_index()
-        # tree._verts / tree._post are index-aligned: same mapping as
-        # {v: tree.postorder(v) for v in tree.vertices()} without n method
-        # calls; vertices absent from the graph (the virtual root) map to -1.
-        tslots = self._tree_vertex_slots(graph, tree, slot_of)
-        tposts = tree.as_arrays()["post"]
+        index_of_slot = tree.indices(graph._slot_ids)  # -1: free slot or not in T
+        indexed = index_of_slot >= 0
         post_of_slot = np.full(n_slots, -1, dtype=np.int64)
-        mask = tslots >= 0
-        post_of_slot[tslots[mask]] = tposts[mask]
-        self._post_of_slot = post_of_slot
+        post_of_slot[indexed] = tree.as_arrays()["post"][index_of_slot[indexed]]
+        # One extra -1 entry, so that index -1 (not in T) gathers "no row".
+        row_of_index = np.full(tree.num_vertices + 1, -1, dtype=np.int64)
+        row_of_index[index_of_slot[indexed]] = np.flatnonzero(indexed)
+        self._row_of_index = row_of_index
         src, dst, alive = graph.edge_arrays()
-        psrc = post_of_slot[src] if len(src) else np.empty(0, dtype=np.int64)
-        pdst = post_of_slot[dst] if len(dst) else np.empty(0, dtype=np.int64)
+        psrc = post_of_slot[src]
+        pdst = post_of_slot[dst]
         sel = alive & (psrc >= 0) & (pdst >= 0)
         ssel = src[sel]
         K = max(tree.num_vertices, 1)
         # Composite key: rows are contiguous slot blocks, sorted by neighbour
         # post-order inside each block.  Keys are unique (simple graph, unique
-        # posts), so any sort reproduces the dict backend's per-row order.
+        # posts), so any sort reproduces the dict backend's per-row order; the
+        # half-edge arrays are mostly slot-ordered already, which the stable
+        # sort exploits.
         key = ssel * K + pdst[sel]
         order = np.argsort(key, kind="stable")
         self._flat_posts = pdst[sel][order]
-        self._flat_dst_slots = dst[sel][order]
         counts = np.bincount(ssel, minlength=n_slots)
         indptr = np.zeros(n_slots + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -118,58 +111,15 @@ class ArrayStructureD(StructureD):
         # Row-bounded bisects converge in log2(longest row) vectorized steps.
         self._flat_bisect_iters = int(counts.max()).bit_length() if n_slots else 0
         if self._metrics is not None:
-            indexed = np.flatnonzero(post_of_slot >= 0)
-            total_work = int(np.maximum(counts[indexed], 1).sum()) if len(indexed) else 0
+            total_work = int(np.maximum(counts[indexed], 1).sum())
             self._metrics.inc("d_builds")
             self._metrics.inc("d_build_work", total_work)
 
-    def _tree_vertex_slots(self, graph: ArrayGraph, tree, slot_of) -> np.ndarray:
-        """Slot of every tree vertex (-1 when not in the graph), index-aligned
-        with ``tree._verts``.
-
-        Fast path for the common dense case — non-negative int vertex ids, no
-        free slots — via one int64 conversion and a dense ``id -> slot``
-        scatter table; anything else (object ids, negative/sparse ids,
-        recycled slots) falls back to one python pass over the dict.
-        """
-        verts = tree._verts
-        n = len(verts)
-        if not graph._free_slots and graph.num_slots:
-            try:
-                root_i = verts.index(tree.root) if not isinstance(tree.root, int) else -1
-                if root_i >= 0:
-                    tmp = list(verts)
-                    tmp[root_i] = -1  # the (non-int) root is never a graph vertex
-                    tv = np.array(tmp, dtype=np.int64)
-                else:
-                    tv = np.array(verts, dtype=np.int64)
-                sids = np.array(graph._slot_ids, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                pass
-            else:
-                hi = int(sids.max()) if len(sids) else -1
-                lo = int(sids.min()) if len(sids) else 0
-                if lo >= 0 and hi <= 8 * (graph.num_slots + n):
-                    id2slot = np.full(hi + 1, -1, dtype=np.int64)
-                    id2slot[sids] = np.arange(len(sids), dtype=np.int64)
-                    # Keep the dense table: it snapshots the same build-time
-                    # slot map as ``_frozen_slot_ids``, and lets the batched
-                    # re-anchor resolve int vertex ids without a python loop.
-                    self._id2slot = id2slot
-                    tslots = np.full(n, -1, dtype=np.int64)
-                    in_range = (tv >= 0) & (tv <= hi)
-                    tslots[in_range] = id2slot[tv[in_range]]
-                    return tslots
-        return np.fromiter(
-            map(slot_of.get, verts, repeat(-1)), dtype=np.int64, count=n
-        )
-
     # ------------------------------------------------------------------ #
-    # Lazy python-level views of the build-time snapshots.  These are
-    # ``cached_property``s (non-data descriptors): the base constructor's
-    # plain ``_post`` write would shadow one, so the build pops/never-sets
-    # the instance slot and the first scalar access pays the dict
-    # construction exactly once.
+    # Lazy python-level views of the build.  These are ``cached_property``s
+    # (non-data descriptors): the base constructor's plain ``_post`` write
+    # would shadow one, so the build pops/never-sets the instance slot and
+    # the first scalar access pays the construction exactly once.
     # ------------------------------------------------------------------ #
     @cached_property
     def _post(self) -> Dict[Vertex, int]:
@@ -178,38 +128,16 @@ class ArrayStructureD(StructureD):
         return dict(zip(tree._verts, tree._post))
 
     @cached_property
-    def _slot_of_frozen(self) -> Dict[Vertex, int]:
-        """Build-time ``vertex -> slot`` snapshot (tree-indexed slots only)."""
-        pos = self._post_of_slot
-        if pos is None:
-            return {}
-        valid = (pos >= 0).tolist()
-        return {
-            v: s
-            for s, v in enumerate(self._frozen_slot_ids)
-            if valid[s] and v is not _FREE
-        }
-
-    @cached_property
-    def _flat_ids(self) -> Optional[np.ndarray]:
+    def _flat_ids(self) -> np.ndarray:
         """Vertex ids parallel to the flat rows (object array, built lazily)."""
-        if self._flat_dst_slots is None:
-            return None
-        lookup = np.empty(len(self._frozen_slot_ids), dtype=object)
-        if self._frozen_has_free:
-            lookup[:] = [None if v is _FREE else v for v in self._frozen_slot_ids]
-        elif len(self._frozen_slot_ids):
-            lookup[:] = self._frozen_slot_ids
-        return lookup[self._flat_dst_slots]
+        return self._vertex_of_post[self._flat_posts]
 
     @cached_property
-    def _slot_of_post(self) -> np.ndarray:
-        """Flat row slot of the base-tree vertex with each post-order number
-        (-1 for a vertex without a row, such as the virtual root)."""
-        post_of_slot = self._post_of_slot
-        out = np.full(self._tree.num_vertices, -1, dtype=np.int64)
-        slots = np.flatnonzero(post_of_slot >= 0)
-        out[post_of_slot[slots]] = slots
+    def _row_of_post(self) -> np.ndarray:
+        """Flat row of the base-tree vertex with each post-order number (-1
+        for a vertex without a row, such as the virtual root)."""
+        out = np.empty(self._tree.num_vertices, dtype=np.int64)
+        out[self._tree.as_arrays()["post"]] = self._row_of_index[:-1]
         return out
 
     @cached_property
@@ -227,11 +155,11 @@ class ArrayStructureD(StructureD):
         posts = self._sorted_posts.get(u)
         if posts is not None:
             return posts, self._sorted_nbrs[u]
-        s = self._slot_of_frozen.get(u)
-        if s is None:
+        r = self._row_of_index[self._tree._idx.get(u, -1)]
+        if r < 0:
             return None
-        lo = self._flat_indptr[s]
-        hi = self._flat_indptr[s + 1]
+        lo = self._flat_indptr[r]
+        hi = self._flat_indptr[r + 1]
         return self._flat_posts[lo:hi], self._flat_ids[lo:hi]
 
     def size(self) -> int:
@@ -295,13 +223,9 @@ class ArrayStructureD(StructureD):
         self, us: Sequence[Vertex], los: Sequence[int], his: Sequence[int]
     ) -> Tuple[List[Optional[Vertex]], int]:
         """Batched min-post re-anchor probes; counts the call under
-        ``d_batch_queries`` (and an empty call, which never reaches the flat
-        arrays, under ``d_batch_query_fallbacks``) and returns
-        :meth:`search_min_post_batch`."""
+        ``d_batch_queries`` and returns :meth:`search_min_post_batch`."""
         if self._metrics is not None:
             self._metrics.inc("d_batch_queries")
-            if not len(us):
-                self._metrics.inc("d_batch_query_fallbacks")
         return self.search_min_post_batch(us, los, his)
 
     def search_min_post_batch(
@@ -319,7 +243,15 @@ class ArrayStructureD(StructureD):
         n = len(us)
         if n == 0:
             return super().search_min_post_batch(us, los, his)
-        slots, clean = self._clean_query_slots(us, n)
+        # A query's row is clean when the base tree indexes it and no overlay
+        # dirtied it; ids only an overlay inserted are not in the tree.
+        tree = self._tree
+        ti = tree.indices(us)
+        rows = self._row_of_index[ti]
+        clean = rows >= 0
+        if self._dirty:
+            # ti == -1 gathers an arbitrary post; ``clean`` is False there.
+            clean &= ~self._dirty_rows()[2][tree.as_arrays()["post"][ti]]
         out_arr = np.full(n, None, dtype=object)
         probes = 0
         all_clean = bool(clean.all())
@@ -328,11 +260,11 @@ class ArrayStructureD(StructureD):
             los_c = np.asarray(los, dtype=np.int64)
             his_c = np.asarray(his, dtype=np.int64)
             if idx is None:
-                ss = slots
+                ss = rows
             else:
                 los_c = los_c[idx]
                 his_c = his_c[idx]
-                ss = slots[idx]
+                ss = rows[idx]
             row_end = self._flat_indptr[ss + 1]
             pos = self._row_bisect_left(self._flat_indptr[ss], row_end, los_c)
             valid = (pos < row_end) & (self._flat_posts[np.minimum(pos, self._flat_total - 1)] <= his_c)
@@ -465,12 +397,12 @@ class ArrayStructureD(StructureD):
         row_post = np.arange(total, dtype=np.int64)
         row_post += np.repeat(lo_p - offsets, sizes_a)
         piece = np.repeat(np.arange(len(sizes)), sizes_a)
-        slots = self._slot_of_post[row_post]
-        rows = np.flatnonzero((slots >= 0) & (lo_a <= hi_a)[piece] & ~dirty_mask[row_post])
+        flat_rows = self._row_of_post[row_post]
+        rows = np.flatnonzero((flat_rows >= 0) & (lo_a <= hi_a)[piece] & ~dirty_mask[row_post])
         keys = np.full(total, _MISS, dtype=np.int64)
         if len(rows):
             ps = piece[rows]
-            ss = slots[rows]
+            ss = flat_rows[rows]
             lo_r = lo_a[ps]
             hi_r = hi_a[ps]
             bottom_r = bottom_a[ps].astype(bool)
@@ -484,57 +416,3 @@ class ArrayStructureD(StructureD):
             hit = inside & (got >= lo_r) & (got <= hi_r)
             keys[rows[hit]] = np.where(bottom_r[hit], got[hit], -got[hit])
         return np.minimum.reduceat(keys, offsets).tolist()
-
-    def _clean_query_slots(self, us: Sequence[Vertex], n: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-query flat slot (where resolvable) and a mask of the queries the
-        vectorized path may answer: base-indexed rows no overlay has dirtied.
-
-        With the dense int-id table from the build fast path the whole marking
-        is array ops; otherwise (object ids, recycled slots) it is one python
-        pass over the frozen dict — answers are identical either way.
-        """
-        id2slot = self._id2slot
-        if id2slot is not None:
-            us_arr: Optional[np.ndarray] = np.asarray(us)
-            # ints only — float/object dtypes would silently truncate/convert
-            if us_arr.shape != (n,) or us_arr.dtype.kind not in "iub":
-                us_arr = None
-            else:
-                us_arr = us_arr.astype(np.int64, copy=False)
-            if us_arr is not None:
-                if int(us_arr.min()) >= 0 and int(us_arr.max()) < len(id2slot):
-                    slots = id2slot[us_arr]
-                else:
-                    in_range = (us_arr >= 0) & (us_arr < len(id2slot))
-                    slots = np.where(in_range, id2slot[np.where(in_range, us_arr, 0)], -1)
-                clean = slots >= 0
-                # only rows indexed by the base tree live in the flat arrays
-                if clean.all():
-                    clean = self._post_of_slot[slots] >= 0
-                else:
-                    clean &= self._post_of_slot[np.where(clean, slots, 0)] >= 0
-                for excl in (self._dirty, self._sorted_posts):
-                    if not excl or not clean.any():
-                        continue
-                    if all(isinstance(v, int) for v in excl):
-                        # An id outside the table cannot equal a query id
-                        # that resolved through it (and may not fit int64).
-                        size = len(id2slot)
-                        ids = np.fromiter((v for v in excl if 0 <= v < size), dtype=np.int64)
-                        clean &= ~np.isin(us_arr, ids)
-                    else:  # non-int overlay ids: per-element membership
-                        for i in np.flatnonzero(clean).tolist():
-                            if us[i] in excl:
-                                clean[i] = False
-                return slots, clean
-        frozen = self._slot_of_frozen
-        dirty = self._dirty
-        overlay_rows = self._sorted_posts
-        slots = np.full(n, -1, dtype=np.int64)
-        clean = np.zeros(n, dtype=bool)
-        for i, u in enumerate(us):
-            s = frozen.get(u)
-            if s is not None and u not in dirty and u not in overlay_rows:
-                slots[i] = s
-                clean[i] = True
-        return slots, clean

@@ -125,10 +125,6 @@ class ArrayGraph(UndirectedGraph):
         """Allocated slots (peak live vertex count; freed slots are recycled)."""
         return len(self._slot_ids)
 
-    def slot_index(self) -> Dict[Vertex, int]:
-        """The live ``vertex -> slot`` mapping (treat as read-only)."""
-        return self._slot_of
-
     def ids_array(self) -> np.ndarray:
         """Object ndarray mapping slot -> vertex id (``None`` for free slots).
 

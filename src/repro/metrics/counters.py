@@ -51,7 +51,6 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "d_overlay_view_queries": "queries answered while D's base tree differs from the current tree",
     # Array backend (flat/CSR core of ArrayStructureD)
     "d_batch_queries": "batched min-postorder re-anchor calls answered by D",
-    "d_batch_query_fallbacks": "batched re-anchor calls that fell back entirely to the scalar path",
     # Query services
     "queries": "EdgeQuery objects answered by a query service",
     "query_batches": "independent query batches (one parallel round each; also: coalesced flushes of the snapshot service's batch front)",

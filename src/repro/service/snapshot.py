@@ -16,10 +16,11 @@ internal lock (steady-state reads take no lock at all), and a reader that
 performs the LCA index build reports its cost through the
 ``snapshot_build_ms`` counter rather than charging it to the writer.
 
-The ``*_batch`` methods answer whole query batches with
-:class:`~repro.tree.lca.ArrayLCAIndex` gathers and tin/tout/size array
-fancy-indexing; each scalar method answers like its batch counterpart.  Every
-query on a vertex outside the tree raises
+The ``*_batch`` methods all resolve vertex ids one way, through the tree's
+id table (:meth:`~repro.tree.dfs_tree.DFSTree.indices`), and answer whole
+query batches with :class:`~repro.tree.lca.ArrayLCAIndex` gathers and
+tin/tout/size array fancy-indexing; each scalar method answers like its
+batch counterpart.  Every query on a vertex outside the tree raises
 :class:`~repro.exceptions.VertexNotFound`.
 
 Forest semantics: a snapshot wraps a tree rooted at the virtual root, whose
@@ -37,7 +38,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence
 import numpy as np
 
 from repro.constants import is_virtual_root
-from repro.exceptions import TreeError, VertexNotFound
+from repro.exceptions import VertexNotFound
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
@@ -123,13 +124,14 @@ class TreeSnapshot:
         return data
 
     def _indices(self, vs: Sequence[Vertex]):
-        """int64 tree indices for *vs* (raises ``VertexNotFound`` on unknown
-        ids, like the scalar accessors)."""
-        idx = self.tree._idx
-        try:
-            return np.fromiter((idx[v] for v in vs), dtype=np.int64, count=len(vs))
-        except KeyError as exc:
-            raise VertexNotFound(exc.args[0]) from None
+        """int64 tree indices for *vs* through the tree's one id table
+        (:meth:`~repro.tree.dfs_tree.DFSTree.indices`); raises
+        ``VertexNotFound`` on the first id not in the tree, like the scalar
+        accessors."""
+        out = self.tree.indices(vs)
+        if len(out) and int(out.min()) < 0:
+            raise VertexNotFound(vs[int(np.argmin(out))])
+        return out
 
     # ------------------------------------------------------------------ #
     # Scalar queries
@@ -155,11 +157,8 @@ class TreeSnapshot:
     def lca(self, a: Vertex, b: Vertex) -> Optional[Vertex]:
         """Lowest common ancestor of *a* and *b*, or ``None`` when they sit in
         different components (their tree LCA is the virtual root)."""
-        try:
-            answer = self._index().lca(a, b)
-        except TreeError:
-            self._indices((a, b))  # raises VertexNotFound for the unknown id
-            raise
+        self._index()  # build (and report) the index as lca_batch does
+        answer = self.tree.lca(a, b)
         return None if is_virtual_root(answer) else answer
 
     def component(self, v: Vertex) -> Optional[Vertex]:
@@ -194,12 +193,7 @@ class TreeSnapshot:
         """LCAs of the pairs ``zip(avs, bvs)`` in one vectorized pass
         (``None`` per disconnected pair); equals the scalar :meth:`lca` answers."""
         index = self._index()
-        try:
-            li = index.lca_indices_batch(index.indices(avs), index.indices(bvs))
-        except TreeError:
-            self._indices(avs)  # raises VertexNotFound for the unknown id
-            self._indices(bvs)
-            raise
+        li = index.lca_indices_batch(self._indices(avs), self._indices(bvs))
         out = self.tree.as_arrays()["vertices"][li].tolist()
         for i in np.flatnonzero(li == self._vr_idx).tolist():
             out[i] = None

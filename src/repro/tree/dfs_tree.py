@@ -10,6 +10,12 @@ stand-in for Schieber–Vishkin in Theorems 5–6), built lazily on the first
 query that needs it and shared with every
 :class:`~repro.service.snapshot.TreeSnapshot` of the tree.
 
+:meth:`DFSTree.indices` is the one vertex-id -> tree-index table for array
+readers: the snapshots' batch queries and the array ``D``
+(:class:`~repro.core.array_structure_d.ArrayStructureD`, which finds its
+rows through its base tree) resolve ids through it, with one gather through
+a dense int table when the ids allow it.
+
 The dynamic algorithms never mutate a :class:`DFSTree`; they produce a new
 parent map and build a fresh snapshot (mirroring the paper, where the data
 structures on ``T`` are rebuilt in ``O(log n)`` parallel time after an update).
@@ -17,7 +23,8 @@ structures on ``T`` are rebuilt in ``O(log n)`` parallel time after an update).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +67,7 @@ class DFSTree:
         "_size",
         "_arrays",
         "_lca",
+        "_id_table",
     )
 
     def __init__(self, parent: ParentMap, *, root: Optional[Vertex] = None) -> None:
@@ -100,6 +108,7 @@ class DFSTree:
         self._compute_indices()
         self._arrays: Optional[Dict[str, object]] = None
         self._lca = None
+        self._id_table: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Index computation
@@ -243,6 +252,32 @@ class DFSTree:
             index = self._lca = lca_module.ArrayLCAIndex(self)
         return index
 
+    def indices(self, vs: Sequence[Vertex]) -> np.ndarray:
+        """int64 tree indices of the vertex ids *vs*, ``-1`` for an id not in
+        the tree; equal to ``[self._idx.get(v, -1) for v in vs]``.
+
+        When every id in *vs* is an int inside the tree's dense ``id ->
+        index`` table (see :func:`_dense_ids`; built on the first call and
+        kept, so every reader of the tree shares it), the answer is one
+        gather.  Anything else (object, float or out-of-table ids) takes one
+        dict look-up per id.  Two threads calling first may both build the
+        table; the tables are identical and the last one assigned is kept.
+        """
+        table = self._id_table
+        if table is None:
+            table = self._id_table = _dense_ids(self._verts, self._roots_idx)
+        n = len(vs)
+        if len(table):
+            try:
+                arr = np.asarray(vs)
+            except ValueError:  # ragged ids, e.g. the virtual-root tuple among ints
+                arr = None
+            if arr is not None and arr.shape == (n,) and arr.dtype.kind in "iub":
+                arr = arr.astype(np.int64, copy=False)
+                if not n or (int(arr.min()) >= 0 and int(arr.max()) < len(table)):
+                    return table[arr]
+        return np.fromiter(map(self._idx.get, vs, repeat(-1)), dtype=np.int64, count=n)
+
     def parent_map(self) -> Dict[Vertex, Optional[Vertex]]:
         """Return a plain parent map copy of the forest."""
         out: Dict[Vertex, Optional[Vertex]] = {}
@@ -368,3 +403,40 @@ class DFSTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DFSTree(n={len(self._verts)}, roots={self.roots()!r})"
+
+
+def _dense_ids(verts: List[Vertex], roots: List[int]) -> np.ndarray:
+    """Dense ``int id -> tree index`` table for :meth:`DFSTree.indices`
+    (``-1`` where no vertex has the id).
+
+    Empty, so that every look-up takes the dict path, unless every vertex id
+    is an int (a non-int first root, such as the virtual root, is masked
+    out), the ids fit int64, and the non-negative ones fit a table of at most
+    ``8 n + 64`` entries.  Negative ids stay out of the table, so a negative
+    query id takes the dict path too.  Bools are ints here (``hash(True) ==
+    hash(1)``); floats and other objects must not truncate into the table.
+    """
+    empty = np.empty(0, dtype=np.int64)
+    n = len(verts)
+    if not n:
+        return empty
+    ids = verts
+    if not isinstance(verts[roots[0]], int):
+        ids = list(verts)
+        ids[roots[0]] = -1
+    if not all(isinstance(v, int) for v in ids):
+        return empty
+    try:
+        arr = np.array(ids, dtype=np.int64)
+    except OverflowError:  # an id beyond int64
+        return empty
+    mask = arr >= 0
+    if not bool(mask.any()):
+        return empty
+    pos = arr[mask]
+    top = int(pos.max())
+    if top > 8 * n + 64:
+        return empty
+    table = np.full(top + 1, -1, dtype=np.int64)
+    table[pos] = np.flatnonzero(mask)
+    return table

@@ -175,6 +175,14 @@ def assert_tree_matches_oracle(tree, pairs) -> None:
                 assert tree.child_towards(w, v) == oracle.child_towards(w, v)
 
 
+def lca_through_index(tree, avs, bvs) -> list:
+    """LCAs of the pairs ``zip(avs, bvs)`` through the tree's id table and
+    its LCA index's batch query (``None`` for a pair in different trees)."""
+    li = tree.lca_index().lca_indices_batch(tree.indices(avs), tree.indices(bvs))
+    verts = tree.as_arrays()["vertices"]
+    return [None if i < 0 else verts[i] for i in li.tolist()]
+
+
 def assert_snapshot_matches_oracle(snap, avs, bvs) -> None:
     """Every ``TreeSnapshot`` query, scalar and batched, on the pairs
     ``zip(avs, bvs)`` answers what the parent-walk oracle gives (the virtual

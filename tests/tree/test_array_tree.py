@@ -1,5 +1,6 @@
-"""Array constructors for the tree layer: the index arrays and the LCA
-index's batch queries, against the parent-walk oracle."""
+"""Array constructors for the tree layer: the index arrays, the tree's one
+vertex-id table and the LCA index's batch query, against the dict and the
+parent-walk oracle."""
 
 from __future__ import annotations
 
@@ -9,13 +10,13 @@ import numpy as np
 import pytest
 
 from repro.constants import VIRTUAL_ROOT
-from repro.exceptions import TreeError
+from repro.exceptions import VertexNotFound
 from repro.graph.generators import gnp_random_graph
 from repro.graph.traversal import static_dfs_forest
+from repro.service import TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
 from repro.tree.euler import euler_tour_arrays
-from repro.tree.lca import ArrayLCAIndex
-from tests.helpers import ParentWalk
+from tests.helpers import ParentWalk, lca_through_index
 
 
 def _tree(n=30, p=0.2, seed=4):
@@ -66,16 +67,14 @@ def test_array_lca_matches_scalar_lca():
     rng = random.Random(6)
     g, tree = _tree(n=40, seed=12)
     oracle = ParentWalk(tree.parent_map())
-    arr = ArrayLCAIndex(tree)
     verts = list(g.vertices())
     pairs = [(verts[rng.randrange(len(verts))], verts[rng.randrange(len(verts))]) for _ in range(150)]
     expect = [oracle.lca(a, b) for a, b in pairs]
-    assert [arr.lca(a, b) for a, b in pairs] == expect
     assert [tree.lca(a, b) for a, b in pairs] == expect
     avs, bvs = zip(*pairs)
-    assert arr.lca_batch(list(avs), list(bvs)) == expect
+    assert lca_through_index(tree, list(avs), list(bvs)) == expect
     # int-array inputs take the dense-table fast path; same answers
-    assert arr.lca_batch(np.asarray(avs), np.asarray(bvs)) == expect
+    assert lca_through_index(tree, np.asarray(avs), np.asarray(bvs)) == expect
 
 
 def test_array_lca_batch_object_vertices_fall_back():
@@ -86,28 +85,63 @@ def test_array_lca_batch_object_vertices_fall_back():
             h.add_vertex(f"v{v}")
     tree = DFSTree(static_dfs_forest(h), root=VIRTUAL_ROOT)
     oracle = ParentWalk(tree.parent_map())
-    arr = ArrayLCAIndex(tree)
     verts = list(h.vertices())
     rng = random.Random(8)
     avs = [verts[rng.randrange(len(verts))] for _ in range(40)]
     bvs = [verts[rng.randrange(len(verts))] for _ in range(40)]
-    assert arr.lca_batch(avs, bvs) == [oracle.lca(a, b) for a, b in zip(avs, bvs)]
+    assert lca_through_index(tree, avs, bvs) == [oracle.lca(a, b) for a, b in zip(avs, bvs)]
 
 
 def test_array_lca_unknown_vertex_raises():
     _, tree = _tree(n=8, seed=1)
-    arr = ArrayLCAIndex(tree)
+    snap = TreeSnapshot(1, tree)
     some = next(iter(tree.as_arrays()["vertices"]))
-    with pytest.raises(TreeError):
-        arr.lca("ghost", some)
-    with pytest.raises(TreeError):
-        arr.lca_batch([10**9], [some])
+    with pytest.raises(VertexNotFound):
+        snap.lca("ghost", some)
+    with pytest.raises(VertexNotFound):
+        snap.lca_batch([10**9], [some])
 
 
 def test_array_lca_batch_mixed_ids_fall_back():
     # The virtual-root tuple among int ids cannot form an int array.
     g, tree = _tree(n=12, seed=3)
     oracle = ParentWalk(tree.parent_map())
-    arr = ArrayLCAIndex(tree)
     avs, bvs = [VIRTUAL_ROOT, 1, 2], [3, VIRTUAL_ROOT, 4]
-    assert arr.lca_batch(avs, bvs) == [oracle.lca(a, b) for a, b in zip(avs, bvs)]
+    assert lca_through_index(tree, avs, bvs) == [oracle.lca(a, b) for a, b in zip(avs, bvs)]
+
+
+def test_indices_equal_the_dict_on_every_kind_of_id():
+    """``DFSTree.indices`` answers ``tree._idx.get(v, -1)`` per id, whether
+    the dense table serves the ids or the dict does."""
+    _, dense = _tree(n=30, seed=4)  # int ids under the virtual-root tuple
+    trees = {
+        "dense": dense,
+        "signed": DFSTree({-3: None, -1: -3, 0: -1, 2: 0, 5: 2, 7: 5}),
+        "beyond_int64": DFSTree({0: None, 1: 0, 5: 1, 2**70: 0}),
+        "sparse": DFSTree({0: None, 5: 0, 10**6: 0}),
+        "objects": DFSTree({"a": None, "b": "a", ("t", 1): "b", 5: "a"}),
+    }
+    queries = [
+        [VIRTUAL_ROOT, 0, 5, 29],  # the virtual-root tuple among ints
+        [0, 5, 7, 2, 1],  # ints inside every table, some unknown
+        [0, 5, 7, 29, 31],  # ints, some beyond a table
+        [10**6, 10**9, 5],  # sparse ids above any table bound
+        [5.5, 5.0, 2.0],  # 5.5 is no vertex; 5.0 resolves as the dict does
+        [True, False],  # bools are the ints 1 and 0
+        [-3, -1, 0, 2],  # negative ids stay out of the table
+        [2**70, 1, 2**64 - 1],  # ids beyond int64
+        np.arange(8),  # numpy ints
+        np.arange(-2, 40),
+        np.asarray([1, 5, 2**63], dtype=np.uint64),
+        ["a", "b", ("t", 1), "zz"],  # object ids
+        [],
+    ]
+    for name, tree in trees.items():
+        for vs in queries:
+            got = tree.indices(vs)
+            assert got.dtype == np.int64
+            assert got.tolist() == [tree._idx.get(v, -1) for v in vs], (name, vs)
+    # The dense table serves int trees; the others fall back to the dict.
+    assert len(dense._id_table) and len(trees["signed"]._id_table)
+    for name in ("beyond_int64", "sparse", "objects"):
+        assert not len(trees[name]._id_table), name

@@ -8,7 +8,7 @@ import pytest
 
 import repro.tree.lca as lca_module
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
-from repro.exceptions import TreeError
+from repro.exceptions import TreeError, VertexNotFound
 from repro.graph.generators import gnp_random_graph, path_graph, random_tree
 from repro.graph.traversal import static_dfs_forest, static_dfs_tree
 from repro.pram.lca_parallel import ParallelLCA
@@ -16,7 +16,7 @@ from repro.pram.machine import PRAM
 from repro.service import TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
 from repro.tree.lca import ArrayLCAIndex
-from tests.helpers import ParentWalk, assert_tree_matches_oracle
+from tests.helpers import ParentWalk, assert_tree_matches_oracle, lca_through_index
 
 
 def _forest(seed):
@@ -56,17 +56,15 @@ def test_index_scalar_and_batch_match_oracle():
     for seed in range(3):
         tree = _forest(seed)
         oracle = ParentWalk(tree.parent_map())
-        index = tree.lca_index()
         same_tree = [(a, b) for a, b in _pairs(tree, 200, seed) if oracle.lca(a, b) is not None]
         for a, b in same_tree:
-            assert index.lca(a, b) == oracle.lca(a, b)
+            assert tree.lca(a, b) == oracle.lca(a, b)
         avs, bvs = zip(*same_tree)
-        assert index.lca_batch(list(avs), list(bvs)) == [oracle.lca(a, b) for a, b in same_tree]
+        assert lca_through_index(tree, list(avs), list(bvs)) == [oracle.lca(a, b) for a, b in same_tree]
         a, b = next((a, b) for a, b in _pairs(tree, 200, seed) if oracle.lca(a, b) is None)
         with pytest.raises(TreeError):
-            index.lca(a, b)
-        with pytest.raises(TreeError):
-            index.lca_batch([a], [b])
+            tree.lca(a, b)
+        assert lca_through_index(tree, [a], [b]) == [None]
 
 
 def test_both_indices_agree_with_tree_lca():
@@ -82,24 +80,24 @@ def test_both_indices_agree_with_tree_lca():
             a, b = rng.choice(verts), rng.choice(verts)
             expected = oracle.lca(a, b)
             assert tree.lca(a, b) == expected
-            assert tree.lca_index().lca(a, b) == expected
+            assert lca_through_index(tree, [a], [b]) == [expected]
             assert metered.lca(a, b) == expected
 
 
 def test_euler_tour_lca_on_path():
     tree = DFSTree(static_dfs_tree(path_graph(20), 0), root=0)
-    index = tree.lca_index()
-    assert index.lca(19, 5) == 5
-    assert index.lca(7, 7) == 7
-    assert index.lca_batch([19, 7, 3], [5, 7, 10]) == [5, 7, 3]
+    assert tree.lca(19, 5) == 5
+    assert tree.lca(7, 7) == 7
+    assert lca_through_index(tree, [19, 7, 3], [5, 7, 10]) == [5, 7, 3]
     assert tree.path_length(3, 10) == 7
     assert tree.level_ancestor(19, 4) == 4
 
 
 def test_euler_tour_lca_unknown_vertex_raises():
     tree = DFSTree(static_dfs_tree(random_tree(30, seed=1), 0), root=0)
-    with pytest.raises(TreeError):
-        tree.lca_index().lca(0, "nope")
+    with pytest.raises(VertexNotFound):
+        tree.lca(0, "nope")
+    assert tree.indices([0, "nope"]).tolist() == [tree._idx[0], -1]
 
 
 def test_level_ancestor_matches_oracle():
@@ -115,7 +113,7 @@ def test_level_ancestor_matches_oracle():
 def test_single_vertex_tree():
     tree = DFSTree({0: None})
     assert tree.lca(0, 0) == 0
-    assert tree.lca_index().lca(0, 0) == 0
+    assert lca_through_index(tree, [0], [0]) == [0]
     assert tree.level_ancestor(0, 0) == 0
 
 

@@ -29,8 +29,6 @@ from repro.metrics.counters import WELL_KNOWN_COUNTERS, MetricsRecorder
 ALLOWED_UNRECORDED: Dict[str, str] = {
     "heavy_r_committed": "no witness for the heavy traversal's r-walk (Scenario 3) yet; "
     "a random search finds about one per 8,000 cases (ROADMAP item 7)",
-    "d_batch_query_fallbacks": "counts only empty batched re-anchor calls, which no caller makes; "
-    "BENCH_E11.json keeps the counter",
 }
 
 
