@@ -1,22 +1,24 @@
-"""Backend selection: the dict reference core vs. the numpy array core.
+"""Backend selection: which graph store a driver keeps.
 
 Every driver accepts ``backend="dict" | "array"`` (default ``None`` = read the
 ``REPRO_BACKEND`` environment variable, falling back to ``"dict"``):
 
-* ``"dict"`` — the reference implementation: insertion-ordered dict adjacency
-  (:class:`repro.graph.graph.UndirectedGraph`) and per-vertex python lists in
-  ``D`` (:class:`repro.core.structure_d.StructureD`).
-* ``"array"`` — the flat array core: int-slot vertices with CSR edge arrays
-  (:class:`repro.graph.array_graph.ArrayGraph`) and one postorder-sorted flat
-  adjacency array in ``D``
-  (:class:`repro.core.array_structure_d.ArrayStructureD`).  It produces
-  **byte-identical** trees, query answers and probe counters — the
-  cross-driver differential harness runs every driver×policy combo on both
-  backends and compares parent maps after every update.
+* ``"dict"`` — the reference store: insertion-ordered dict adjacency
+  (:class:`repro.graph.graph.UndirectedGraph`).
+* ``"array"`` — the same adjacency plus an int-slot / CSR half-edge mirror
+  (:class:`repro.graph.array_graph.ArrayGraph`) that the vectorized
+  traversals read.
+
+Both stores feed the one structure ``D``
+(:class:`repro.core.structure_d.StructureD`) through
+:meth:`~repro.graph.graph.UndirectedGraph.half_edges`, so they produce
+**byte-identical** trees, query answers and probe counters — the
+cross-driver differential harness runs every driver×policy combo on both
+stores and compares parent maps after every update.
 
 This module is the single gate: :func:`resolve_backend` validates the knob,
-and :func:`structure_class` / :func:`native_graph` hand drivers the matching
-implementations.
+and :func:`graph_class` / :func:`native_graph` hand drivers the matching
+graph store.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Optional, Type
 from repro.graph.graph import UndirectedGraph
 
 #: Environment variable consulted when a driver is constructed with
-#: ``backend=None`` — lets CI run the whole tier-1 suite on the array core
+#: ``backend=None`` — lets CI run the whole tier-1 suite on the array store
 #: (``REPRO_BACKEND=array``) without touching a single test.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
@@ -46,17 +48,6 @@ def resolve_backend(backend: Optional[str]) -> str:
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
         )
     return backend
-
-
-def structure_class(backend: str) -> Type:
-    """The :class:`StructureD` implementation for a resolved *backend*."""
-    if backend == "array":
-        from repro.core.array_structure_d import ArrayStructureD
-
-        return ArrayStructureD
-    from repro.core.structure_d import StructureD
-
-    return StructureD
 
 
 def graph_class(backend: str) -> Type[UndirectedGraph]:

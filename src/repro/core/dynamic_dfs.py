@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backends import structure_class
 from repro.core.engine import Backend, EngineDriver, UpdateEngine
 from repro.core.overlay import (
     apply_update,
@@ -84,17 +83,10 @@ class DStructureBackend(Backend):
     supports_amortization = True
     rebuild_stage = "pre"
 
-    def __init__(
-        self,
-        graph: UndirectedGraph,
-        metrics: MetricsRecorder,
-        *,
-        structure_cls: type = StructureD,
-    ) -> None:
+    def __init__(self, graph: UndirectedGraph, metrics: MetricsRecorder) -> None:
         self.graph = graph
         self.metrics = metrics
         self.structure: Optional[StructureD] = None
-        self._structure_cls = structure_cls
         # True while the committed tree is not D's base tree (set on commit,
         # cleared when a rebuild re-bases D on the current tree).
         self._tree_moved = False
@@ -105,7 +97,7 @@ class DStructureBackend(Backend):
             self.metrics.inc("d_stale_rebuilds")
             self._tree_moved = False
         with self.metrics.timer("build_d"):
-            self.structure = self._structure_cls(self.graph, tree, metrics=self.metrics)
+            self.structure = StructureD(self.graph, tree, metrics=self.metrics)
 
     def rebuild_due(self) -> bool:
         # Rebuild D once the overlay fills the Theorem 9 budget, or once the
@@ -169,13 +161,14 @@ class FullyDynamicDFS(EngineDriver):
     Parameters
     ----------
     graph:
-        Initial graph.  It is copied into the storage core.
+        Initial graph.  It is copied into the graph store.
     backend:
-        Storage core: ``"dict"`` (the reference implementation, default) or
-        ``"array"`` (numpy flat/CSR core — same results byte for byte, built
-        for large graphs; the input graph is converted to an
-        :class:`~repro.graph.array_graph.ArrayGraph`).  ``None`` reads the
-        ``REPRO_BACKEND`` environment variable, falling back to ``"dict"``.
+        Graph store: ``"dict"`` (the reference store, default) or ``"array"``
+        (the input graph is converted to an
+        :class:`~repro.graph.array_graph.ArrayGraph`, whose half-edge mirror
+        speeds up the traversals — same results byte for byte).  Both build
+        the same ``D``.  ``None`` reads the ``REPRO_BACKEND`` environment
+        variable, falling back to ``"dict"``.
     engine:
         ``"parallel"`` (the paper's algorithm) or ``"sequential"`` (the Baswana
         et al. baseline).
@@ -226,9 +219,7 @@ class FullyDynamicDFS(EngineDriver):
             raise ValueError(f"unknown service {service!r}")
         tree = self._start(graph, backend, metrics, "dynamic_dfs")
         if service == "d":
-            self._backend = DStructureBackend(
-                self._graph, self.metrics, structure_cls=structure_class(self._backend_name)
-            )
+            self._backend = DStructureBackend(self._graph, self.metrics)
         else:
             self._backend = BruteBackend(self._graph, self.metrics)
         self._engine = UpdateEngine(

@@ -237,14 +237,6 @@ class UpdateEngine:
         """The configured rebuild period (``None`` = auto-tuned)."""
         return self._rebuild_every
 
-    @property
-    def storage_backend(self) -> str:
-        """Storage core of the backend's live graph: ``"array"`` when the flat
-        CSR mirror is present (:class:`repro.graph.array_graph.ArrayGraph`),
-        ``"dict"`` otherwise.  Purely observational — the pipeline is
-        backend-agnostic and both cores maintain byte-identical trees."""
-        return "array" if getattr(self.backend.graph, "is_array_backend", False) else "dict"
-
     def parent_map(self, *, include_virtual_root: bool = True) -> Dict[Vertex, Optional[Vertex]]:
         """Parent map of the maintained DFS forest."""
         parent = self._tree.parent_map()
@@ -449,7 +441,7 @@ class EngineDriver:
     :class:`UpdateEngine`: the update API, the commit-listener API and read
     access.
 
-    A subclass checks its knobs, calls :meth:`_start` (storage core, graph
+    A subclass checks its knobs, calls :meth:`_start` (graph store, graph
     copy, initial DFS), then sets ``_backend`` to its :class:`Backend` and
     ``_engine`` to the :class:`UpdateEngine` over it.  Every update method
     makes exactly one call into the engine.
@@ -465,7 +457,7 @@ class EngineDriver:
         metrics: Optional[MetricsRecorder],
         name: str,
     ) -> DFSTree:
-        """Resolve the storage core, copy *graph* into it and run the initial
+        """Resolve the graph store, copy *graph* into it and run the initial
         static DFS (timed as ``initial_dfs``); returns the tree rooted at the
         virtual root."""
         self._backend_name = resolve_backend(backend)
@@ -495,7 +487,7 @@ class EngineDriver:
 
     @property
     def backend(self) -> str:
-        """The resolved storage backend name (``"dict"`` or ``"array"``)."""
+        """The resolved graph store name (``"dict"`` or ``"array"``)."""
         return self._backend_name
 
     @property

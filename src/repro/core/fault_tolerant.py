@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence, Tuple
 
-from repro.backends import native_graph, resolve_backend, structure_class
+from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT
 from repro.core.engine import Backend, UpdateEngine
 from repro.core.overlay import apply_update
@@ -82,9 +82,10 @@ class FaultTolerantDFS:
     graph:
         The graph to preprocess (copied).
     backend:
-        Storage core: ``"dict"`` (default), ``"array"`` (numpy flat/CSR core,
-        byte-identical answers) or ``None`` to read the ``REPRO_BACKEND``
-        environment variable.
+        Graph store: ``"dict"`` (default), ``"array"``
+        (:class:`~repro.graph.array_graph.ArrayGraph`, byte-identical
+        answers) or ``None`` to read the ``REPRO_BACKEND`` environment
+        variable.  Both build the same ``D``.
     validate:
         Check every produced tree with the DFS validator (tests enable this).
     metrics:
@@ -118,14 +119,12 @@ class FaultTolerantDFS:
         with self.metrics.timer("preprocess"):
             parent = static_dfs_forest(self._graph0)
             self._tree0 = DFSTree(parent, root=VIRTUAL_ROOT)
-            self._structure = structure_class(self._backend_name)(
-                self._graph0, self._tree0, metrics=self.metrics
-            )
+            self._structure = StructureD(self._graph0, self._tree0, metrics=self.metrics)
 
     # ------------------------------------------------------------------ #
     @property
     def backend(self) -> str:
-        """The resolved storage backend name (``"dict"`` or ``"array"``)."""
+        """The resolved graph store name (``"dict"`` or ``"array"``)."""
         return self._backend_name
 
     @property

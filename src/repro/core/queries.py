@@ -259,10 +259,9 @@ class DQueryService(QueryService):
     against one shared target, so a round pays that target once, not once per
     piece.  The round's subtree pieces of ``D``'s base tree — nearly all of
     its queries — go to ``D`` together, one segment layer at a time
-    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`), and one
-    batched re-anchor fixes their source endpoints; the array core answers
-    each layer with one vectorized search, the dict core loops the scalar
-    one.  Every other query is answered on its own.  The round's counters
+    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`, one
+    vectorized search per layer), and one batched re-anchor fixes their
+    source endpoints.  Every other query is answered on its own.  The round's counters
     are summed as it runs and recorded once, with the totals and maxima that
     counting query by query would give.
 
@@ -531,7 +530,7 @@ class DQueryService(QueryService):
         Nothing in the library calls it: :meth:`answer_batch` re-anchors its
         subtree pieces through the uncounted core of that method.  Probes are
         counted once per batch under ``d_reanchor_probes`` (``max(total
-        probes, 1)``); answers are backend-independent.
+        probes, 1)``); answers do not depend on the graph store.
         """
         us: List[Vertex] = []
         los: List[int] = []

@@ -782,10 +782,11 @@ class DistributedDynamicDFS(EngineDriver):
     Parameters
     ----------
     backend:
-        Storage core of the node-local graph copy: ``"dict"`` (default),
-        ``"array"`` (numpy flat/CSR core — accelerates the BFS floods and the
-        initial DFS, byte-identical trees) or ``None`` to read the
-        ``REPRO_BACKEND`` environment variable.
+        Graph store of the node-local graph copy: ``"dict"`` (default),
+        ``"array"`` (:class:`~repro.graph.array_graph.ArrayGraph`, whose
+        half-edge mirror accelerates the BFS floods and the initial DFS;
+        byte-identical trees) or ``None`` to read the ``REPRO_BACKEND``
+        environment variable.
     rebuild_every:
         ``1`` (default) — rebuild the broadcast tree and re-disseminate the
         forest summary on every update.  ``k > 1`` / ``None`` — reuse the

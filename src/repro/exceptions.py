@@ -67,6 +67,15 @@ class UpdateError(ReproError):
     """Raised for malformed dynamic updates (e.g. deleting a missing edge)."""
 
 
+class WorkerDied(ReproError):
+    """Raised when a shard worker process can no longer be reached: its pipe
+    broke or closed, so the worker is dead or exiting."""
+
+    def __init__(self, worker_id: object) -> None:
+        super().__init__(f"shard worker {worker_id!r} is unreachable (its process died)")
+        self.worker_id = worker_id
+
+
 class StreamingError(ReproError):
     """Raised for misuse of the semi-streaming environment."""
 

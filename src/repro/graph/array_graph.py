@@ -18,9 +18,8 @@ Because half-edges are appended in exactly the order the dict adjacency
 inserts them (and a deletion + re-insertion moves the entry to the end of the
 row in both representations), the CSR rows reproduce the dict's per-vertex
 iteration order byte-for-byte — the property the vectorized BFS/DFS floods in
-:mod:`repro.graph.traversal` and the flat ``D`` in
-:mod:`repro.core.array_structure_d` rely on to stay differentially identical
-to the dict backend.
+:mod:`repro.graph.traversal` rely on to stay differentially identical to the
+dict backend.
 """
 
 from __future__ import annotations
@@ -197,6 +196,14 @@ class ArrayGraph(UndirectedGraph):
             self._edst[: self._elen],
             self._ealive[: self._elen],
         )
+
+    def half_edges(self) -> Tuple[List[object], np.ndarray, np.ndarray]:
+        """``(ids, src, dst)`` as :meth:`UndirectedGraph.half_edges
+        <repro.graph.graph.UndirectedGraph.half_edges>`, read off the mirror:
+        ``ids`` is the slot table (a free slot holds a placeholder) and
+        ``src``/``dst`` are the alive half-edges' slots."""
+        src, dst, alive = self.edge_arrays()
+        return self._slot_ids, src[alive], dst[alive]
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR snapshot ``(indptr, indices)`` over slots (cached until mutated).

@@ -8,7 +8,10 @@ that traversals are deterministic, while membership tests stay O(1).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import (
     DuplicateEdge,
@@ -234,6 +237,24 @@ class UndirectedGraph:
     def adjacency(self) -> Dict[Vertex, List[Vertex]]:
         """Return a plain ``dict`` copy of the adjacency lists."""
         return {v: list(nbrs) for v, nbrs in self._adj.items()}
+
+    def half_edges(self) -> Tuple[Sequence[Vertex], np.ndarray, np.ndarray]:
+        """Every edge as two directed half-edges, for bulk readers such as
+        the structure ``D``'s build.
+
+        Returns ``(ids, src, dst)``: half-edge ``i`` runs from ``ids[src[i]]``
+        to ``ids[dst[i]]`` (``src`` and ``dst`` are int64 arrays).  Every
+        vertex appears in ``ids`` at least once; an id may repeat, and
+        ``ids`` may hold placeholders that name no vertex.  Here ``ids`` is
+        one flatten of the adjacency: the vertices, then every row's
+        neighbours.
+        """
+        adj = self._adj
+        n = len(adj)
+        ids = list(chain(adj, chain.from_iterable(adj.values())))
+        degrees = np.fromiter(map(len, adj.values()), dtype=np.int64, count=n)
+        src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+        return ids, src, np.arange(n, len(ids), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Equality (structural)

@@ -49,7 +49,7 @@ WELL_KNOWN_COUNTERS: Dict[str, str] = {
     "max_d_target_segments_per_query": "largest segment decomposition one query needed",
     "d_reanchor_probes": "adjacency entries touched while re-anchoring canonical source endpoints",
     "d_overlay_view_queries": "queries answered while D's base tree differs from the current tree",
-    # Array backend (flat/CSR core of ArrayStructureD)
+    # Batched reads of D
     "d_batch_queries": "batched min-postorder re-anchor calls answered by D",
     # Query services
     "queries": "EdgeQuery objects answered by a query service",

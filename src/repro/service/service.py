@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.metrics.counters import MetricsRecorder
-from repro.service.snapshot import TreeSnapshot
+from repro.service.snapshot import TreeSnapshot, check_pair_lengths
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
@@ -222,6 +222,7 @@ class DFSTreeService:
         Pass *snapshot* to answer against a pinned version (staleness is
         accounted against the writer's ``committed_version`` either way)."""
         snap = self._pin(snapshot)
+        check_pair_lengths(avs, bvs)
         self._note_batch(len(avs), snap)
         return snap.lca_batch(avs, bvs), snap.version
 
@@ -234,6 +235,7 @@ class DFSTreeService:
     ) -> Tuple[List[bool], int]:
         """Batched connectivity; returns ``(answers, version)``."""
         snap = self._pin(snapshot)
+        check_pair_lengths(avs, bvs)
         self._note_batch(len(avs), snap)
         return snap.connected_batch(avs, bvs), snap.version
 
@@ -246,6 +248,7 @@ class DFSTreeService:
     ) -> Tuple[List[bool], int]:
         """Batched ancestor tests; returns ``(answers, version)``."""
         snap = self._pin(snapshot)
+        check_pair_lengths(avs, bvs)
         self._note_batch(len(avs), snap)
         return snap.is_ancestor_batch(avs, bvs), snap.version
 
@@ -269,6 +272,7 @@ class DFSTreeService:
     ) -> Tuple[List[Optional[int]], int]:
         """Batched tree-path lengths; returns ``(answers, version)``."""
         snap = self._pin(snapshot)
+        check_pair_lengths(avs, bvs)
         self._note_batch(len(avs), snap)
         return snap.path_length_batch(avs, bvs), snap.version
 

@@ -46,6 +46,14 @@ Vertex = Hashable
 __all__ = ["TreeSnapshot"]
 
 
+def check_pair_lengths(avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> None:
+    """Raise ``ValueError`` unless *avs* and *bvs* have equal lengths: a
+    pairwise batch answers the pairs ``zip(avs, bvs)``, and numpy would
+    otherwise broadcast a one-element side across the other."""
+    if len(avs) != len(bvs):
+        raise ValueError(f"a pairwise batch needs equal-length inputs, got {len(avs)} and {len(bvs)}")
+
+
 class TreeSnapshot:
     """One immutable, versioned, queryable view of a committed DFS forest.
 
@@ -133,6 +141,12 @@ class TreeSnapshot:
             raise VertexNotFound(vs[int(np.argmin(out))])
         return out
 
+    def _pair_indices(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]):
+        """:meth:`_indices` of both sides of a pairwise batch, after
+        :func:`check_pair_lengths`."""
+        check_pair_lengths(avs, bvs)
+        return self._indices(avs), self._indices(bvs)
+
     # ------------------------------------------------------------------ #
     # Scalar queries
     # ------------------------------------------------------------------ #
@@ -193,7 +207,7 @@ class TreeSnapshot:
         """LCAs of the pairs ``zip(avs, bvs)`` in one vectorized pass
         (``None`` per disconnected pair); equals the scalar :meth:`lca` answers."""
         index = self._index()
-        li = index.lca_indices_batch(self._indices(avs), self._indices(bvs))
+        li = index.lca_indices_batch(*self._pair_indices(avs, bvs))
         out = self.tree.as_arrays()["vertices"][li].tolist()
         for i in np.flatnonzero(li == self._vr_idx).tolist():
             out[i] = None
@@ -201,9 +215,8 @@ class TreeSnapshot:
 
     def is_ancestor_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[bool]:
         """Batched :meth:`is_ancestor` over the pairs ``zip(avs, bvs)``."""
+        ia, ib = self._pair_indices(avs, bvs)
         arrs = self.tree.as_arrays()
-        ia = self._indices(avs)
-        ib = self._indices(bvs)
         tin, tout = arrs["tin"], arrs["tout"]
         return ((tin[ia] <= tin[ib]) & (tout[ib] <= tout[ia])).tolist()
 
@@ -228,11 +241,11 @@ class TreeSnapshot:
 
     def connected_batch(self, avs: Sequence[Vertex], bvs: Sequence[Vertex]) -> List[bool]:
         """Batched :meth:`connected` over the pairs ``zip(avs, bvs)``."""
-        arrs = self.tree.as_arrays()
+        ia, ib = self._pair_indices(avs, bvs)
         root_tins, roots = self._components()
-        tin = arrs["tin"]
-        pa = np.searchsorted(root_tins, tin[self._indices(avs)], side="right") - 1
-        pb = np.searchsorted(root_tins, tin[self._indices(bvs)], side="right") - 1
+        tin = self.tree.as_arrays()["tin"]
+        pa = np.searchsorted(root_tins, tin[ia], side="right") - 1
+        pb = np.searchsorted(root_tins, tin[ib], side="right") - 1
         return ((pa == pb) & (pa >= 0)).tolist()
 
     def path_length_batch(
@@ -241,8 +254,7 @@ class TreeSnapshot:
         """Batched :meth:`path_length` over the pairs ``zip(avs, bvs)``
         (``None`` per disconnected pair)."""
         index = self._index()
-        ia = self._indices(avs)
-        ib = self._indices(bvs)
+        ia, ib = self._pair_indices(avs, bvs)
         li = index.lca_indices_batch(ia, ib)
         level = self.tree.as_arrays()["level"]
         out = (level[ia] + level[ib] - 2 * level[li]).tolist()

@@ -33,6 +33,7 @@ import multiprocessing
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.updates import Update
+from repro.exceptions import WorkerDied
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import WELL_KNOWN_COUNTERS, MetricsRecorder
 from repro.shard.placement import HashRing, shard_of_tenant
@@ -124,10 +125,16 @@ class _ProcessWorker:
         child_conn.close()
 
     def send(self, command: str, args: tuple) -> None:
-        self._conn.send((command, args))
+        try:
+            self._conn.send((command, args))
+        except OSError as exc:  # BrokenPipeError: no process reads the pipe
+            raise WorkerDied(self.worker_id) from exc
 
     def recv(self):
-        status, payload = self._conn.recv()
+        try:
+            status, payload = self._conn.recv()
+        except (EOFError, OSError) as exc:  # the process closed the pipe
+            raise WorkerDied(self.worker_id) from exc
         if status == "err":
             raise payload
         return payload
@@ -139,7 +146,7 @@ class _ProcessWorker:
     def shutdown(self) -> None:
         try:
             self.request("shutdown")
-        except (EOFError, OSError, BrokenPipeError):
+        except WorkerDied:
             pass
         self._conn.close()
         self._process.join(timeout=5)
@@ -301,12 +308,21 @@ class ShardRouter:
             by_worker.setdefault(self.worker_of_tenant(tenant_id), []).append(
                 (tenant_id, updates)
             )
-        # Send everything first, then collect: process workers overlap.
-        for worker_id, worker_items in by_worker.items():
-            self._handle(worker_id).send("apply_many", (worker_items,))
-        versions: Dict[TenantId, int] = {}
+        # Send everything first, then collect: process workers overlap.  A
+        # worker whose send failed has no reply to read; every other one's
+        # reply is read before the first error is raised, so no stale reply
+        # is left in a live worker's pipe.
         errors: List[Exception] = []
+        sent = []
         for worker_id, worker_items in by_worker.items():
+            try:
+                self._handle(worker_id).send("apply_many", (worker_items,))
+            except WorkerDied as exc:
+                errors.append(exc)
+            else:
+                sent.append(worker_id)
+        versions: Dict[TenantId, int] = {}
+        for worker_id in sent:
             try:
                 versions.update(self._handle(worker_id).recv())
             except Exception as exc:  # re-raised after the drain so pipes stay in sync  # repro-lint: disable=except-swallow

@@ -79,7 +79,7 @@ class ShardWorker:
     worker_id:
         Stable id of this worker in the fleet (used in recorder names).
     backend:
-        Storage backend forwarded to every tenant driver (``"dict"`` /
+        Graph store forwarded to every tenant driver (``"dict"`` /
         ``"array"`` / ``None`` = resolve ``REPRO_BACKEND`` then ``"dict"``).
     driver_options:
         Extra keyword arguments for every tenant's
@@ -190,9 +190,11 @@ class ShardWorker:
         except KeyError:
             raise ValueError(f"unknown query kind {kind!r}; choose from {sorted(QUERY_KINDS)}") from None
         method = getattr(record.service, method_name)
-        if pairwise:
-            return method(avs, bvs if bvs is not None else [])
-        return method(avs)
+        if not pairwise:
+            return method(avs)
+        if bvs is None:
+            raise ValueError(f"query kind {kind!r} answers pairs and needs bvs")
+        return method(avs, bvs)
 
     def publish_now(self, tenant_id: TenantId) -> int:
         """Force-publish the tenant's current tree (no-op when already at the

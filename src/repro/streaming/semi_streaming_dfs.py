@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Set
 
-from repro.backends import graph_class, structure_class
+from repro.backends import graph_class
 from repro.core.engine import Backend, EngineDriver, UpdateEngine
 from repro.core.overlay import (
     apply_update,
@@ -182,14 +182,12 @@ class StreamSnapshotBackend(_StreamBackendBase):
         metrics: MetricsRecorder,
         *,
         graph_cls: type = UndirectedGraph,
-        structure_cls: type = StructureD,
     ) -> None:
         super().__init__(graph, stream, vertices, metrics)
         self.structure: Optional[StructureD] = None
-        # Snapshot representation: the array backend materialises each stream
-        # pass straight into an ArrayGraph/ArrayStructureD pair.
+        # Snapshot graph store: the array backend materialises each stream
+        # pass straight into an ArrayGraph.
         self._graph_cls = graph_cls
-        self._structure_cls = structure_cls
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:
         self.metrics.inc("d_rebuilds")
@@ -197,7 +195,7 @@ class StreamSnapshotBackend(_StreamBackendBase):
             # One pass materialises the edge set; StructureD sorts it by the
             # current tree's post-order numbers (Theorem 8 on a snapshot).
             snapshot = self._graph_cls(vertices=list(self.vertices), edges=self.stream.pass_over())
-            self.structure = self._structure_cls(snapshot, tree, metrics=self.metrics)
+            self.structure = StructureD(snapshot, tree, metrics=self.metrics)
 
     def rebuild_due(self) -> bool:
         # One snapshot pass per refresh amortizes against the per-query
@@ -261,11 +259,12 @@ class SemiStreamingDynamicDFS(EngineDriver):
         (``None`` auto-tunes on the overlay budget), zero passes in between,
         ``O(m)`` local memory.  Both policies maintain identical trees.
     backend:
-        Storage core for the reference graph and (in the amortized hybrid)
-        the stream snapshots: ``"dict"`` (default), ``"array"`` (numpy
-        flat/CSR core, byte-identical trees) or ``None`` to read
-        ``REPRO_BACKEND``.  The classic ``rebuild_every=1`` algorithm keeps
-        no snapshot, so there the knob only accelerates the initial DFS.
+        Graph store for the reference graph and (in the amortized hybrid)
+        the stream snapshots: ``"dict"`` (default), ``"array"``
+        (:class:`~repro.graph.array_graph.ArrayGraph`, byte-identical trees)
+        or ``None`` to read ``REPRO_BACKEND``.  The classic
+        ``rebuild_every=1`` algorithm keeps no snapshot, so there the knob
+        only accelerates the initial DFS.
     """
 
     def __init__(
@@ -292,7 +291,6 @@ class SemiStreamingDynamicDFS(EngineDriver):
                 self._vertices,
                 self.metrics,
                 graph_cls=graph_class(self._backend_name),
-                structure_cls=structure_class(self._backend_name),
             )
         self._engine = UpdateEngine(
             self._backend,

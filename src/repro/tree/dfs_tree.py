@@ -11,10 +11,10 @@ query that needs it and shared with every
 :class:`~repro.service.snapshot.TreeSnapshot` of the tree.
 
 :meth:`DFSTree.indices` is the one vertex-id -> tree-index table for array
-readers: the snapshots' batch queries and the array ``D``
-(:class:`~repro.core.array_structure_d.ArrayStructureD`, which finds its
-rows through its base tree) resolve ids through it, with one gather through
-a dense int table when the ids allow it.
+readers: the snapshots' batch queries and the structure ``D``
+(:class:`~repro.core.structure_d.StructureD`, whose build and batched reads
+find its rows through its base tree) resolve ids through it, with one gather
+through a dense int table when the ids allow it.
 
 The dynamic algorithms never mutate a :class:`DFSTree`; they produce a new
 parent map and build a fresh snapshot (mirroring the paper, where the data

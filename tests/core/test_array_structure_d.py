@@ -1,9 +1,13 @@
-"""ArrayStructureD: the flat postorder-sorted core behind ``backend="array"``.
+"""The flat postorder-sorted ``D`` on both graph stores.
 
-Everything here is differential against the dict reference ``StructureD`` —
-identical rows, identical query answers, identical probe counters — plus the
-array-only machinery: the batched re-anchor path, the row-batched subtree
-search of a query round, and their scalar fallbacks for overlay-dirtied rows.
+``StructureD`` builds its rows from either graph store's half-edges; the two
+builds are identical, row for row.  Its batched reads — the row-batched
+subtree search of a query round and the batched re-anchor — are checked
+against their scalar-loop references in ``tests.helpers`` (answers and
+probes), before and after overlays of every kind, with calls that mix
+overlay-dirtied rows (the scalar fallback) and clean ones.  Query rounds are
+checked against the brute-force oracle, and their counters against a service
+over the scalar-loop references.
 """
 
 from __future__ import annotations
@@ -11,13 +15,11 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import pytest
 
 from repro.constants import VIRTUAL_ROOT
-from repro.core.array_structure_d import ArrayStructureD
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.overlay import apply_update
-from repro.core.queries import DQueryService, EdgeQuery
+from repro.core.queries import BruteForceQueryService, DQueryService, EdgeQuery
 from repro.core.structure_d import StructureD
 from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
 from repro.graph.array_graph import ArrayGraph
@@ -26,9 +28,15 @@ from repro.graph.traversal import static_dfs_forest, static_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.service import TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
-from tests.helpers import assert_snapshot_matches_oracle
+from tests.helpers import (
+    ScalarLoopD,
+    assert_snapshot_matches_oracle,
+    min_post_batch_reference,
+    search_subtrees_reference,
+)
 
-#: The counters a query round records; both cores must agree on each.
+#: The counters a query round records; the vectorized reads and the scalar
+#: loops must agree on each.
 ROUND_COUNTERS = ("queries", "d_vertex_queries", "d_probes", "d_target_segments", "d_reanchor_probes")
 
 
@@ -44,26 +52,31 @@ def _interval(tree, root):
     return hi - tree.subtree_size(root) + 1, hi
 
 
-def _overlay_every_kind(rng, g, structures, new_id):
-    """Record the same overlays on every structure: an edge insertion, an
-    edge deletion, a vertex insertion (id *new_id*), a vertex deletion and a
-    re-used id (a base vertex deleted, then inserted again with new edges)."""
+def _overlay_every_kind(rng, pairs, new_id):
+    """Apply the same updates to every ``(graph, D)`` pair, recording them as
+    overlays: an edge insertion, an edge deletion, a vertex insertion (id
+    *new_id*), a vertex deletion and a re-used id (a base vertex deleted,
+    then inserted again with new edges)."""
+    g = pairs[0][0]
     verts = list(g.vertices())
     edges = list(g.edges())
     u, v = rng.sample(verts, 2)
     gone, reused = rng.sample(verts, 2)
     new_nbrs = rng.sample(verts, min(3, len(verts)))
-    reused_nbrs = [w for w in rng.sample(verts, min(3, len(verts))) if w != reused]
+    reused_nbrs = [w for w in rng.sample(verts, min(3, len(verts))) if w not in (reused, gone)]
     deleted = rng.choice(edges) if edges else None
-    for d in structures:
-        if not g.has_edge(u, v):
-            d.note_edge_inserted(u, v)
-        if deleted is not None:
-            d.note_edge_deleted(*deleted)
-        d.note_vertex_inserted(new_id, new_nbrs)
-        d.note_vertex_deleted(gone)
-        d.note_vertex_deleted(reused)
-        d.note_vertex_inserted(reused, reused_nbrs)
+    updates = [EdgeInsertion(u, v)] if not g.has_edge(u, v) else []
+    if deleted is not None:
+        updates.append(EdgeDeletion(*deleted))
+    updates += [
+        VertexInsertion(new_id, new_nbrs),
+        VertexDeletion(gone),
+        VertexDeletion(reused),
+        VertexInsertion(reused, reused_nbrs),
+    ]
+    for graph, d in pairs:
+        for update in updates:
+            apply_update(graph, update, d)
 
 
 def _random_layer(rng, tree, k):
@@ -84,9 +97,9 @@ def _random_layer(rng, tree, k):
     return roots, segments
 
 
-def _mixes_dirty_and_clean(tree, da, roots):
+def _mixes_dirty_and_clean(tree, d, roots):
     rows = [u for r in roots for u in tree.subtree_vertices(r) if u != tree.root]
-    dirty = sum(u in da._dirty for u in rows)
+    dirty = sum(u in d._dirty for u in rows)
     return 0 < dirty < len(rows)
 
 
@@ -109,82 +122,143 @@ def _composite_queries(rng, tree, count):
     return queries
 
 
-def _same_rounds(dd, da, queries):
-    """Both cores answer the batch alike and record the same round counters."""
-    md, ma = MetricsRecorder(), MetricsRecorder()
-    expect = DQueryService(dd, metrics=md).answer_batch(queries)
-    assert DQueryService(da, metrics=ma).answer_batch(queries) == expect
+def _same_rounds(d, ref, graph, queries):
+    """A service over *d* answers the batch as the brute-force oracle on
+    *graph* does, and records the round counters a service over the
+    scalar-loop references (*ref*, a ``ScalarLoopD`` with the same
+    overlays) records."""
+    m, mr = MetricsRecorder(), MetricsRecorder()
+    answers = DQueryService(d, metrics=m).answer_batch(queries)
+    assert answers == BruteForceQueryService(graph, d.base_tree).answer_batch(queries)
+    assert DQueryService(ref, metrics=mr).answer_batch(queries) == answers
     for key in ROUND_COUNTERS:
-        assert ma[key] == md[key], key
-    return expect
+        assert m[key] == mr[key], key
+    return answers
+
+
+def _brute_min_post(graph, tree, u, lo, hi):
+    """The neighbour of *u* in *graph* with the smallest base-tree post-order
+    number in ``[lo, hi]`` (``None`` when there is none)."""
+    if not graph.has_vertex(u):
+        return None
+    inside = [(tree.postorder(w), w) for w in graph.neighbors(u) if w in tree]
+    inside = [(p, w) for p, w in inside if lo <= p <= hi]
+    return min(inside)[1] if inside else None
+
+
+def _rows_from_graph(graph, tree):
+    """Every graph vertex's row, from the graph: its neighbours sorted by
+    base-tree post-order, as ``(posts, neighbours)``."""
+    rows = {}
+    for v in graph.vertices():
+        nbrs = sorted((w for w in graph.neighbors(v) if w in tree), key=tree.postorder)
+        rows[v] = ([tree.postorder(w) for w in nbrs], nbrs)
+    return rows
+
+
+def _assert_same_rows(d1, d2, vertices):
+    for v in vertices:
+        row1, row2 = d1._row(v), d2._row(v)
+        assert (row1 is None) == (row2 is None), v
+        if row1 is not None:
+            assert (list(row1[0]), list(row1[1])) == (list(row2[0]), list(row2[1])), v
 
 
 def test_build_matches_dict_reference_exactly():
+    """On either graph store, every row is the vertex's neighbours sorted by
+    base-tree post-order, and the build charges one unit per entry (at least
+    one per vertex)."""
     g, ag, tree = _pair()
-    md, ma = MetricsRecorder(), MetricsRecorder()
-    dd = StructureD(g, tree, metrics=md)
-    da = ArrayStructureD(ag, tree, metrics=ma)
-    assert da.size() == dd.size()
-    assert ma["d_build_work"] == md["d_build_work"]
-    for v in g.vertices():
-        row_d = dd._row(v)
-        row_a = da._row(v)
-        if row_d is None:
-            assert row_a is None, v
-        else:
-            assert list(row_a[0]) == list(row_d[0]), v  # postorders
-            assert list(row_a[1]) == list(row_d[1]), v  # neighbour ids
+    expect = _rows_from_graph(g, tree)
+    work = sum(max(len(posts), 1) for posts, _ in expect.values())
+    for graph in (g, ag):
+        metrics = MetricsRecorder()
+        d = StructureD(graph, tree, metrics=metrics)
+        assert d.size() == 2 * g.num_edges
+        assert metrics["d_build_work"] == work
+        for v, row in expect.items():
+            assert d._row(v) == row, v
 
 
 def test_scalar_queries_identical_with_and_without_overlays():
+    """The scalar re-anchor answers what the graph gives, before and after
+    vertex deletions dirty some rows."""
     rng = random.Random(9)
     g, ag, tree = _pair(seed=11)
-    dd = StructureD(g, tree)
-    da = ArrayStructureD(ag, tree)
+    d = StructureD(ag, tree)
     verts = list(g.vertices())
     for round_ in range(3):
         for _ in range(80):
             u = verts[rng.randrange(len(verts))]
             lo, hi = _interval(tree, verts[rng.randrange(len(verts))])
-            assert da.min_post_alive_neighbor(u, lo, hi) == dd.min_post_alive_neighbor(u, lo, hi)
+            assert d.min_post_alive_neighbor(u, lo, hi)[0] == _brute_min_post(ag, tree, u, lo, hi)
         # dirty some rows between rounds; answers must keep matching
-        for v in rng.sample(verts, 3):
-            dd.note_vertex_deleted(v)
-            da.note_vertex_deleted(v)
+        for v in rng.sample([v for v in verts if ag.has_vertex(v)], 3):
+            apply_update(ag, VertexDeletion(v), d)
 
 
 def test_batch_reanchor_identical_and_counts_fallbacks():
     rng = random.Random(21)
     g, ag, tree = _pair(n=40, seed=5)
-    dd = StructureD(g, tree)
-    ma = MetricsRecorder()
-    da = ArrayStructureD(ag, tree, metrics=ma)
+    metrics = MetricsRecorder()
+    d = StructureD(ag, tree, metrics=metrics)
     verts = list(g.vertices())
     for v in rng.sample(verts, 4):
-        dd.note_vertex_deleted(v)
-        da.note_vertex_deleted(v)
+        d.note_vertex_deleted(v)
     us, los, his = [], [], []
     for _ in range(200):
         us.append(verts[rng.randrange(len(verts))])
         lo, hi = _interval(tree, verts[rng.randrange(len(verts))])
         los.append(lo)
         his.append(hi)
-    expect = StructureD.min_post_alive_neighbor_batch(dd, us, los, his)
-    got_lists = da.min_post_alive_neighbor_batch(us, los, his)
-    got_arrays = da.min_post_alive_neighbor_batch(
+    expect = min_post_batch_reference(d, us, los, his)
+    got_lists = d.min_post_alive_neighbor_batch(us, los, his)
+    got_arrays = d.min_post_alive_neighbor_batch(
         us, np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
     )
     assert got_lists == expect  # answers AND probe count
     assert got_arrays == expect
-    assert ma["d_batch_queries"] == 2
+    assert metrics["d_batch_queries"] == 2
 
 
-def test_requires_an_array_graph():
-    """The flat build reads an ``ArrayGraph``'s half-edge arrays; any other
-    graph is rejected instead of silently taking a per-vertex build."""
-    g, _, tree = _pair()
-    with pytest.raises(TypeError, match="ArrayGraph"):
-        ArrayStructureD(g, tree)
+def test_both_graph_stores_build_the_same_d():
+    """``D`` on an ``UndirectedGraph`` and on its ``ArrayGraph`` copy: the
+    same rows, size and build work, and — under overlays of every kind —
+    the same answers and probes from the scalar queries, ``search_subtrees``
+    and the batched re-anchor."""
+    rng = random.Random(13)
+    for trial in range(6):
+        g, ag, tree = _pair(n=30, p=0.15, seed=trial)
+        md, ma = MetricsRecorder(), MetricsRecorder()
+        dd, da = StructureD(g, tree, metrics=md), StructureD(ag, tree, metrics=ma)
+        assert da.size() == dd.size()
+        assert ma["d_build_work"] == md["d_build_work"]
+        verts = list(g.vertices())
+        _assert_same_rows(dd, da, verts)
+        for overlaid in (False, True):
+            if overlaid:
+                _overlay_every_kind(rng, [(g, dd), (ag, da)], 100 + trial)
+                _assert_same_rows(dd, da, [*verts, 100 + trial])
+                assert da.size() == dd.size()
+            us, los, his = [], [], []
+            for _ in range(60):
+                us.append(rng.choice(verts))
+                lo, hi = _interval(tree, rng.choice(verts))
+                los.append(lo)
+                his.append(hi)
+            for u, lo, hi in zip(us, los, his):
+                assert da.min_post_alive_neighbor(u, lo, hi) == dd.min_post_alive_neighbor(u, lo, hi)
+            assert da.min_post_alive_neighbor_batch(us, los, his) == dd.min_post_alive_neighbor_batch(
+                us, los, his
+            )
+            for _ in range(4):
+                roots, segments = _random_layer(rng, tree, 5)
+                assert da.search_subtrees(roots, segments) == dd.search_subtrees(roots, segments)
+                top, bottom, on_segment, prefer_bottom = segments[0]
+                for u in verts:
+                    assert da.search_segment(u, top, bottom, prefer_bottom, on_segment) == dd.search_segment(
+                        u, top, bottom, prefer_bottom, on_segment
+                    )
 
 
 def test_non_int_vertices_take_the_python_path():
@@ -193,8 +267,8 @@ def test_non_int_vertices_take_the_python_path():
     h = type(g)(edges=[(relabel[u], relabel[v]) for u, v in g.edges()])
     ah = ArrayGraph.from_graph(h)
     tree = DFSTree(static_dfs_forest(h), root=VIRTUAL_ROOT)
-    dd = StructureD(h, tree)
-    da = ArrayStructureD(ah, tree)
+    d = StructureD(ah, tree)
+    ref = ScalarLoopD(h, tree)
     verts = list(h.vertices())
     us = verts * 2
     los, his = [], []
@@ -203,65 +277,64 @@ def test_non_int_vertices_take_the_python_path():
         lo, hi = _interval(tree, verts[rng.randrange(len(verts))])
         los.append(lo)
         his.append(hi)
-    assert da.min_post_alive_neighbor_batch(us, los, his) == StructureD.min_post_alive_neighbor_batch(
-        dd, us, los, his
-    )
-    _overlay_every_kind(rng, h, (dd, da), "new")
+    assert d.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(d, us, los, his)
+    _overlay_every_kind(rng, [(ah, d), (h, ref)], "new")
     for _ in range(10):
         roots, segments = _random_layer(rng, tree, 5)
-        assert da.search_subtrees(roots, segments) == StructureD.search_subtrees(dd, roots, segments)
-    _same_rounds(dd, da, _composite_queries(rng, tree, 30))
+        assert d.search_subtrees(roots, segments) == search_subtrees_reference(d, roots, segments)
+    _same_rounds(d, ref, h, _composite_queries(rng, tree, 30))
 
 
 def test_batch_rejects_silently_truncating_inputs():
     """Float vertex queries must not be truncated into the int fast path."""
     g, ag, tree = _pair(n=12, seed=8)
-    dd = StructureD(g, tree)
-    da = ArrayStructureD(ag, tree)
+    d = StructureD(ag, tree)
     verts = list(g.vertices())
     lo, hi = _interval(tree, verts[0])
     us = [float(verts[0]) + 0.5, verts[1]]
-    expect = StructureD.min_post_alive_neighbor_batch(dd, us, [lo, lo], [hi, hi])
-    assert da.min_post_alive_neighbor_batch(us, [lo, lo], [hi, hi]) == expect
+    expect = min_post_batch_reference(d, us, [lo, lo], [hi, hi])
+    assert expect[0][0] is None
+    assert d.min_post_alive_neighbor_batch(us, [lo, lo], [hi, hi]) == expect
 
 
 def test_differential_fuzz_scalar_and_batch():
     """The batched re-anchor, ``search_subtrees`` and the query rounds it
-    serves: answers, probes and round counters equal the dict reference's,
-    before and after overlays of every kind, with calls that mix dirty and
-    clean rows."""
+    serves: answers and probes equal the scalar-loop references', rounds
+    answer as the brute-force oracle and count as the scalar loops, before
+    and after overlays of every kind, with calls that mix dirty and clean
+    rows."""
     rng = random.Random(77)
     mixed = hits = 0
     ends = set()
     for trial in range(40):
         n = rng.randrange(2, 30)
         g, ag, tree = _pair(n=n, p=rng.uniform(0.05, 0.6), seed=rng.randrange(10**6))
-        dd = StructureD(g, tree)
-        da = ArrayStructureD(ag, tree)
+        d = StructureD(ag, tree)
+        ref = ScalarLoopD(g, tree)
         verts = list(g.vertices())
         for v in rng.sample(verts, rng.randrange(0, min(4, len(verts)) + 1)):
-            dd.note_vertex_deleted(v)
-            da.note_vertex_deleted(v)
+            apply_update(ag, VertexDeletion(v), d)
+            apply_update(g, VertexDeletion(v), ref)
         us, los, his = [], [], []
         for _ in range(50):
             us.append(verts[rng.randrange(len(verts))])
             lo, hi = _interval(tree, verts[rng.randrange(len(verts))])
             los.append(lo)
             his.append(hi)
-        assert da.min_post_alive_neighbor_batch(us, los, his) == StructureD.min_post_alive_neighbor_batch(
-            dd, us, los, his
+        assert d.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(
+            d, us, los, his
         ), trial
         for overlaid in (False, True):
-            if overlaid:
-                _overlay_every_kind(rng, g, (dd, da), n + rng.randrange(3))
+            if overlaid and g.num_vertices >= 2:
+                _overlay_every_kind(rng, [(ag, d), (g, ref)], n + rng.randrange(3))
             for _ in range(4):
                 roots, segments = _random_layer(rng, tree, rng.randrange(1, 8))
-                got = da.search_subtrees(roots, segments)
-                assert got == StructureD.search_subtrees(dd, roots, segments), trial
-                mixed += _mixes_dirty_and_clean(tree, da, roots)
+                got = d.search_subtrees(roots, segments)
+                assert got == search_subtrees_reference(d, roots, segments), trial
+                mixed += _mixes_dirty_and_clean(tree, d, roots)
                 hits += sum(w is not None for w in got[0])
                 ends.update(seg[3] for seg in segments)
-            answers = _same_rounds(dd, da, _composite_queries(rng, tree, 12))
+            answers = _same_rounds(d, ref, g, _composite_queries(rng, tree, 12))
             hits += sum(a is not None for a in answers)
     assert mixed > 100 and hits > 1000 and ends == {True, False}
 
@@ -271,13 +344,11 @@ def test_overlay_inserted_id_beyond_int64_is_excluded():
     id table's dirty-row exclusion."""
     g = gnp_random_graph(40, 0.15, seed=3, connected=True)
     t = DFSTree(static_dfs_tree(g, 0), root=0)
-    dd = StructureD(g, t)
-    da = ArrayStructureD(ArrayGraph.from_graph(g), t)
-    for d in (dd, da):
-        d.note_vertex_inserted(2**70, [1, 2])
+    d = StructureD(ArrayGraph.from_graph(g), t)
+    d.note_vertex_inserted(2**70, [1, 2])
     his = [t.postorder(0)] * 2
-    assert da.min_post_alive_neighbor_batch([5, 1], [0, 0], his) == ([24, 37], 3)
-    assert StructureD.min_post_alive_neighbor_batch(dd, [5, 1], [0, 0], his) == ([24, 37], 3)
+    assert d.min_post_alive_neighbor_batch([5, 1], [0, 0], his) == ([24, 37], 3)
+    assert min_post_batch_reference(d, [5, 1], [0, 0], his) == ([24, 37], 3)
 
 
 def test_driver_inserts_a_vertex_id_beyond_int64_on_both_cores():
@@ -324,13 +395,14 @@ def test_a_vertex_id_beyond_int64_keeps_updates_and_snapshot_reads_working():
 
 def test_a_recycled_graph_slot_keeps_serving_the_base_rows():
     """A base vertex deleted from the ArrayGraph frees its slot and a new id
-    inserted next takes it, both recorded as overlays on ``D``: rows, scalar
-    and batched re-anchors and subtree searches equal the dict core's,
-    answers and probes."""
+    inserted next takes it, both recorded as overlays on ``D``: rows equal
+    those of ``D`` on the dict graph, and the scalar and batched re-anchors
+    and subtree searches equal their scalar-loop references, answers and
+    probes."""
     rng = random.Random(5)
     g, ag, tree = _pair(n=30, p=0.2, seed=7)
     dd = StructureD(g, tree)
-    da = ArrayStructureD(ag, tree)
+    da = StructureD(ag, tree)
     verts = sorted(g.vertices())
     gone = max(verts, key=g.degree)
     slot = ag.slot(gone)
@@ -339,11 +411,7 @@ def test_a_recycled_graph_slot_keeps_serving_the_base_rows():
         apply_update(graph, VertexDeletion(gone), d)
         apply_update(graph, VertexInsertion(100, nbrs), d)
     assert ag.slot(100) == slot
-    for v in [*verts, 100]:
-        row_d, row_a = dd._row(v), da._row(v)
-        assert (row_a is None) == (row_d is None), v
-        if row_d is not None:
-            assert (list(row_a[0]), list(row_a[1])) == (list(row_d[0]), list(row_d[1])), v
+    _assert_same_rows(dd, da, [*verts, 100])
     us, los, his = [], [], []
     for _ in range(120):
         us.append(rng.choice([*verts, 100]))
@@ -351,13 +419,11 @@ def test_a_recycled_graph_slot_keeps_serving_the_base_rows():
         los.append(lo)
         his.append(hi)
     for u, lo, hi in zip(us, los, his):
-        assert da.min_post_alive_neighbor(u, lo, hi) == dd.min_post_alive_neighbor(u, lo, hi)
-    assert da.min_post_alive_neighbor_batch(us, los, his) == StructureD.min_post_alive_neighbor_batch(
-        dd, us, los, his
-    )
+        assert da.min_post_alive_neighbor(u, lo, hi)[0] == _brute_min_post(ag, tree, u, lo, hi)
+    assert da.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(da, us, los, his)
     for _ in range(10):
         roots, segments = _random_layer(rng, tree, 5)
-        assert da.search_subtrees(roots, segments) == StructureD.search_subtrees(dd, roots, segments)
+        assert da.search_subtrees(roots, segments) == search_subtrees_reference(da, roots, segments)
 
 
 def test_a_recycled_graph_slot_under_overlays_through_the_driver():

@@ -133,10 +133,10 @@ def test_reset_overlays_is_idempotent_and_restores_pristine_state():
     d.reset_overlays()
     assert d.overlay_size() == 0
     assert d.size() == pristine_size
-    first = (dict(d._sorted_posts), dict(d._post))
+    first = (dict(d._rows), dict(d._post))
     d.reset_overlays()  # idempotent: a second reset changes nothing
     assert d.overlay_size() == 0
-    assert (dict(d._sorted_posts), dict(d._post)) == first
+    assert (dict(d._rows), dict(d._post)) == first
     # The pristine structure answers base-graph queries again.
     service = DQueryService(d)
     brute = BruteForceQueryService(g, d.base_tree)

@@ -1,12 +1,12 @@
 """DQueryService must agree with the brute-force oracle on random queries,
-on both backends, and answer a batch exactly as it answers its queries one
-at a time."""
+with ``D`` built on either graph store, and answer a batch exactly as it
+answers its queries one at a time."""
 
 import random
 
 import pytest
 
-from repro.backends import BACKENDS, native_graph, structure_class
+from repro.backends import BACKENDS, native_graph
 from repro.core.overlay import apply_update
 from repro.core.queries import BruteForceQueryService, DQueryService, EdgeQuery
 from repro.core.structure_d import StructureD
@@ -20,10 +20,10 @@ from repro.tree.tree_utils import hanging_subtrees
 
 
 def build(seed=0, n=45, p=0.1):
-    """Graph, tree, one DQueryService per backend, and the oracle."""
+    """Graph, tree, one DQueryService per graph store, and the oracle."""
     g = gnp_random_graph(n, p, seed=seed, connected=True)
     tree = DFSTree(static_dfs_tree(g, 0), root=0)
-    fast = [DQueryService(structure_class(b)(native_graph(g, b), tree)) for b in BACKENDS]
+    fast = [DQueryService(StructureD(native_graph(g, b), tree)) for b in BACKENDS]
     return g, tree, fast, BruteForceQueryService(g, tree)
 
 
@@ -170,7 +170,7 @@ def shared_target_service(backend, overlay):
     g = native_graph(gnp_random_graph(40, 0.1, seed=8, connected=True), backend)
     base = DFSTree(static_dfs_tree(g, 0), root=0)
     metrics = MetricsRecorder(strict=True)
-    d = structure_class(backend)(g, base, metrics=metrics)
+    d = StructureD(g, base, metrics=metrics)
     current = base
     if overlay:
         back_edges = [(u, v) for u, v in g.edges() if base.parent(u) != v and base.parent(v) != u]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.constants import is_virtual_root
 from repro.core.overlay import apply_update
+from repro.core.structure_d import StructureD
 from repro.core.updates import (
     EdgeDeletion,
     EdgeInsertion,
@@ -211,3 +212,53 @@ def assert_snapshot_matches_oracle(snap, avs, bvs) -> None:
     assert snap.component_batch(avs) == [comp[v] for v in avs]
     assert [snap.component(v) for v in avs] == [comp[v] for v in avs]
     assert [snap.depth(v) for v in avs] == [oracle.level(v) for v in avs]
+
+
+# --------------------------------------------------------------------------- #
+# Scalar-loop references for the batched reads of D
+# --------------------------------------------------------------------------- #
+def search_subtrees_reference(d: StructureD, roots, segments):
+    """``d.search_subtrees(roots, segments)`` as a loop of scalar searches:
+    every vertex of each piece ``T(root)`` calls ``d.search_segment``, and
+    the piece keeps the hit nearest its preferred end.  Returns ``(found,
+    probes)``."""
+    tree = d.base_tree
+    found = []
+    probes = 0
+    for root, (top, bottom, on_segment, prefer_bottom) in zip(roots, segments):
+        best = None
+        best_post = 0
+        for u in tree.subtree_vertices(root):
+            w, p = d.search_segment(u, top, bottom, prefer_bottom, on_segment)
+            probes += p
+            if w is None:
+                continue
+            # A segment is a vertical path: deeper means a smaller post.
+            w_post = d.postorder(w)
+            if best is None or (w_post < best_post if prefer_bottom else w_post > best_post):
+                best, best_post = w, w_post
+        found.append(best)
+    return found, probes
+
+
+def min_post_batch_reference(d: StructureD, us, los, his):
+    """``d.search_min_post_batch(us, los, his)`` as a loop of
+    ``d.min_post_alive_neighbor`` calls.  Returns ``(answers, probes)``."""
+    best = []
+    probes = 0
+    for u, lo, hi in zip(us, los, his):
+        b, p = d.min_post_alive_neighbor(u, lo, hi)
+        best.append(b)
+        probes += p
+    return best, probes
+
+
+class ScalarLoopD(StructureD):
+    """``D`` whose batched reads are the scalar-loop references, so a query
+    service over it counts what one scalar search per piece vertex counts."""
+
+    def search_subtrees(self, roots, segments):
+        return search_subtrees_reference(self, roots, segments)
+
+    def search_min_post_batch(self, us, los, his):
+        return min_post_batch_reference(self, us, los, his)

@@ -16,9 +16,10 @@ from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.fault_tolerant import FaultTolerantDFS
 from repro.core.updates import EdgeDeletion
 from repro.distributed.distributed_dfs import DistributedDynamicDFS
-from repro.graph.generators import gnp_random_graph
+from repro.graph.generators import gnp_random_graph, path_graph
 from repro.metrics.counters import MetricsRecorder
 from repro.service import DFSTreeService
+from repro.shard import ShardRouter
 from repro.streaming.semi_streaming_dfs import SemiStreamingDynamicDFS
 from repro.workloads.scenarios import build_scenario
 
@@ -138,6 +139,30 @@ def test_batched_reads_account_batches_and_staleness():
     assert metrics["max_query_batch_size"] == 10
     assert metrics["queries_served"] == 15  # the two batches: 10 + 5
     assert metrics["snapshot_staleness_updates"] == 5
+
+
+@pytest.mark.parametrize("kind", ["lca", "is_ancestor", "connected", "path_length"])
+def test_pairwise_batches_reject_inputs_of_different_lengths(kind):
+    """A pairwise batch answers ``zip(avs, bvs)``: unequal lengths raise
+    ``ValueError`` on the snapshot and on the service (which then records
+    nothing) instead of broadcasting a one-element side, and a routed
+    pairwise query without ``bvs`` is rejected."""
+    metrics = MetricsRecorder("svc", strict=True)
+    svc = DFSTreeService(FullyDynamicDFS(path_graph(6)), metrics=metrics)
+    method = f"{kind}_batch"
+    for avs, bvs in (([5], [0, 1, 2]), ([5], []), ([5, 4], [0, 1, 2])):
+        with pytest.raises(ValueError, match="equal-length"):
+            getattr(svc.snapshot(), method)(avs, bvs)
+        with pytest.raises(ValueError, match="equal-length"):
+            getattr(svc, method)(avs, bvs)
+    assert metrics["queries_served"] == metrics["query_batches"] == 0
+    assert len(getattr(svc, method)([5, 4], [0, 1])[0]) == 2
+    with ShardRouter(num_workers=1, num_shards=1, mode="inline") as router:
+        router.create_tenant("t", path_graph(6))
+        with pytest.raises(ValueError, match="needs bvs"):
+            router.query("t", kind, [5])
+        with pytest.raises(ValueError, match="equal-length"):
+            router.query("t", kind, [5], [0, 1, 2])
 
 
 def test_publish_every_validation():

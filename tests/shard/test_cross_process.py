@@ -10,13 +10,18 @@ worker process may change a single parent pointer.
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import BACKENDS
 from repro.core.dynamic_dfs import FullyDynamicDFS
-from repro.graph.generators import gnm_random_graph
+from repro.core.updates import EdgeInsertion
+from repro.exceptions import WorkerDied
+from repro.graph.generators import gnm_random_graph, path_graph
 from repro.shard import ShardRouter
 from repro.workloads.multi_tenant import multi_tenant_churn, round_items
 from tests.helpers import decode_ops
@@ -60,6 +65,33 @@ def test_process_worker_error_does_not_kill_the_worker(backend):
         for t in tenants:
             router.apply(t.tenant_id, t.rounds[0])
             assert router.committed_version(t.tenant_id) == 2
+
+
+def test_a_dead_worker_leaves_the_live_workers_in_sync():
+    """Worker 1's process is killed: ``apply_many`` over a tenant on each
+    worker raises ``WorkerDied`` only after reading worker 0's reply, so
+    worker 0's next answers are the answers to the next commands, and
+    ``close()`` still returns."""
+    with ShardRouter(num_workers=2, num_shards=4, mode="process") as router:
+        tenant_of = {}
+        for i in range(64):
+            tenant_of.setdefault(router.worker_of_tenant(f"t{i}"), f"t{i}")
+        live, dead = tenant_of[0], tenant_of[1]
+        for tenant in (live, dead):
+            router.create_tenant(tenant, path_graph(6))
+        victim = router._workers[1]._process
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=5)
+        update = EdgeInsertion(0, 5)
+        with pytest.raises(WorkerDied):
+            router.apply_many([(live, [update]), (dead, [update])])
+        reference = FullyDynamicDFS(path_graph(6))
+        reference.apply(update)
+        assert router.committed_version(live) == 1
+        assert router.parent_map(live) == reference.parent_map()
+        with pytest.raises(WorkerDied):
+            router.committed_version(dead)
+    # the with block's close() returned despite the dead worker
 
 
 @st.composite

@@ -1,6 +1,7 @@
-"""Backend selection: the ``backend="dict"|"array"`` knob and its env fallback.
+"""Backend selection: the ``backend="dict"|"array"`` graph-store knob and
+its env fallback.
 
-Both backends drive every driver to byte-identical parent maps.
+Both graph stores drive every driver to byte-identical parent maps.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from repro.backends import (
     graph_class,
     native_graph,
     resolve_backend,
-    structure_class,
 )
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.fault_tolerant import FaultTolerantDFS
-from repro.core.structure_d import StructureD
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import UndirectedGraph
 from repro.streaming.semi_streaming_dfs import SemiStreamingDynamicDFS
@@ -41,7 +40,6 @@ def test_resolve_backend_rejects_unknown_names():
 
 
 def test_dict_backend_classes_never_need_numpy():
-    assert structure_class("dict") is StructureD
     assert graph_class("dict") is UndirectedGraph
     g = gnp_random_graph(8, 0.3, seed=0)
     assert native_graph(g, "dict", copy=False) is g
@@ -50,10 +48,8 @@ def test_dict_backend_classes_never_need_numpy():
 
 
 def test_array_backend_classes_and_conversion():
-    from repro.core.array_structure_d import ArrayStructureD
     from repro.graph.array_graph import ArrayGraph
 
-    assert structure_class("array") is ArrayStructureD
     assert graph_class("array") is ArrayGraph
     g = gnp_random_graph(8, 0.3, seed=0)
     ag = native_graph(g, "array", copy=True)
@@ -71,8 +67,6 @@ def test_drivers_expose_backend_and_env_resolution(monkeypatch):
     g = gnp_random_graph(12, 0.25, seed=3, connected=True)
     assert FullyDynamicDFS(g).backend == "dict"
     assert FullyDynamicDFS(g, backend="array").backend == "array"
-    assert FullyDynamicDFS(g, backend="array").update_engine.storage_backend == "array"
-    assert FullyDynamicDFS(g).update_engine.storage_backend == "dict"
     monkeypatch.setenv(BACKEND_ENV_VAR, "array")
     for cls in (FullyDynamicDFS, SemiStreamingDynamicDFS, FaultTolerantDFS):
         assert cls(g).backend == "array", cls.__name__

@@ -97,8 +97,7 @@ def _assert_identical_and_valid(graph, updates, results):
 
 
 #: Query-round counters every ``D``-backed combo must record identically on
-#: every backend: the array core answers rounds with its own vectorized code,
-#: not the dict core's scalar loop.
+#: both graph stores, which hand ``D`` their half-edges in different forms.
 ROUND_COUNTERS = ("queries", "query_rounds", "d_vertex_queries", "d_probes", "d_target_segments", "d_reanchor_probes")
 
 
