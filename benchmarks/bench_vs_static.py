@@ -16,15 +16,22 @@ tip back edges survive the canonical minimum-postorder source re-anchoring,
 unlike the tip-to-spine-start edges of ``comb_with_back_edges``) force the
 sequential rerooting engine through a Θ(teeth) dependency chain per update,
 while the parallel engine's round count stays poly-logarithmic.
+
+A third harness splits the default driver's update latency on edge churn
+into tree-moving updates, tree-keeping updates that pay auto's stale-tree
+``D`` rebuild, and the other tree-keeping updates, and asserts that the last
+class costs the same at n = 10^3 and 10^4: a back-edge update commits the
+tree it found and does no O(n) work.
 """
 
 from __future__ import annotations
 
 import time
+from statistics import median
 
 import pytest
 
-from benchmarks.conftest import record_table, scale_sizes
+from benchmarks.conftest import SCALE, record_table, scale_sizes
 from repro.baselines.static_recompute import StaticRecomputeDFS
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.graph.generators import gnp_random_graph
@@ -128,5 +135,58 @@ def test_sequential_baseline_separation_on_comb(benchmark):
 
     def run():
         dyn.apply_all(scenario.updates[:2])
+
+    benchmark(run)
+
+
+#: Latency classes of the tree-keeping split, in table order.
+UPDATE_CLASSES = ("moving", "keeping_rebuilt", "keeping")
+
+
+@pytest.mark.benchmark(group="E7-vs-static")
+def test_tree_keeping_updates_cost_the_same_at_every_size(benchmark):
+    """``FullyDynamicDFS()`` (auto policy, dict store) on ``edge_churn``:
+    each update is tree-moving, tree-keeping after a ``D`` rebuild (auto
+    rebuilds ``D`` before the update that follows a tree move), or
+    tree-keeping without one.  The last class commits the tree it found and
+    copies nothing, so its median thread CPU time must not grow with n.  The
+    sizes' streams are applied in lockstep, one update each in turn, so a
+    slow stretch of the machine hits every size alike."""
+    sizes = scale_sizes([1000, 10000], [300, 1000])
+    runs = []
+    for n in sizes:
+        graph = gnp_random_graph(n, 6 / n, seed=4, connected=True)
+        metrics = MetricsRecorder()
+        dyn = FullyDynamicDFS(graph, metrics=metrics)
+        runs.append((dyn, metrics, edge_churn(graph, 300, seed=8), {c: [] for c in UPDATE_CLASSES}))
+    for step in range(300):
+        for dyn, metrics, updates, samples in runs:
+            tree, rebuilds = dyn.tree, metrics["d_rebuilds"]
+            start = time.thread_time()
+            dyn.apply(updates[step])
+            ms = (time.thread_time() - start) * 1e3
+            if dyn.tree is not tree:
+                samples["moving"].append(ms)
+            elif metrics["d_rebuilds"] > rebuilds:
+                samples["keeping_rebuilt"].append(ms)
+            else:
+                samples["keeping"].append(ms)
+
+    columns = {}
+    for c in UPDATE_CLASSES:
+        columns[f"{c}_updates"] = [len(samples[c]) for *_, samples in runs]
+        columns[f"{c}_p50_ms"] = [round(median(samples[c]), 4) for *_, samples in runs]
+    record_table(benchmark, "E7_tree_keeping_updates", sizes, columns)
+    if SCALE != "small":
+        keep = columns["keeping_p50_ms"]
+        assert keep[-1] <= 2 * keep[0], f"tree-keeping p50 grew with n: {keep}"
+
+    dyn = runs[-1][0]
+    tree = dyn.tree
+    u, v = next((a, b) for a, b in dyn.graph.edges() if tree.parent(a) != b and tree.parent(b) != a)
+
+    def run():
+        dyn.delete_edge(u, v)
+        dyn.insert_edge(u, v)
 
     benchmark(run)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, Optional, Sequence
 
 from repro.constants import VIRTUAL_ROOT
-from repro.core.overlay import apply_update, validate_update
+from repro.core.overlay import apply_update, validate_graph, validate_update
 from repro.core.updates import (
     EdgeDeletion,
     EdgeInsertion,
@@ -41,6 +41,7 @@ class StaticRecomputeDFS:
         *,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
+        validate_graph(graph)
         self._graph = graph.copy()
         self.metrics = metrics or MetricsRecorder("static_recompute")
         self._tree = self._recompute()

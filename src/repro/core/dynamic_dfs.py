@@ -14,7 +14,10 @@ is processed exactly as in the paper:
    (Theorem 11);
 4. the rerooting engine (parallel by default, sequential baseline available)
    executes the tasks (Theorem 12);
-5. the tree indices are rebuilt for the next update.
+5. a tree-moving update commits a new :class:`~repro.tree.dfs_tree.DFSTree`
+   built from the new parent map, whose indices serve the next update; a
+   tree-keeping update (a back-edge insertion or deletion) commits the same
+   ``DFSTree`` object and builds no parent map.
 
 The pipeline itself — validation, metrics, the rebuild policy, the
 reduce → reroot → commit loop — lives in

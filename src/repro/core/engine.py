@@ -14,7 +14,9 @@ pipeline, whatever the environment:
    :func:`~repro.core.overlay.apply_update`) and the backend's bookkeeping;
 4. **reduce** the update to independent rerooting tasks (Theorem 11) using the
    backend's :class:`~repro.core.queries.QueryService`;
-5. **reroot** the affected subtrees (Theorem 12) and **commit** the new tree.
+5. **reroot** the affected subtrees (Theorem 12) and **commit** the new tree;
+   an update that keeps the tree (a back-edge insertion or deletion) commits
+   the same :class:`~repro.tree.dfs_tree.DFSTree` object and copies nothing.
 
 Historically this pipeline was implemented four times (fully dynamic,
 semi-streaming, distributed, fault tolerant), and only the in-memory driver
@@ -55,7 +57,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT, is_virtual_root
-from repro.core.overlay import validate_update
+from repro.core.overlay import validate_graph, validate_update
 from repro.core.queries import QueryService
 from repro.core.reduction import reduce_update
 from repro.core.reroot_parallel import ParallelRerootEngine
@@ -395,15 +397,16 @@ class UpdateEngine:
             service = backend.make_query_service(self._tree)
             reduction = reduce_update(update, self._tree, service, metrics=self.metrics)
 
-            new_parent = self._tree.parent_map()
-            for v in reduction.removed_vertices:
-                new_parent.pop(v, None)
-            new_parent.update(reduction.parent_overrides)
-            if reduction.tasks:
-                engine = self._make_reroot_engine(service)
-                new_parent.update(engine.reroot_many(reduction.tasks))
-
-            if not reduction.tree_unchanged or reduction.parent_overrides or reduction.removed_vertices:
+            # A back-edge update reduces to nothing (Theorem 2) and commits
+            # the same tree object: no parent map is copied, no tree built.
+            if reduction.tasks or reduction.parent_overrides or reduction.removed_vertices:
+                new_parent = self._tree.parent_map()
+                for v in reduction.removed_vertices:
+                    new_parent.pop(v, None)
+                new_parent.update(reduction.parent_overrides)
+                if reduction.tasks:
+                    engine = self._make_reroot_engine(service)
+                    new_parent.update(engine.reroot_many(reduction.tasks))
                 with self.metrics.timer("rebuild_tree"):
                     self._tree = DFSTree(new_parent, root=VIRTUAL_ROOT)
             backend.on_commit(self._tree)
@@ -457,9 +460,11 @@ class EngineDriver:
         metrics: Optional[MetricsRecorder],
         name: str,
     ) -> DFSTree:
-        """Resolve the graph store, copy *graph* into it and run the initial
-        static DFS (timed as ``initial_dfs``); returns the tree rooted at the
-        virtual root."""
+        """Reject a *graph* holding the virtual-root sentinel, resolve the
+        graph store, copy *graph* into it and run the initial static DFS
+        (timed as ``initial_dfs``); returns the tree rooted at the virtual
+        root."""
+        validate_graph(graph)
         self._backend_name = resolve_backend(backend)
         self._graph = native_graph(graph, self._backend_name)
         self.metrics = metrics or MetricsRecorder(name)

@@ -32,7 +32,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT
 from repro.core.engine import Backend, UpdateEngine
-from repro.core.overlay import apply_update
+from repro.core.overlay import apply_update, validate_graph
 from repro.core.queries import DQueryService, QueryService
 from repro.core.structure_d import StructureD
 from repro.core.updates import Update
@@ -111,6 +111,7 @@ class FaultTolerantDFS:
         validate: bool = False,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
+        validate_graph(graph)
         self._backend_name = resolve_backend(backend)
         self._graph0 = native_graph(graph, self._backend_name, copy=True)
         self._validate = validate

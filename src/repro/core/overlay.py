@@ -9,10 +9,11 @@ module is the single implementation of that bookkeeping.
 
 It also owns the update-validation boundary: callers of the drivers' update APIs
 get :class:`~repro.exceptions.UpdateError` for every malformed update (missing
-edge, duplicate vertex, self loop, ...), never a bare graph-layer exception.
-:func:`validate_update` performs the full check *without mutating anything*, so
-drivers can reject an update before any metrics, timers or graph state are
-touched.
+edge, duplicate vertex, self loop, the virtual-root sentinel as a vertex id,
+...), never a bare graph-layer exception.  :func:`validate_update` performs the
+full check *without mutating anything*, so drivers can reject an update before
+any metrics, timers or graph state are touched; :func:`validate_graph` is its
+construction-time counterpart.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from math import isqrt
 from typing import Optional
 
+from repro.constants import VIRTUAL_ROOT, is_virtual_root
 from repro.core.structure_d import StructureD
 from repro.core.updates import (
     EdgeDeletion,
@@ -53,6 +55,15 @@ def reused_vertex_id_needs_rebuild(structure: StructureD, update: Update) -> boo
     return isinstance(update, VertexInsertion) and structure.indexes_vertex(update.v)
 
 
+def validate_graph(graph: UndirectedGraph) -> None:
+    """Reject a driver's initial *graph* with :class:`GraphError` when it
+    holds the virtual-root sentinel, which the augmented tree reserves
+    (Section 2).  Drivers call this before copying the graph or recording
+    any metric."""
+    if graph.has_vertex(VIRTUAL_ROOT):
+        raise GraphError(f"vertex id {VIRTUAL_ROOT!r} is reserved for the virtual root")
+
+
 def validate_update(graph: UndirectedGraph, update: Update) -> None:
     """Check that *update* can be applied to *graph*; raise :class:`UpdateError`
     otherwise.
@@ -74,6 +85,8 @@ def validate_update(graph: UndirectedGraph, update: Update) -> None:
         if not graph.has_edge(update.u, update.v):
             raise UpdateError(f"edge ({update.u!r}, {update.v!r}) is not in the graph")
     elif isinstance(update, VertexInsertion):
+        if is_virtual_root(update.v):
+            raise UpdateError(f"vertex id {update.v!r} is reserved for the virtual root")
         if graph.has_vertex(update.v):
             raise UpdateError(f"vertex {update.v!r} is already present")
         for w in update.neighbors:

@@ -66,14 +66,14 @@ class ReductionResult:
 
     ``tasks`` are the independent rerooting jobs; ``parent_overrides`` are
     direct parent reassignments that need no rerooting (e.g. the inserted
-    vertex itself); ``removed_vertices`` must disappear from the tree;
-    ``tree_unchanged`` is True when the update only touched back edges.
+    vertex itself); ``removed_vertices`` must disappear from the tree.  A
+    result with all three empty (a back-edge insertion or deletion) leaves
+    the tree untouched.
     """
 
     tasks: List[RerootTask] = field(default_factory=list)
     parent_overrides: Dict[Vertex, Optional[Vertex]] = field(default_factory=dict)
     removed_vertices: List[Vertex] = field(default_factory=list)
-    tree_unchanged: bool = False
 
 
 def _root_path_target(tree: DFSTree, bottom: Vertex) -> List[Vertex]:
@@ -123,7 +123,7 @@ def _reduce_edge_insertion(
         raise UpdateError(f"edge insertion endpoints {u!r}, {v!r} must be existing vertices")
     if tree.is_ancestor(u, v) or tree.is_ancestor(v, u):
         # Back edge: the DFS tree is untouched.
-        return ReductionResult(tree_unchanged=True)
+        return ReductionResult()
     w = tree.lca(u, v)
     v_child = tree.child_towards(w, v)
     if metrics is not None:
@@ -146,7 +146,7 @@ def _reduce_edge_deletion(
         parent_side, child_side = v, u
     else:
         # Back edge: nothing to do (the edge is already gone from the graph).
-        return ReductionResult(tree_unchanged=True)
+        return ReductionResult()
 
     target = _root_path_target(tree, parent_side)
     if target:

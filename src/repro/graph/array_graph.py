@@ -200,10 +200,19 @@ class ArrayGraph(UndirectedGraph):
     def half_edges(self) -> Tuple[List[object], np.ndarray, np.ndarray]:
         """``(ids, src, dst)`` as :meth:`UndirectedGraph.half_edges
         <repro.graph.graph.UndirectedGraph.half_edges>`, read off the mirror:
-        ``ids`` is the slot table (a free slot holds a placeholder) and
-        ``src``/``dst`` are the alive half-edges' slots."""
+        ``ids`` is the slot table and ``src``/``dst`` are the alive
+        half-edges' slots.  No alive half-edge touches a free slot, so a free
+        slot repeats a live vertex's id: int vertex ids keep ``ids`` all-int,
+        which :meth:`~repro.tree.dfs_tree.DFSTree.indices` resolves with one
+        gather."""
         src, dst, alive = self.edge_arrays()
-        return self._slot_ids, src[alive], dst[alive]
+        ids = self._slot_ids
+        if self._free_slots:
+            ids = list(ids)
+            live = next(iter(self._slot_of), None)
+            for s in self._free_slots:
+                ids[s] = live
+        return ids, src[alive], dst[alive]
 
     def csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """CSR snapshot ``(indptr, indices)`` over slots (cached until mutated).

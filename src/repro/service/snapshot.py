@@ -4,8 +4,9 @@ A :class:`TreeSnapshot` is the MVCC currency of :mod:`repro.service`: the
 writer publishes one per committed version, readers answer every query against
 the snapshot they hold and never coordinate with the writer.  Immutability is
 structural — a snapshot wraps a committed :class:`~repro.tree.dfs_tree.DFSTree`
-(which the engine never mutates; every update commits a *fresh* tree), so a
-published version can never change underneath a reader.
+(which the engine never mutates: a tree-moving update commits a *fresh* tree,
+a tree-keeping one the same tree again), so a published version can never
+change underneath a reader.
 
 Publication must be O(1) on the writer's commit path, so the heavy read
 indices are built *lazily* by the first reader that needs them.  The LCA

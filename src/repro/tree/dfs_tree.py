@@ -16,9 +16,10 @@ readers: the snapshots' batch queries and the structure ``D``
 find its rows through its base tree) resolve ids through it, with one gather
 through a dense int table when the ids allow it.
 
-The dynamic algorithms never mutate a :class:`DFSTree`; they produce a new
-parent map and build a fresh snapshot (mirroring the paper, where the data
-structures on ``T`` are rebuilt in ``O(log n)`` parallel time after an update).
+The dynamic algorithms never mutate a :class:`DFSTree`.  An update that moves
+the tree produces a new parent map and builds a fresh snapshot (mirroring the
+paper, where the data structures on ``T`` are rebuilt in ``O(log n)`` parallel
+time after an update); one that keeps it commits the same snapshot.
 """
 
 from __future__ import annotations

@@ -221,16 +221,62 @@ def test_batch_reanchor_identical_and_counts_fallbacks():
     assert metrics["d_batch_queries"] == 2
 
 
+def _pairs_with_a_free_slot():
+    """Two ``(graph, ArrayGraph, tree)`` inputs whose ``ArrayGraph`` has a
+    free slot: one after a ``remove_vertex``, and one where a second removal's
+    slot was recycled by a new vertex; each tree is built on the changed
+    graph."""
+    out = []
+    for recycle in (False, True):
+        g = gnp_random_graph(30, 0.15, seed=6 + recycle)
+        ag = ArrayGraph.from_graph(g)
+        freed, recycled = ag.slot(3), ag.slot(7)
+        for graph in (g, ag):
+            graph.remove_vertex(3)
+            if recycle:
+                graph.remove_vertex(7)
+                graph.add_vertex_with_edges(300, (0, 10, 20))
+        assert ag.slot_id(freed) is None
+        assert not recycle or ag.slot(300) == recycled
+        out.append((g, ag, DFSTree(static_dfs_forest(g), root=VIRTUAL_ROOT)))
+    return out
+
+
+class _CountingIds(dict):
+    """A tree's id dict that counts ``get`` calls: the per-id look-ups of
+    :meth:`DFSTree.indices` when it cannot gather through the dense table."""
+
+    lookups = 0
+
+    def get(self, *args):
+        self.lookups += 1
+        return super().get(*args)
+
+
+def _build_by_gather(graph, tree, metrics):
+    """``D`` on *graph*, asserting that its build resolved every id with
+    one gather (no dict look-up)."""
+    ids = tree._idx
+    tree._idx = spy = _CountingIds(ids)
+    try:
+        d = StructureD(graph, tree, metrics=metrics)
+    finally:
+        tree._idx = ids
+    assert spy.lookups == 0, type(graph).__name__
+    return d
+
+
 def test_both_graph_stores_build_the_same_d():
     """``D`` on an ``UndirectedGraph`` and on its ``ArrayGraph`` copy: the
     same rows, size and build work, and — under overlays of every kind —
     the same answers and probes from the scalar queries, ``search_subtrees``
-    and the batched re-anchor."""
+    and the batched re-anchor.  Both builds resolve ids with one gather, also
+    when the ``ArrayGraph`` has a free slot."""
     rng = random.Random(13)
-    for trial in range(6):
-        g, ag, tree = _pair(n=30, p=0.15, seed=trial)
+    inputs = [_pair(n=30, p=0.15, seed=trial) for trial in range(6)]
+    for trial, (g, ag, tree) in enumerate([*inputs, *_pairs_with_a_free_slot()]):
         md, ma = MetricsRecorder(), MetricsRecorder()
-        dd, da = StructureD(g, tree, metrics=md), StructureD(ag, tree, metrics=ma)
+        dd, da = _build_by_gather(g, tree, md), _build_by_gather(ag, tree, ma)
         assert da.size() == dd.size()
         assert ma["d_build_work"] == md["d_build_work"]
         verts = list(g.vertices())

@@ -3,17 +3,25 @@ its rebuild-policy semantics across backends."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import repro.core.engine as engine_module
+import repro.tree.lca as lca_module
 from repro.baselines.static_recompute import StaticRecomputeDFS
+from repro.constants import VIRTUAL_ROOT
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.engine import Backend, UpdateEngine, update_words
+from repro.core.fault_tolerant import FaultTolerantDFS
 from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
 from repro.distributed.distributed_dfs import DistributedDynamicDFS
-from repro.exceptions import UpdateError
+from repro.exceptions import GraphError, UpdateError
 from repro.graph.generators import gnp_random_graph, path_graph
 from repro.metrics.counters import MetricsRecorder
+from repro.service import DFSTreeService
 from repro.streaming.semi_streaming_dfs import SemiStreamingDynamicDFS
+from repro.tree.dfs_tree import DFSTree
 from repro.workloads.updates import edge_churn, mixed_updates
 
 
@@ -57,6 +65,13 @@ def test_brute_backend_never_amortizes():
 
 def test_validation_precedes_metrics_across_adapters():
     g = path_graph(8)
+    malformed = (
+        EdgeInsertion(0, 0),
+        EdgeDeletion(0, 5),
+        VertexInsertion(3, ()),
+        VertexDeletion("nope"),
+        VertexInsertion(VIRTUAL_ROOT, (0,)),  # the sentinel is no vertex id
+    )
     for driver in (
         FullyDynamicDFS(g),
         SemiStreamingDynamicDFS(g),
@@ -64,11 +79,85 @@ def test_validation_precedes_metrics_across_adapters():
         StaticRecomputeDFS(g),
     ):
         before = driver.metrics.as_dict()
-        for bad in (EdgeInsertion(0, 0), EdgeDeletion(0, 5), VertexInsertion(3, ()), VertexDeletion("nope")):
+        for bad in malformed:
             with pytest.raises(UpdateError):
                 driver.apply(bad)
         delta = driver.metrics.snapshot_delta(before)
         assert all(v == 0 for v in delta.values()), f"failed updates skewed counters: {delta}"
+        assert driver.graph == g and driver.graph.num_vertices == 8
+
+
+def test_drivers_reject_a_graph_holding_the_virtual_root():
+    """The virtual-root sentinel is reserved for the augmented tree: every
+    driver refuses a graph that holds it, before recording any metric."""
+    g = path_graph(4)
+    g.add_vertex_with_edges(VIRTUAL_ROOT, (0, 2))
+    for factory in (
+        FullyDynamicDFS,
+        SemiStreamingDynamicDFS,
+        DistributedDynamicDFS,
+        StaticRecomputeDFS,
+        FaultTolerantDFS,
+    ):
+        metrics = MetricsRecorder()
+        with pytest.raises(GraphError):
+            factory(g, metrics=metrics)
+        assert metrics.as_dict() == {}, factory.__name__
+
+
+#: Every driver on one UpdateEngine, both graph stores under auto and
+#: rebuild_every=1, plus the fault-tolerant driver's per-query engine.
+TREE_KEEPING_DRIVERS = [
+    ("core_dict_auto", lambda g: FullyDynamicDFS(g, backend="dict")),
+    ("core_dict_every_1", lambda g: FullyDynamicDFS(g, backend="dict", rebuild_every=1)),
+    ("core_array_auto", lambda g: FullyDynamicDFS(g, backend="array")),
+    ("core_array_every_1", lambda g: FullyDynamicDFS(g, backend="array", rebuild_every=1)),
+    ("stream", SemiStreamingDynamicDFS),
+    ("dist", DistributedDynamicDFS),
+    ("fault_tolerant", FaultTolerantDFS),
+]
+
+
+@pytest.mark.parametrize("factory", [f for _, f in TREE_KEEPING_DRIVERS], ids=[l for l, _ in TREE_KEEPING_DRIVERS])
+def test_a_tree_keeping_update_commits_the_same_tree(factory, monkeypatch):
+    """Deleting a non-tree edge and inserting it again as a back edge keeps
+    the tree (Theorem 2): the engine copies no parent map and builds no
+    ``DFSTree``, the driver keeps the same tree object, and the attached
+    service's next snapshot wraps it, so no second LCA index is built."""
+    g = gnp_random_graph(40, 0.15, seed=3, connected=True)
+    driver = factory(g)
+    svc = DFSTreeService(driver)
+    tree = svc.snapshot().tree
+    u, v = next((a, b) for a, b in g.edges() if tree.parent(a) != b and tree.parent(b) != a)
+
+    calls = Counter()
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(DFSTree, "parent_map", spy("parent_map", DFSTree.parent_map))
+    monkeypatch.setattr(engine_module, "DFSTree", spy("DFSTree", DFSTree))
+    monkeypatch.setattr(lca_module, "ArrayLCAIndex", spy("ArrayLCAIndex", lca_module.ArrayLCAIndex))
+    svc.lca(u, v)  # the first read builds the tree's LCA index
+    built_ms = svc.metrics["snapshot_build_ms"]
+    assert calls == {"ArrayLCAIndex": 1} and built_ms > 0
+
+    updates = [EdgeDeletion(u, v), EdgeInsertion(u, v)]
+    if isinstance(driver, FaultTolerantDFS):
+        assert driver.query(updates) is driver.base_tree is tree
+    else:
+        for update in updates:
+            assert driver.apply(update) is tree
+        assert driver.tree is tree
+    snap = svc.snapshot()
+    assert snap.version == 2 and snap.tree is tree
+    svc.lca(u, v)
+    assert calls == {"ArrayLCAIndex": 1}, calls
+    assert svc.metrics["snapshot_build_ms"] == built_ms
 
 
 def test_update_words_accounting():

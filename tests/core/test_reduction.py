@@ -4,7 +4,7 @@ import pytest
 
 from repro.constants import VIRTUAL_ROOT
 from repro.core.queries import BruteForceQueryService
-from repro.core.reduction import reduce_update
+from repro.core.reduction import ReductionResult, reduce_update
 from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
 from repro.exceptions import UpdateError
 from repro.graph.generators import gnp_random_graph, path_graph
@@ -24,13 +24,13 @@ def test_back_edge_insertion_and_deletion_touch_nothing():
     g.add_edge(0, 5)  # back edge w.r.t. the path DFS tree
     tree, service = build(g)
     res = reduce_update(EdgeDeletion(0, 5), tree, service)
-    assert res.tree_unchanged and not res.tasks
+    assert res == ReductionResult()
 
     g2 = path_graph(6)
     tree2, service2 = build(g2)
     g2.add_edge(1, 4)
     res2 = reduce_update(EdgeInsertion(1, 4), tree2, service2)
-    assert res2.tree_unchanged and not res2.tasks
+    assert res2 == ReductionResult()
 
 
 def test_figure2_case_i_tree_edge_deletion():
