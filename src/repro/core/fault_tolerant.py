@@ -19,15 +19,19 @@ In :class:`~repro.core.engine.UpdateEngine` terms the driver is simply the
 ``D`` pipeline with a *never-rebuild* policy: the backend keeps the default
 :meth:`~repro.core.engine.Backend.rebuild_due` (never) and never vetoes, so
 every update of a query batch is overlay-served against the preprocessed
-structure.  Because the preprocessed state is never modified
-(overlays are reset after each query), :meth:`FaultTolerantDFS.query` may be
-called any number of times with independent update batches, exactly like a
-fault-tolerant data structure.
+structure.  A query applies its batch to the preprocessed graph in place and
+records each update's inverse; when the query ends, even by an exception, the
+inverses are replayed in reverse and ``D``'s overlays are reset.  So
+:meth:`FaultTolerantDFS.query` copies nothing and may be called any number of
+times with independent update batches, exactly like a fault-tolerant data
+structure.  Queries must not run concurrently on one instance: they share the
+graph and ``D``'s overlays.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.backends import native_graph, resolve_backend
 from repro.constants import VIRTUAL_ROOT
@@ -35,7 +39,7 @@ from repro.core.engine import Backend, UpdateEngine
 from repro.core.overlay import apply_update, validate_graph
 from repro.core.queries import DQueryService, QueryService
 from repro.core.structure_d import StructureD
-from repro.core.updates import Update
+from repro.core.updates import Update, VertexDeletion, VertexInsertion, inverse
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import static_dfs_forest
 from repro.metrics.counters import MetricsRecorder
@@ -57,15 +61,29 @@ class _PreprocessedDBackend(Backend):
         self.graph = graph
         self.structure = structure
         self.metrics = metrics
+        #: The inverse of every update applied to the graph, in order.
+        self.undo_log: List[Update] = []
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:  # pragma: no cover
         raise AssertionError("the fault-tolerant backend never rebuilds D")
 
     def mutate(self, update: Update) -> None:
+        # The engine validated the update against this graph, so the graph
+        # step cannot fail; logging the inverse first covers a failure after it.
+        if isinstance(update, VertexDeletion):
+            self.undo_log.append(VertexInsertion(update.v, self.graph.neighbor_list(update.v)))
+        else:
+            self.undo_log.append(inverse(update))
         # Shared overlay bookkeeping (also used by FullyDynamicDFS between
         # amortized rebuilds): mutate the working graph and record the update
         # on the preprocessed D (Theorem 9).
         apply_update(self.graph, update, self.structure)
+
+    def undo(self) -> None:
+        """Restore the graph by replaying the inverses in reverse.  Trees are
+        canonical, so the adjacency order this leaves does not matter."""
+        while self.undo_log:
+            apply_update(self.graph, self.undo_log.pop())
 
     def make_query_service(self, tree: DFSTree) -> QueryService:
         return DQueryService(self.structure, source_tree=tree, metrics=self.metrics)
@@ -162,18 +180,26 @@ class FaultTolerantDFS:
     # ------------------------------------------------------------------ #
     def query(self, updates: Sequence[Update]) -> DFSTree:
         """Return a DFS tree of ``graph + updates`` using only the preprocessed
-        data (Theorem 14).  *updates* are applied in order."""
-        tree, _ = self.query_with_graph(updates)
-        return tree
+        data (Theorem 14).  *updates* are applied in order, to the
+        preprocessed graph in place, and undone before this returns; nothing
+        is copied.  Not safe to call concurrently on one instance."""
+        with self._replayed(updates) as tree:
+            return tree
 
     def query_with_graph(self, updates: Sequence[Update]) -> Tuple[DFSTree, UndirectedGraph]:
-        """Like :meth:`query` but also returns the updated graph (useful for
-        validation and for the examples)."""
+        """Like :meth:`query` but also returns a copy of the updated graph
+        (useful for validation and for the examples)."""
+        with self._replayed(updates) as tree:
+            return tree, self._graph0.copy()
+
+    @contextmanager
+    def _replayed(self, updates: Sequence[Update]) -> Iterator[DFSTree]:
+        """Apply *updates* to the preprocessed graph and ``D`` for the body of
+        the ``with`` block, then restore both, whatever raised."""
         self.metrics.inc("ft_queries")
         self.metrics.observe_max("ft_batch_size", len(updates))
-        graph = self._graph0.copy()
         self._structure.reset_overlays()
-        backend = _PreprocessedDBackend(graph, self._structure, self.metrics)
+        backend = _PreprocessedDBackend(self._graph0, self._structure, self.metrics)
         engine = UpdateEngine(
             backend,
             self._tree0,
@@ -187,7 +213,9 @@ class FaultTolerantDFS:
         try:
             for update in updates:
                 engine.apply(update)
+            yield engine.tree
         finally:
-            # The preprocessed structure must stay pristine for the next query.
+            # The preprocessed graph and structure must stay pristine for
+            # the next query.
+            backend.undo()
             self._structure.reset_overlays()
-        return engine.tree, graph

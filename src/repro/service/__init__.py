@@ -8,7 +8,9 @@ answer LCA / path / connectivity / subtree-size / is-ancestor queries against
 the last published version with zero locks and zero writer coordination.
 :class:`BatchingQueryFront` fronts the service with an asyncio layer that
 coalesces queries arriving within a tick into one vectorized pass over the
-snapshot arrays.  See ``docs/architecture.md`` ("Query service").
+snapshot arrays; its query methods park a query when called and return a
+plain :class:`asyncio.Future`, so a gathered burst creates no Task.  See
+``docs/architecture.md`` ("Query service").
 """
 
 from repro.service.batch import BatchingQueryFront, QueryResult

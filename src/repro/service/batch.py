@@ -3,13 +3,18 @@
 Production read traffic arrives as many tiny independent queries.  Answering
 them one by one wastes the array backend's throughput — the snapshot's
 ``lca_batch`` answers 10^4 queries for barely more than one.  The
-:class:`BatchingQueryFront` closes that gap: ``await front.lca(a, b)`` parks
-the query on a pending list and the *batch tick* (an event-loop callback —
+:class:`BatchingQueryFront` closes that gap: ``front.lca(a, b)`` parks the
+query on a pending list *when it is called* and returns a plain
+:class:`asyncio.Future`, and the *batch tick* (an event-loop callback —
 ``call_soon`` by default, ``call_later(tick)`` when a coalescing window is
 configured) flushes everything that arrived in the meantime as **one
-vectorized pass per query kind** over a single pinned snapshot.
+vectorized pass per query kind** over a single pinned snapshot.  The query
+methods are not coroutines, so gathering a burst wraps no read in a Task;
+``asyncio.ensure_future`` schedules a single read (``asyncio.create_task``
+takes coroutines only).  Called with no running event loop, a query method
+raises :class:`RuntimeError` and parks nothing.
 
-Every caller gets back a :class:`QueryResult` ``(answer, version)`` — all
+Every future resolves to a :class:`QueryResult` ``(answer, version)`` — all
 queries answered by one flush share the same snapshot version, so staleness
 is observable per answer.  A query that raises (e.g. an unknown vertex) fails
 only its own future: the flush retries the failing kind scalar-by-scalar so
@@ -22,6 +27,8 @@ and its snapshots stay shareable across threads.
 from __future__ import annotations
 
 import asyncio
+import math
+from numbers import Real
 from typing import Any, Hashable, List, NamedTuple, Optional, Tuple
 
 from repro.service.service import DFSTreeService
@@ -52,6 +59,9 @@ _KINDS = {
 class BatchingQueryFront:
     """Coalesces concurrent reader queries into vectorized snapshot passes.
 
+    The query methods return futures, not coroutines (see the module
+    docstring for the contract).
+
     Parameters
     ----------
     service:
@@ -60,9 +70,29 @@ class BatchingQueryFront:
         Flush immediately once this many queries are pending (before the tick
         fires), bounding per-flush latency under heavy load.
     tick:
-        Coalescing window in seconds.  ``0`` (default) flushes on the next
-        event-loop iteration — everything enqueued by the current burst of
-        tasks (e.g. one ``asyncio.gather``) lands in one flush.
+        Coalescing window in seconds, a finite number ``>= 0``.  ``0``
+        (default) flushes on the next event-loop iteration — everything
+        parked by the current burst (e.g. one ``asyncio.gather``) lands in
+        one flush.
+
+    Examples
+    --------
+    >>> import asyncio
+    >>> from repro.core import FullyDynamicDFS
+    >>> from repro.graph.generators import gnp_random_graph
+    >>> from repro.service import DFSTreeService
+    >>> driver = FullyDynamicDFS(gnp_random_graph(30, 0.2, seed=1, connected=True))
+    >>> front = BatchingQueryFront(DFSTreeService(driver))
+    >>> async def main():
+    ...     burst = await asyncio.gather(
+    ...         front.lca(3, 7), front.connected(0, 29), front.subtree_size(5))
+    ...     single = await asyncio.ensure_future(front.lca(3, 7))
+    ...     return burst, single
+    >>> burst, single = asyncio.run(main())
+    >>> {r.version for r in burst} == {single.version} == {front.service.version}
+    True
+    >>> burst[0].answer == single.answer == front.service.snapshot().lca(3, 7)
+    True
     """
 
     def __init__(
@@ -74,6 +104,9 @@ class BatchingQueryFront:
     ) -> None:
         if not isinstance(max_batch, int) or max_batch < 1:
             raise ValueError(f"max_batch must be a positive int, got {max_batch!r}")
+        # NaN fails both comparisons; a bool is an int but not a duration.
+        if isinstance(tick, bool) or not isinstance(tick, Real) or not 0 <= tick < math.inf:
+            raise ValueError(f"tick must be a finite number of seconds >= 0, got {tick!r}")
         self.service = service
         self.max_batch = max_batch
         self.tick = tick
@@ -83,26 +116,26 @@ class BatchingQueryFront:
     # ------------------------------------------------------------------ #
     # Query API
     # ------------------------------------------------------------------ #
-    async def lca(self, a: Vertex, b: Vertex) -> QueryResult:
-        """LCA of *a* and *b* (``None`` when disconnected), coalesced."""
-        return await self._enqueue("lca", (a, b))
+    def lca(self, a: Vertex, b: Vertex) -> "asyncio.Future[QueryResult]":
+        """Park the LCA of *a* and *b* now; return its future (``None`` if disconnected)."""
+        return self._enqueue("lca", (a, b))
 
-    async def connected(self, a: Vertex, b: Vertex) -> QueryResult:
-        """Connectivity of *a* and *b*, coalesced."""
-        return await self._enqueue("connected", (a, b))
+    def connected(self, a: Vertex, b: Vertex) -> "asyncio.Future[QueryResult]":
+        """Park the connectivity of *a* and *b* now; return its future."""
+        return self._enqueue("connected", (a, b))
 
-    async def is_ancestor(self, a: Vertex, b: Vertex) -> QueryResult:
-        """Ancestor test ``a`` over ``b``, coalesced."""
-        return await self._enqueue("is_ancestor", (a, b))
+    def is_ancestor(self, a: Vertex, b: Vertex) -> "asyncio.Future[QueryResult]":
+        """Park the ancestor test ``a`` over ``b`` now; return its future."""
+        return self._enqueue("is_ancestor", (a, b))
 
-    async def subtree_size(self, v: Vertex) -> QueryResult:
-        """Subtree size of *v*, coalesced."""
-        return await self._enqueue("subtree_size", (v,))
+    def subtree_size(self, v: Vertex) -> "asyncio.Future[QueryResult]":
+        """Park the subtree size of *v* now; return its future."""
+        return self._enqueue("subtree_size", (v,))
 
-    async def path_length(self, a: Vertex, b: Vertex) -> QueryResult:
-        """Tree-path length between *a* and *b* (``None`` when disconnected),
-        coalesced."""
-        return await self._enqueue("path_length", (a, b))
+    def path_length(self, a: Vertex, b: Vertex) -> "asyncio.Future[QueryResult]":
+        """Park the tree-path length of *a* and *b* now; return its future
+        (``None`` if disconnected)."""
+        return self._enqueue("path_length", (a, b))
 
     @property
     def pending(self) -> int:
@@ -138,7 +171,7 @@ class BatchingQueryFront:
     # Internals
     # ------------------------------------------------------------------ #
     def _enqueue(self, kind: str, args: tuple) -> "asyncio.Future[QueryResult]":
-        loop = asyncio.get_running_loop()
+        loop = asyncio.get_running_loop()  # RuntimeError before anything parks
         fut: asyncio.Future = loop.create_future()
         self._pending.append((kind, args, fut))
         if len(self._pending) >= self.max_batch:

@@ -1,9 +1,14 @@
 """Tests for the fault-tolerant DFS (Theorem 14)."""
 
+import pytest
+
 from tests.helpers import make_updates, small_graph_family
 from repro.core.fault_tolerant import FaultTolerantDFS
-from repro.core.updates import EdgeDeletion, VertexDeletion
+from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexDeletion, VertexInsertion
+from repro.exceptions import UpdateError
+from repro.graph.array_graph import ArrayGraph
 from repro.graph.generators import gnp_random_graph
+from repro.graph.graph import UndirectedGraph
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.workloads.updates import failure_burst
@@ -69,3 +74,60 @@ def test_vertex_failures_including_hubs():
     tree, updated = ft.query_with_graph([VertexDeletion(hub)])
     assert hub not in tree
     assert check_dfs_tree(updated, tree.parent_map()) == []
+
+
+def _edge_set(graph):
+    return {frozenset(e) for e in graph.edges()}
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+def test_query_copies_no_graph(backend, monkeypatch):
+    """A query applies its batch to the preprocessed graph in place and undoes
+    it: only ``query_with_graph``, whose caller asks for the updated graph,
+    copies one."""
+    graph = gnp_random_graph(40, 0.12, seed=5, connected=True)
+    ft = FaultTolerantDFS(graph, backend=backend, validate=True)
+    batches = [make_updates(graph, 4, seed=seed) for seed in range(4)]
+    copies = []
+    for cls in (UndirectedGraph, ArrayGraph):
+        original = cls.copy
+        monkeypatch.setattr(cls, "copy", lambda self, _o=original: copies.append(self) or _o(self))
+    for batch in batches:
+        ft.query(batch)
+    assert copies == []
+    ft.query_with_graph(batches[0])
+    assert copies == [ft.structure.graph]
+
+
+@pytest.mark.parametrize("backend", ["dict", "array"])
+def test_a_failed_batch_leaves_the_preprocessed_graph_unchanged(backend):
+    graph = gnp_random_graph(40, 0.12, seed=6, connected=True)
+    ft = FaultTolerantDFS(graph, backend=backend, validate=True)
+    pre = ft.structure.graph
+    vertices, edges = sorted(pre.vertices()), _edge_set(pre)
+    probe = make_updates(graph, 4, seed=3)
+    expected = ft.query(probe).parent_map()
+    hub = max(graph.vertices(), key=graph.degree)
+    gone = next(iter(graph.neighbors(hub)))
+    with pytest.raises(UpdateError):
+        # The second update names an edge the first one deleted.
+        ft.query([VertexDeletion(hub), EdgeDeletion(hub, gone)])
+    assert sorted(pre.vertices()) == vertices and _edge_set(pre) == edges
+    assert ft.structure.overlay_size() == 0
+    assert ft.query(probe).parent_map() == expected
+
+
+def test_vertex_reinsertion_on_the_array_store_leaves_later_queries_alone():
+    """Undoing a deletion and re-insertion of one id recycles an array slot
+    and reorders adjacency; later queries still build the same trees as a
+    fresh driver's."""
+    graph = gnp_random_graph(40, 0.12, seed=7, connected=True)
+    ft = FaultTolerantDFS(graph, backend="array", validate=True)
+    v = max(graph.vertices(), key=graph.degree)
+    keep = sorted(graph.neighbors(v))[::2]
+    other = next(w for w in graph.vertices() if w != v and w not in keep)
+    ft.query([VertexDeletion(v), VertexInsertion(v, keep), EdgeInsertion(v, other)])
+    fresh = FaultTolerantDFS(graph, backend="array", validate=True)
+    for seed in range(6):
+        updates = make_updates(graph, 3, seed=20 + seed)
+        assert ft.query(updates).parent_map() == fresh.query(updates).parent_map(), seed

@@ -80,9 +80,9 @@ def test_coalescing_window_tick():
     verts = list(driver.graph.vertices())
 
     async def run():
-        first = asyncio.create_task(front.lca(verts[0], verts[1]))
+        first = asyncio.ensure_future(front.lca(verts[0], verts[1]))
         await asyncio.sleep(0)  # first enqueued, timer armed
-        second = asyncio.create_task(front.lca(verts[2], verts[3]))
+        second = asyncio.ensure_future(front.lca(verts[2], verts[3]))
         return await asyncio.gather(first, second)
 
     base = metrics["query_batches"]
@@ -146,6 +146,71 @@ def test_max_batch_validation():
     driver, svc, front, metrics, _ = _setup()
     with pytest.raises(ValueError):
         BatchingQueryFront(svc, max_batch=0)
+    # A tick must be a finite duration >= 0: a string would fail every read
+    # after parking it, and NaN or inf would never flush.
+    for tick in ("0", None, True, float("nan"), float("inf"), float("-inf"), -0.01):
+        with pytest.raises(ValueError):
+            BatchingQueryFront(svc, tick=tick)
+    for tick in (0, 0.0, 0.01, 2):
+        assert BatchingQueryFront(svc, tick=tick).tick == tick
+
+
+_KINDS = ("lca", "connected", "is_ancestor", "subtree_size", "path_length")
+
+
+def _call(front, kind, a, b):
+    return front.subtree_size(a) if kind == "subtree_size" else getattr(front, kind)(a, b)
+
+
+def test_query_methods_park_and_return_futures_so_a_burst_creates_no_task():
+    """Each query method parks its query when called and returns the future
+    itself: a gathered burst over all five kinds wraps nothing in a Task,
+    still lands in one flush, and equals the snapshot's batched answers."""
+    driver, svc, front, metrics, updates = _setup()
+    for update in updates:
+        driver.apply(update)
+    verts = list(driver.graph.vertices())
+    rng = random.Random(8)
+    pairs = [(rng.choice(verts), rng.choice(verts)) for _ in range(6)]
+    tasks = []
+
+    def counting_factory(loop, coro, **kwargs):
+        tasks.append(coro)
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    async def run():
+        asyncio.get_running_loop().set_task_factory(counting_factory)
+        futs = []
+        for kind in _KINDS:
+            for a, b in pairs:
+                fut = _call(front, kind, a, b)
+                assert isinstance(fut, asyncio.Future) and not isinstance(fut, asyncio.Task)
+                futs.append(fut)
+                assert front.pending == len(futs)  # parked before any await
+        results = await asyncio.gather(*futs)
+        return results, len(tasks)  # before asyncio.run's shutdown tasks
+
+    base = metrics["query_batches"]
+    results, burst_tasks = asyncio.run(run())
+    assert burst_tasks == 0
+    assert metrics["query_batches"] == base + 1
+    assert {r.version for r in results} == {svc.version}
+    snap = svc.snapshot()
+    avs, bvs = [a for a, _ in pairs], [b for _, b in pairs]
+    expected = []
+    for kind in _KINDS:
+        batch = getattr(snap, f"{kind}_batch")
+        expected += batch(avs) if kind == "subtree_size" else batch(avs, bvs)
+    assert [r.answer for r in results] == expected
+
+
+def test_query_methods_without_a_running_loop_raise_and_park_nothing():
+    driver, svc, front, metrics, _ = _setup()
+    a, b = list(driver.graph.vertices())[:2]
+    for kind in _KINDS:
+        with pytest.raises(RuntimeError):
+            _call(front, kind, a, b)
+    assert front.pending == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -171,9 +236,8 @@ def _run_with_cancellation(front, pairs, cancel_mask):
     and return the gathered outcomes."""
 
     async def run():
-        loop = asyncio.get_running_loop()
-        tasks = [loop.create_task(front.lca(a, b)) for a, b in pairs]
-        await asyncio.sleep(0)  # let every coroutine park its future
+        tasks = [asyncio.ensure_future(front.lca(a, b)) for a, b in pairs]
+        await asyncio.sleep(0)  # let every query park its future
         for task, cancel in zip(tasks, cancel_mask):
             if cancel:
                 task.cancel()
