@@ -20,7 +20,7 @@ vertex of ``T*`` it will hang from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import InvariantViolation
 from repro.tree.dfs_tree import DFSTree
@@ -33,10 +33,6 @@ class TreePiece:
     """A full subtree ``T(root)`` of the base tree, entirely unvisited."""
 
     root: Vertex
-
-    def vertices(self, tree: DFSTree) -> List[Vertex]:
-        """All vertices of the piece (preorder)."""
-        return tree.subtree_vertices(self.root)
 
     def size(self, tree: DFSTree) -> int:
         """Number of vertices in the piece."""
@@ -67,10 +63,6 @@ class PathPiece:
             raise InvariantViolation("a path piece cannot be empty")
 
     def __len__(self) -> int:
-        return len(self.vertices)
-
-    def size(self, tree: DFSTree) -> int:  # noqa: ARG002 - uniform piece API
-        """Number of vertices on the path."""
         return len(self.vertices)
 
     def contains(self, tree: DFSTree, v: Vertex) -> bool:  # noqa: ARG002
@@ -118,29 +110,12 @@ class Component:
     rc: Optional[Vertex] = None
     attach: Optional[Vertex] = None
 
-    # ------------------------------------------------------------------ #
-    # Typing / sizes
-    # ------------------------------------------------------------------ #
-    @property
-    def kind(self) -> str:
-        """``"C1"`` (no path) or ``"C2"`` (a path plus its subtrees)."""
-        return "C1" if self.path is None else "C2"
-
     def pieces(self) -> List[object]:
         """All pieces of the component (path pieces first)."""
         out: List[object] = []
         if self.path is not None:
             out.append(self.path)
         out.extend(self.trees)
-        return out
-
-    def vertices(self, tree: DFSTree) -> List[Vertex]:
-        """All vertices of the component."""
-        out: List[Vertex] = []
-        if self.path is not None:
-            out.extend(self.path.vertices)
-        for t in self.trees:
-            out.extend(t.vertices(tree))
         return out
 
     def size(self, tree: DFSTree) -> int:
@@ -150,41 +125,17 @@ class Component:
             total += len(self.path)
         return total
 
-    def path_length(self) -> int:
-        """Length (vertex count) of the component path, 0 for C1 components."""
-        return 0 if self.path is None else len(self.path)
-
-    def heaviest_tree(self, tree: DFSTree) -> Optional[TreePiece]:
-        """The largest subtree piece ``τ_c`` (ties broken by first occurrence)."""
-        if not self.trees:
-            return None
+    def heaviest_tree(self, tree: DFSTree) -> TreePiece:
+        """The largest subtree piece ``τ_c`` (ties broken by first occurrence);
+        the component must hold at least one."""
         return max(self.trees, key=lambda t: t.size(tree))
-
-    def heavy_trees(self, tree: DFSTree, threshold: int) -> List[TreePiece]:
-        """Subtree pieces with more than *threshold* vertices (the set ``T_c``)."""
-        return [t for t in self.trees if t.size(tree) > threshold]
-
-    # ------------------------------------------------------------------ #
-    # Membership
-    # ------------------------------------------------------------------ #
-    def piece_containing(self, tree: DFSTree, v: Vertex) -> Optional[object]:
-        """The piece containing *v*, or ``None``."""
-        if self.path is not None and self.path.contains(tree, v):
-            return self.path
-        for t in self.trees:
-            if t.contains(tree, v):
-                return t
-        return None
-
-    def contains(self, tree: DFSTree, v: Vertex) -> bool:
-        """True iff *v* belongs to the component."""
-        return self.piece_containing(tree, v) is not None
 
     def describe(self, tree: DFSTree) -> str:
         """Compact human-readable description (used in logs and errors)."""
         parts = [p.describe() for p in self.pieces()]
+        kind = "C1" if self.path is None else "C2"
         return (
-            f"Component(kind={self.kind}, rc={self.rc!r}, attach={self.attach!r}, "
+            f"Component(kind={kind}, rc={self.rc!r}, attach={self.attach!r}, "
             f"size={self.size(tree)}, pieces=[{', '.join(parts)}])"
         )
 
@@ -195,15 +146,3 @@ def component_from_subtree(tree: DFSTree, root: Vertex, rc: Vertex, attach: Opti
     if not piece.contains(tree, rc):
         raise InvariantViolation(f"new root {rc!r} does not lie in subtree T({root!r})")
     return Component(trees=[piece], path=None, rc=rc, attach=attach)
-
-
-def assert_disjoint_pieces(tree: DFSTree, components: Iterable[Component]) -> None:
-    """Validation helper: the pieces of all *components* must be disjoint."""
-    seen: dict = {}
-    for comp in components:
-        for v in comp.vertices(tree):
-            if v in seen:
-                raise InvariantViolation(
-                    f"vertex {v!r} appears in two components: {seen[v]} and {comp.describe(tree)}"
-                )
-            seen[v] = comp.describe(tree)

@@ -127,6 +127,16 @@ def _position_map(target: Sequence[Vertex]) -> Dict[Vertex, int]:
     return {v: i for i, v in enumerate(target)}
 
 
+def _postorder_rank(tree: DFSTree) -> Callable[[Vertex], int]:
+    """The canonical ``source_rank`` for :func:`_better`: a source's
+    post-order number in *tree*; a vertex outside *tree* ranks last."""
+
+    def rank(v: Vertex) -> int:
+        return tree.postorder(v) if v in tree else (1 << 60)
+
+    return rank
+
+
 def _better(
     pos: Dict[Vertex, int],
     prefer_last: bool,
@@ -163,6 +173,7 @@ class BruteForceQueryService(QueryService):
         self._graph = graph
         self._tree = base_tree
         self._metrics = metrics
+        self._rank = _postorder_rank(base_tree)
 
     def answer_batch(self, queries: Sequence[EdgeQuery]) -> List[Answer]:
         if self._metrics is not None:
@@ -173,17 +184,12 @@ class BruteForceQueryService(QueryService):
     def _answer_one(self, q: EdgeQuery) -> Answer:
         pos = _position_map(q.target)
         best: Answer = None
-        tree = self._tree
-
-        def rank(v: Vertex):
-            return tree.postorder(v) if v in tree else (1 << 60)
-
         for u in q.source_vertex_list(self._tree):
             if not self._graph.has_vertex(u):
                 continue
             for w in self._graph.neighbors(u):
                 if w in pos:
-                    best = _better(pos, q.prefer_last, best, (u, w), source_rank=rank)
+                    best = _better(pos, q.prefer_last, best, (u, w), source_rank=self._rank)
         return best
 
 

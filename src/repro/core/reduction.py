@@ -53,12 +53,6 @@ class RerootTask:
     new_root: Vertex
     attach: Vertex
 
-    def describe(self) -> str:
-        return (
-            f"reroot T({self.subtree_root!r}) at {self.new_root!r}"
-            f" hanging from {self.attach!r}"
-        )
-
 
 @dataclass
 class ReductionResult:

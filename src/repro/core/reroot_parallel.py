@@ -67,10 +67,6 @@ class ParallelRerootEngine:
         )
 
     # ------------------------------------------------------------------ #
-    def reroot(self, task: RerootTask) -> ParentAssignment:
-        """Reroot a single subtree (Theorem 3)."""
-        return self.reroot_many([task])
-
     def reroot_many(self, tasks: Sequence[RerootTask]) -> ParentAssignment:
         """Reroot all *tasks* (disjoint subtrees) and return the new parents of
         every vertex they cover."""

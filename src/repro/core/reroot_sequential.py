@@ -43,10 +43,6 @@ class SequentialRerootEngine:
         self.service = service
         self.metrics = metrics or MetricsRecorder("sequential_reroot")
 
-    def reroot(self, task: RerootTask) -> ParentAssignment:
-        """Reroot a single subtree."""
-        return self.reroot_many([task])
-
     def reroot_many(self, tasks: Sequence[RerootTask]) -> ParentAssignment:
         """Reroot all *tasks* (disjoint subtrees of the base tree)."""
         tree = self.tree
@@ -75,7 +71,7 @@ class SequentialRerootEngine:
                     prev = v
                 self.metrics.inc("vertices_added", len(path))
                 target = tuple(path)
-                for w in hanging_subtrees(tree, path, exclude=path):
+                for w in hanging_subtrees(tree, path):
                     pending.append((w, target))
                     batch.append(EdgeQuery.from_tree(w, target, prefer_last=True))
 
@@ -83,7 +79,6 @@ class SequentialRerootEngine:
             next_level: List[Tuple[Vertex, Vertex, Vertex]] = []
             if batch:
                 self.metrics.inc("query_rounds")
-                self.metrics.inc("queries", len(batch))
                 answers = self.service.answer_batch(batch)
                 for (w, _target), ans in zip(pending, answers):
                     if ans is None:

@@ -31,10 +31,10 @@ construction; each place that can detect a violation raises
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.components import Component, PathPiece, TreePiece
-from repro.core.queries import Answer, EdgeQuery
+from repro.core.queries import Answer, EdgeQuery, _position_map
 from repro.exceptions import InvariantViolation
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
@@ -43,6 +43,13 @@ from repro.tree.tree_utils import ancestor_descendant_segments, hanging_subtrees
 Vertex = Hashable
 QueryBatch = List[EdgeQuery]
 TraversalGen = Generator[QueryBatch, List[Answer], "StepResult"]
+
+
+def _last_on_target(answers: Sequence[Answer], pos: Dict[Vertex, int]) -> Answer:
+    """The answer whose target endpoint comes last on the target (the first
+    such answer on a tie), or ``None`` when no query found an edge; *pos*
+    maps each target vertex to its position."""
+    return max((a for a in answers if a is not None), key=lambda a: pos[a[1]], default=None)
 
 
 @dataclass
@@ -91,9 +98,7 @@ class TraversalPlanner:
         """Return the traversal generator appropriate for *comp*."""
         tree = self.tree
         if comp.path is not None and comp.path.contains(tree, comp.rc):
-            if self.enable_path_halving:
-                return self._path_halving(comp)
-            return self._path_full_walk(comp)
+            return self._path_walk(comp)
 
         tau = None
         for t in comp.trees:
@@ -103,27 +108,24 @@ class TraversalPlanner:
         if tau is None:
             raise InvariantViolation(f"root {comp.rc!r} not found in {comp.describe(tree)}")
 
-        heaviest = comp.heaviest_tree(tree)
-        threshold = max(heaviest.size(tree) // 2, 1) if heaviest is not None else 1
-        tau_heavy = tau.size(tree) > threshold
-
+        threshold = max(comp.heaviest_tree(tree).size(tree) // 2, 1)
         if comp.path is None:
             return self._disintegrate(comp, tau, threshold)
-        if not tau_heavy:
-            return self._disconnect(comp, tau, threshold)
+        if tau.size(tree) <= threshold:
+            return self._disconnect(comp, tau)
         if comp.rc == tau.root:
             return self._disintegrate(comp, tau, threshold)
         v_h = heavy_vertex(tree, tau.root, threshold)
         if tree.is_ancestor(v_h, comp.rc):
-            return self._disconnect(comp, tau, threshold)
-        return self._heavy(comp, tau, threshold, v_h)
+            return self._disconnect(comp, tau)
+        return self._heavy(comp, tau, v_h)
 
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
     def _hanging_within(self, tau: TreePiece, covered: Sequence[Vertex]) -> List[TreePiece]:
         """Subtrees of *tau* hanging from the *covered* vertices."""
-        roots = hanging_subtrees(self.tree, covered, exclude=covered)
+        roots = hanging_subtrees(self.tree, covered)
         return [TreePiece(r) for r in roots if tau.contains(self.tree, r)]
 
     def _piece_query(self, piece, target, *, prefer_last: bool) -> EdgeQuery:
@@ -133,19 +135,31 @@ class TraversalPlanner:
             return EdgeQuery.from_path(piece.vertices, target, prefer_last=prefer_last)
         raise TypeError(f"unknown piece type {piece!r}")
 
-    @staticmethod
-    def _positions(target: Sequence[Vertex]) -> Dict[Vertex, int]:
-        return {v: i for i, v in enumerate(target)}
+    def _finish(
+        self,
+        comp: Component,
+        tau: Optional[TreePiece],
+        pstar: List[Vertex],
+        leftover_paths: List[PathPiece],
+        hanging: List[TreePiece],
+        traversal: str,
+    ) -> TraversalGen:
+        """Hand a traversal's leftovers to Process-Comp: *leftover_paths*, the
+        subtrees of *tau* left *hanging* from the covered vertices, and the
+        component's other trees (all of them for a path walk, ``tau=None``)."""
+        leftover_trees = hanging + [t for t in comp.trees if t is not tau]
+        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
+        return StepResult(pstar=pstar, new_components=new_components, traversal=traversal)
 
-    def _is_walkable(self, pstar: Sequence[Vertex], jump: Optional[Tuple[Vertex, Vertex]]) -> bool:
+    def _is_walkable(self, pstar: Sequence[Vertex], jump: Tuple[Vertex, Vertex]) -> bool:
         """Consecutive vertices of a traversal path must be tree neighbours,
-        except for at most one designated back-edge jump."""
+        except for the designated back-edge *jump*."""
         tree = self.tree
-        jump_set = {frozenset(jump)} if jump is not None else set()
+        jump_edge = frozenset(jump)
         for a, b in zip(pstar, pstar[1:]):
             if tree.parent(a) == b or tree.parent(b) == a:
                 continue
-            if frozenset((a, b)) in jump_set:
+            if frozenset((a, b)) == jump_edge:
                 continue
             return False
         return len(set(pstar)) == len(pstar)
@@ -156,124 +170,77 @@ class TraversalPlanner:
     def _process_comp(
         self,
         pstar: List[Vertex],
-        leftover_paths: List[Optional[PathPiece]],
-        leftover_trees: List[TreePiece],
+        paths: List[PathPiece],
+        trees: List[TreePiece],
     ) -> Generator[QueryBatch, List[Answer], List[Component]]:
         """Assemble the leftover pieces into new components with roots.
 
         Yields the query batches described in ``Process-Comp``: one eligibility
         batch per leftover path (which trees have an edge to it), one batch for
         path-to-path adjacency, and one batch that locates every new
-        component's lowest edge on ``pstar``.  Raises
-        :class:`InvariantViolation` when the leftovers do not form C1/C2
-        components: two leftover paths in one component (adjacent to each
-        other, or joined by a subtree adjacent to both), or a component with
-        no edge to ``pstar``.
+        component's lowest edge on ``pstar``.  Each leftover path heads its own
+        C2 component with the trees adjacent to it; a tree adjacent to no path
+        is a C1 component.  Raises :class:`InvariantViolation` when the
+        leftovers do not form C1/C2 components: two leftover paths linked to
+        each other or to one tree (they would share a component), or a
+        component with no edge to ``pstar``.
         """
-        tree = self.tree
-        paths = [p for p in leftover_paths if p is not None and len(p) > 0]
-        trees = list(leftover_trees)
         self.metrics.inc("process_comp_calls")
-        pstar_t = tuple(pstar)
 
         # --- 1. Which trees attach to which leftover path? -------------------
-        tree_hits: Dict[int, List[int]] = {ti: [] for ti in range(len(trees))}
+        hits: List[List[int]] = [[] for _ in trees]
         for pi, p in enumerate(paths):
             if not trees:
                 break
-            target = tuple(p.vertices)
-            batch = [self._piece_query(t, target, prefer_last=True) for t in trees]
-            answers = yield batch
+            answers = yield [self._piece_query(t, p.vertices, prefer_last=True) for t in trees]
             for ti, ans in enumerate(answers):
                 if ans is not None:
-                    tree_hits[ti].append(pi)
+                    hits[ti].append(pi)
 
         # --- 2. Are two leftover paths directly connected? ------------------
-        path_links: List[Tuple[int, int]] = []
+        # A link between two leftover paths, or a tree adjacent to both, would
+        # put both paths in one component: neither C1 nor C2.
+        joined = {pi for h in hits if len(h) > 1 for pi in h}
         if len(paths) > 1:
-            pair_queries = []
-            pairs = []
-            for i in range(len(paths)):
-                for j in range(i + 1, len(paths)):
-                    pair_queries.append(
-                        EdgeQuery.from_path(
-                            paths[i].vertices, tuple(paths[j].vertices), prefer_last=True
-                        )
-                    )
-                    pairs.append((i, j))
-            answers = yield pair_queries
-            for (i, j), ans in zip(pairs, answers):
+            pairs = [(i, j) for i in range(len(paths)) for j in range(i + 1, len(paths))]
+            answers = yield [
+                EdgeQuery.from_path(paths[i].vertices, paths[j].vertices, prefer_last=True)
+                for i, j in pairs
+            ]
+            for pair, ans in zip(pairs, answers):
                 if ans is not None:
-                    path_links.append((i, j))
+                    joined.update(pair)
+        if joined:
+            raise InvariantViolation(
+                "leftover pieces violate the C1/C2 invariant: "
+                + ", ".join(paths[pi].describe() for pi in sorted(joined))
+            )
 
-        # --- 3. Union pieces into components. --------------------------------
-        parent = list(range(len(paths)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        for i, j in path_links:
-            union(i, j)
-        for ti, hits in tree_hits.items():
-            for a, b in zip(hits, hits[1:]):
-                union(a, b)
-
-        groups: Dict[int, Dict[str, list]] = {}
-        for pi in range(len(paths)):
-            root = find(pi)
-            groups.setdefault(root, {"paths": [], "trees": []})["paths"].append(paths[pi])
-        loose_trees: List[TreePiece] = []
-        for ti, hits in tree_hits.items():
-            if hits:
-                groups[find(hits[0])]["trees"].append(trees[ti])
-            else:
-                loose_trees.append(trees[ti])
-
-        new_components: List[Component] = []
-        for grp in groups.values():
-            if len(grp["paths"]) > 1:
-                raise InvariantViolation(
-                    "leftover pieces violate the C1/C2 invariant: "
-                    + ", ".join(p.describe() for p in grp["paths"])
-                )
-            new_components.append(Component(trees=grp["trees"], path=grp["paths"][0]))
-        for t in loose_trees:
-            new_components.append(Component(trees=[t], path=None))
+        # --- 3. One component per leftover path, one per loose tree. --------
+        new_components = [Component(path=p) for p in paths]
+        for t, h in zip(trees, hits):
+            if h:
+                new_components[h[0]].trees.append(t)
+        new_components.extend(Component(trees=[t]) for t, h in zip(trees, hits) if not h)
 
         # --- 4. Find each new component's lowest edge on pstar. --------------
-        root_queries: List[EdgeQuery] = []
-        owners: List[int] = []
-        for ci, c in enumerate(new_components):
-            for piece in c.pieces():
-                root_queries.append(self._piece_query(piece, pstar_t, prefer_last=True))
-                owners.append(ci)
-        answers = yield root_queries
-        pos = self._positions(pstar)
-        best: Dict[int, Answer] = {ci: None for ci in range(len(new_components))}
-        for ci, ans in zip(owners, answers):
-            if ans is None:
-                continue
-            cur = best[ci]
-            if cur is None or pos[ans[1]] > pos[cur[1]]:
-                best[ci] = ans
-
-        for ci, c in enumerate(new_components):
-            ans = best[ci]
+        pieces = [c.pieces() for c in new_components]
+        pstar_t = tuple(pstar)
+        answers = yield [
+            self._piece_query(piece, pstar_t, prefer_last=True) for ps in pieces for piece in ps
+        ]
+        pos = _position_map(pstar)
+        lo = 0
+        for c, ps in zip(new_components, pieces):
+            ans = _last_on_target(answers[lo : lo + len(ps)], pos)
+            lo += len(ps)
             if ans is None:
                 # Every leftover piece hangs from the traversed path or from a
                 # leftover path, so each component has an edge to pstar.
                 raise InvariantViolation(
-                    f"component {c.describe(tree)} has no edge to the traversed path"
+                    f"component {c.describe(self.tree)} has no edge to the traversed path"
                 )
-            c.rc, c.attach = ans[0], ans[1]
+            c.rc, c.attach = ans
         return new_components
 
     # ------------------------------------------------------------------ #
@@ -292,7 +259,7 @@ class TraversalPlanner:
         v_l = tree.lca(rc, v_h)
         pstar = tree.path(rc, v_h)
 
-        leftover_paths: List[Optional[PathPiece]] = []
+        leftover_paths: List[PathPiece] = []
         covered = list(pstar)
         if v_l != r_prime:
             upper = tree.ancestor_path(tree.parent(v_l), r_prime)
@@ -300,50 +267,37 @@ class TraversalPlanner:
             covered.extend(upper)
         if comp.path is not None:
             leftover_paths.append(comp.path)
-
-        leftover_trees = self._hanging_within(tau, covered)
-        leftover_trees.extend(t for t in comp.trees if t is not tau)
-
-        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
-        return StepResult(pstar=pstar, new_components=new_components, traversal="disintegrating")
+        hanging = self._hanging_within(tau, covered)
+        return (yield from self._finish(comp, tau, pstar, leftover_paths, hanging, "disintegrating"))
 
     # ------------------------------------------------------------------ #
     # Path halving (Section 4.2)
     # ------------------------------------------------------------------ #
-    def _path_halving(self, comp: Component) -> TraversalGen:
-        self.metrics.inc("traversal_path_halving")
+    def _path_walk(self, comp: Component) -> TraversalGen:
+        """Walk ``p_c`` from ``r_c`` to its farther endpoint, so the leftover
+        path halves.  The E8 ablation (``enable_path_halving=False``) walks to
+        the *nearer* endpoint, so the path shrinks only by the walked part."""
+        if self.enable_path_halving:
+            self.metrics.inc("traversal_path_halving")
+            traversal = "path_halving"
+        else:
+            self.metrics.inc("traversal_path_full_walk")
+            traversal = "path_full_walk"
         pc = list(comp.path.vertices)
         i = pc.index(comp.rc)
-        if i >= len(pc) - 1 - i:
-            pstar = list(reversed(pc[: i + 1]))  # rc back towards the first endpoint
+        if (i >= len(pc) - 1 - i) == self.enable_path_halving:
+            pstar = pc[i::-1]  # rc back towards the first endpoint
             remainder = pc[i + 1 :]
         else:
             pstar = pc[i:]
             remainder = pc[:i]
         leftover_paths = [PathPiece(remainder)] if remainder else []
-        new_components = yield from self._process_comp(pstar, leftover_paths, list(comp.trees))
-        return StepResult(pstar=pstar, new_components=new_components, traversal="path_halving")
-
-    def _path_full_walk(self, comp: Component) -> TraversalGen:
-        """Ablation variant of path halving: walk to the *nearer* endpoint, so
-        the remaining path shrinks only by the traversed prefix."""
-        self.metrics.inc("traversal_path_full_walk")
-        pc = list(comp.path.vertices)
-        i = pc.index(comp.rc)
-        if i < len(pc) - 1 - i:
-            pstar = list(reversed(pc[: i + 1]))
-            remainder = pc[i + 1 :]
-        else:
-            pstar = pc[i:]
-            remainder = pc[:i]
-        leftover_paths = [PathPiece(remainder)] if remainder else []
-        new_components = yield from self._process_comp(pstar, leftover_paths, list(comp.trees))
-        return StepResult(pstar=pstar, new_components=new_components, traversal="path_full_walk")
+        return (yield from self._finish(comp, None, pstar, leftover_paths, [], traversal))
 
     # ------------------------------------------------------------------ #
     # Disconnecting traversal (Section 4.3)
     # ------------------------------------------------------------------ #
-    def _disconnect(self, comp: Component, tau: TreePiece, threshold: int) -> TraversalGen:
+    def _disconnect(self, comp: Component, tau: TreePiece) -> TraversalGen:
         tree = self.tree
         self.metrics.inc("traversal_disconnecting")
         rc = comp.rc
@@ -355,7 +309,7 @@ class TraversalPlanner:
         if pc_list[0] != pc_top:
             pc_list = list(reversed(pc_list))  # orient top -> bottom
         pc_t = tuple(pc_list)
-        pos = self._positions(pc_list)
+        pos = _position_map(pc_list)
 
         # Lowest edge from tau to pc (nearest the bottom endpoint).
         answers = yield [self._piece_query(tau, pc_t, prefer_last=True)]
@@ -382,7 +336,7 @@ class TraversalPlanner:
         pstar = tau_path + traversed_pc
 
         v_meet = tree.lca(rc, x)
-        leftover_paths: List[Optional[PathPiece]] = []
+        leftover_paths: List[PathPiece] = []
         covered = list(tau_path)
         if v_meet != tau.root:
             upper = tree.ancestor_path(tree.parent(v_meet), tau.root)
@@ -390,17 +344,13 @@ class TraversalPlanner:
             covered.extend(upper)
         if remainder_pc:
             leftover_paths.append(PathPiece(remainder_pc))
-
-        leftover_trees = self._hanging_within(tau, covered)
-        leftover_trees.extend(t for t in comp.trees if t is not tau)
-
-        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
-        return StepResult(pstar=pstar, new_components=new_components, traversal="disconnecting")
+        hanging = self._hanging_within(tau, covered)
+        return (yield from self._finish(comp, tau, pstar, leftover_paths, hanging, "disconnecting"))
 
     # ------------------------------------------------------------------ #
     # Heavy subtree traversal (Section 4.4)
     # ------------------------------------------------------------------ #
-    def _heavy(self, comp: Component, tau: TreePiece, threshold: int, v_h: Vertex) -> TraversalGen:
+    def _heavy(self, comp: Component, tau: TreePiece, v_h: Vertex) -> TraversalGen:
         tree = self.tree
         self.metrics.inc("traversal_heavy")
         rc = comp.rc
@@ -414,7 +364,7 @@ class TraversalPlanner:
         # p*" for the l traversal therefore means nearest to r'.
         root_path = tree.ancestor_path(rc, r_prime)
         root_path_t = tuple(root_path)
-        pos_root = self._positions(root_path)
+        pos_root = _position_map(root_path)
         v_l = tree.lca(rc, v_h)
         v_l_child = tree.child_towards(v_l, v_h) if v_l != v_h else v_h
 
@@ -424,35 +374,15 @@ class TraversalPlanner:
         answers = yield [self._piece_query(t, pc_list, prefer_last=True) for t in hanging_root]
         eligible_root = [t for t, a in zip(hanging_root, answers) if a is not None]
 
-        def in_subtree(root: Optional[Vertex], v: Vertex) -> bool:
-            return root is not None and v in tree and tree.is_ancestor(root, v)
-
         # ------------------------------------------------------------------ #
         # Scenario 1: l traversal along path(rc, r').
         # ------------------------------------------------------------------ #
         sources_1: List[object] = list(eligible_root) + [pc]
         answers = yield [self._piece_query(p, root_path_t, prefer_last=True) for p in sources_1]
-        x1y1: Answer = None
-        for ans in answers:
-            if ans is None:
-                continue
-            if x1y1 is None or pos_root[ans[1]] > pos_root[x1y1[1]]:
-                x1y1 = ans
-
-        l_applicable = (
-            x1y1 is None
-            or not in_subtree(v_l_child, x1y1[0])
-            or in_subtree(v_h, x1y1[0])
-            or x1y1[0] == v_l_child
-            or x1y1[0] in pc_set
-        )
-        if l_applicable:
+        x1y1 = _last_on_target(answers, pos_root)
+        if self._applicable(x1y1, v_l_child, v_h, pc_set):
             self.metrics.inc("heavy_scenario_l")
-            pstar = list(root_path)
-            leftover_trees = list(hanging_root)
-            leftover_trees.extend(t for t in comp.trees if t is not tau)
-            new_components = yield from self._process_comp(pstar, [pc], leftover_trees)
-            return StepResult(pstar=pstar, new_components=new_components, traversal="heavy_l")
+            return (yield from self._finish(comp, tau, list(root_path), [pc], hanging_root, "heavy_l"))
 
         # ------------------------------------------------------------------ #
         # Scenario 2: p traversal.
@@ -478,16 +408,8 @@ class TraversalPlanner:
             [t for t in eligible_root if t.root != v_l_child] + eligible_chain + other_trees
         )
         restricted: List[object] = restricted_trees + [pc]
-        xd_yd: Answer = None
-        if restricted:
-            answers = yield [
-                self._piece_query(t, root_path_t, prefer_last=True) for t in restricted
-            ]
-            for ans in answers:
-                if ans is None:
-                    continue
-                if xd_yd is None or pos_root[ans[1]] > pos_root[xd_yd[1]]:
-                    xd_yd = ans
+        answers = yield [self._piece_query(t, root_path_t, prefer_last=True) for t in restricted]
+        xd_yd = _last_on_target(answers, pos_root)
         y_d = xd_yd[1] if xd_yd is not None else rc
         tau_d: Optional[TreePiece] = None
         if xd_yd is not None:
@@ -566,11 +488,10 @@ class TraversalPlanner:
         x_m, y_m = failed_edge_r if failed_edge_r is not None else (x_p, y_p)
         if y_m not in pos_root:
             x_m, y_m = x_p, y_p
-        result = yield from self._commit_heavy(
-            comp, tau, v_l, x_m, y_m, pc,
-            scenario="heavy_special", walk_down=False, r_prime=r_prime, root_path=root_path,
+        pstar, _dive = self._heavy_pstar(
+            rc, x_m, y_m, v_l, r_prime, walk_down=False, scenario="heavy_special"
         )
-        return result
+        return (yield from self._commit_heavy(comp, tau, pstar, root_path, "heavy_special"))
 
     # ------------------------------------------------------------------ #
     # Heavy traversal helpers
@@ -582,15 +503,18 @@ class TraversalPlanner:
         y_star: Vertex,
         v_l: Vertex,
         r_prime: Vertex,
+        *,
         walk_down: bool,
-    ) -> Tuple[List[Vertex], List[Vertex], Optional[Tuple[Vertex, Vertex]]]:
-        """Build ``path(rc, x*) ∪ (x*, y*) ∪ tail`` and return
-        ``(pstar, dive, jump_edge)``."""
+        scenario: str,
+    ) -> Tuple[List[Vertex], List[Vertex]]:
+        """Build ``path(rc, x*) ∪ (x*, y*) ∪ tail`` and return ``(pstar, dive)``
+        with ``dive = path(rc, x*)``; raise when the jump ``(x*, y*)`` leaves
+        *scenario*'s path unwalkable (a tree path alone always walks)."""
         tree = self.tree
         dive = tree.path(rc, x_star)
         dive_set = set(dive)
         if y_star in dive_set:
-            return dive, dive, None
+            return dive, dive
         if walk_down:
             end = tree.parent(v_l)
             if end is not None and tree.is_ancestor(y_star, end):
@@ -608,7 +532,24 @@ class TraversalPlanner:
                 break
             clean_tail.append(v)
         pstar = dive + clean_tail
-        return pstar, dive, (x_star, y_star)
+        if not self._is_walkable(pstar, (x_star, y_star)):
+            raise InvariantViolation(f"{scenario}: traversal path is not walkable")
+        return pstar, dive
+
+    def _applicable(
+        self, lowest: Answer, v_sub: Optional[Vertex], v_h: Vertex, pc_set: Set[Vertex]
+    ) -> bool:
+        """The applicability condition of a heavy-subtree traversal: its
+        *lowest* edge into the traversed path does not leave from ``T(v_sub)``
+        outside ``T(v_H)``, unless it leaves from ``v_sub`` itself or from
+        ``p_c``."""
+        if lowest is None:
+            return True
+        tree = self.tree
+        x = lowest[0]
+        if v_sub is None or x not in tree or not tree.is_ancestor(v_sub, x):
+            return True
+        return tree.is_ancestor(v_h, x) or x == v_sub or x in pc_set
 
     def _try_heavy_commit(
         self,
@@ -631,11 +572,10 @@ class TraversalPlanner:
         ``(x_star, y_star)``; commit it when the condition holds, otherwise
         return the offending edge so the caller can try the next scenario."""
         tree = self.tree
-        pstar, dive, jump = self._heavy_pstar(comp.rc, x_star, y_star, v_l, r_prime, walk_down)
-        if not self._is_walkable(pstar, jump):
-            raise InvariantViolation(f"{scenario}: candidate traversal path is not walkable")
-        pc_list = tuple(pc.vertices)
-        pc_set = set(pc_list)
+        pstar, dive = self._heavy_pstar(
+            comp.rc, x_star, y_star, v_l, r_prime, walk_down=walk_down, scenario=scenario
+        )
+        pc_list = pc.vertices
 
         hanging_dive = self._hanging_within(tau, dive)
         eligible_dive: List[TreePiece] = []
@@ -647,13 +587,8 @@ class TraversalPlanner:
         sources: List[object] = [t for t in eligible_root if t.root != v_l_child]
         sources += eligible_dive + [pc]
         answers = yield [self._piece_query(p, pstar_t, prefer_last=True) for p in sources]
-        pos = self._positions(pstar)
-        lowest: Answer = None
-        for ans in answers:
-            if ans is None:
-                continue
-            if lowest is None or pos[ans[1]] > pos[lowest[1]]:
-                lowest = ans
+        pos = _position_map(pstar)
+        lowest = _last_on_target(answers, pos)
 
         # T(v_P): the subtree hanging from the dive that contains v_H.
         v_p: Optional[Vertex] = None
@@ -664,60 +599,32 @@ class TraversalPlanner:
                 if candidate not in pos:
                     v_p = candidate
 
-        def in_subtree(root: Optional[Vertex], v: Vertex) -> bool:
-            return root is not None and v in tree and tree.is_ancestor(root, v)
-
-        applicable = (
-            lowest is None
-            or not in_subtree(v_p, lowest[0])
-            or in_subtree(v_h, lowest[0])
-            or lowest[0] == v_p
-            or lowest[0] in pc_set
-        )
-        if not applicable:
+        if not self._applicable(lowest, v_p, v_h, set(pc_list)):
             return None, lowest
 
         if scenario == "heavy_p":
             self.metrics.inc("heavy_p_committed")
         else:
             self.metrics.inc("heavy_r_committed")
-        result = yield from self._commit_heavy(
-            comp, tau, v_l, x_star, y_star, pc,
-            scenario=scenario, walk_down=walk_down, r_prime=r_prime, root_path=root_path,
-        )
+        result = yield from self._commit_heavy(comp, tau, pstar, root_path, scenario)
         return result, lowest
 
     def _commit_heavy(
         self,
         comp: Component,
         tau: TreePiece,
-        v_l: Vertex,
-        x_star: Vertex,
-        y_star: Vertex,
-        pc: PathPiece,
-        *,
-        scenario: str,
-        walk_down: bool,
-        r_prime: Vertex,
+        pstar: List[Vertex],
         root_path: List[Vertex],
-    ) -> Generator[QueryBatch, List[Answer], StepResult]:
-        tree = self.tree
-        pstar, dive, jump = self._heavy_pstar(comp.rc, x_star, y_star, v_l, r_prime, walk_down)
-        if not self._is_walkable(pstar, jump):
-            raise InvariantViolation(f"{scenario}: committed traversal path is not walkable")
+        scenario: str,
+    ) -> TraversalGen:
+        """Commit the heavy traversal along *pstar*: the untraversed rest of
+        the root path splits into vertical runs (a single run for the paper's
+        traversals), which join ``p_c`` as leftover paths."""
         pstar_set = set(pstar)
-
-        # Untraversed remainder of the root path: split into vertical runs (a
-        # single run for the paper's traversals).
         leftover_root = [v for v in root_path if v not in pstar_set]
-        leftover_paths: List[Optional[PathPiece]] = []
-        for run in ancestor_descendant_segments(tree, leftover_root) if leftover_root else []:
-            leftover_paths.append(PathPiece(run))
-        leftover_paths.append(pc)
-
-        covered = list(pstar) + [v for v in root_path if v not in pstar_set]
-        leftover_trees = self._hanging_within(tau, covered)
-        leftover_trees.extend(t for t in comp.trees if t is not tau)
-
-        new_components = yield from self._process_comp(pstar, leftover_paths, leftover_trees)
-        return StepResult(pstar=pstar, new_components=new_components, traversal=scenario)
+        leftover_paths = [
+            PathPiece(run) for run in ancestor_descendant_segments(self.tree, leftover_root)
+        ]
+        leftover_paths.append(comp.path)
+        hanging = self._hanging_within(tau, pstar + leftover_root)
+        return (yield from self._finish(comp, tau, pstar, leftover_paths, hanging, scenario))

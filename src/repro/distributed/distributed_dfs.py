@@ -93,7 +93,7 @@ from repro.distributed.forest import (
     path_midpoint,
     reroot_parent_tree,
 )
-from repro.distributed.network import CongestNetwork, recommended_bandwidth
+from repro.distributed.network import CongestNetwork, check_bandwidth, recommended_bandwidth
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import bfs_tree, component_of
 from repro.metrics.counters import MetricsRecorder
@@ -854,6 +854,8 @@ class DistributedDynamicDFS(EngineDriver):
         if graph.num_vertices == 0:
             raise ValueError("the distributed model needs at least one node")
         UpdateEngine.validate_options("parallel", rebuild_every)  # fail fast
+        if bandwidth_words is not None:
+            check_bandwidth(bandwidth_words)
         if drift_rebuild_cost is not None and drift_rebuild_cost <= 0:
             raise ValueError(
                 f"drift_rebuild_cost must be a positive budget or None, got {drift_rebuild_cost!r}"

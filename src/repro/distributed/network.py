@@ -51,6 +51,20 @@ from repro.metrics.counters import MetricsRecorder
 Vertex = Hashable
 
 
+def check_bandwidth(bandwidth_words: int) -> None:
+    """Raise :class:`~repro.exceptions.DistributedError` unless
+    *bandwidth_words* is a whole number of words, at least one (a bool is an
+    int, but no budget)."""
+    if (
+        isinstance(bandwidth_words, bool)
+        or not isinstance(bandwidth_words, int)
+        or bandwidth_words < 1
+    ):
+        raise DistributedError(
+            f"bandwidth must be a whole number of words >= 1, got {bandwidth_words!r}"
+        )
+
+
 class CongestNetwork:
     """A synchronous message-passing network over the edges of *graph*.
 
@@ -67,8 +81,7 @@ class CongestNetwork:
         *,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
-        if isinstance(bandwidth_words, bool) or bandwidth_words < 1:
-            raise DistributedError("bandwidth must be at least one word")
+        check_bandwidth(bandwidth_words)
         self._graph = graph
         self.bandwidth = bandwidth_words
         self.metrics = metrics or MetricsRecorder("congest")

@@ -61,8 +61,9 @@ class HashRing:
     """
 
     def __init__(self, nodes: Sequence[Hashable] = (), *, replicas: int = 64) -> None:
-        if isinstance(replicas, bool) or replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas!r}")
+        # A bool is an int, but not a count.
+        if isinstance(replicas, bool) or not isinstance(replicas, int) or replicas < 1:
+            raise ValueError(f"replicas must be a positive int, got {replicas!r}")
         self._replicas = replicas
         self._ring: List[int] = []
         self._owner: Dict[int, Hashable] = {}

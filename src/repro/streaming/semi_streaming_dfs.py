@@ -40,7 +40,15 @@ from repro.core.overlay import (
     reused_vertex_id_needs_rebuild,
     theorem9_overlay_budget,
 )
-from repro.core.queries import Answer, DQueryService, EdgeQuery, QueryService
+from repro.core.queries import (
+    Answer,
+    DQueryService,
+    EdgeQuery,
+    QueryService,
+    _better,
+    _position_map,
+    _postorder_rank,
+)
 from repro.core.structure_d import StructureD
 from repro.core.updates import EdgeDeletion, EdgeInsertion, Update, VertexInsertion
 from repro.graph.graph import UndirectedGraph
@@ -73,6 +81,7 @@ class StreamQueryService(QueryService):
         self._stream = stream
         self._tree = base_tree
         self._metrics = metrics
+        self._rank = _postorder_rank(base_tree)
 
     def answer_batch(self, queries: Sequence[EdgeQuery]) -> List[Answer]:
         if self._metrics is not None:
@@ -89,31 +98,17 @@ class StreamQueryService(QueryService):
         for qi, q in enumerate(queries):
             for v in q.source_vertex_list(self._tree):
                 source_owner[v] = qi
-            target_pos.append({v: i for i, v in enumerate(q.target)})
+            target_pos.append(_position_map(q.target))
         if self._metrics is not None:
             self._metrics.observe_max("stream_state_entries", len(source_owner) + sum(len(t) for t in target_pos))
 
-        tree = self._tree
-
-        def rank(v: Vertex) -> int:
-            return tree.postorder(v) if v in tree else (1 << 60)
-
         def consider(qi: int, src: Vertex, tgt: Vertex) -> None:
-            q = queries[qi]
-            pos = target_pos[qi]
-            cur = best[qi]
-            p = pos[tgt]
-            if cur is None:
-                best[qi] = (src, tgt)
-                return
-            cur_p = pos[cur[1]]
-            if (q.prefer_last and p > cur_p) or (not q.prefer_last and p < cur_p):
-                best[qi] = (src, tgt)
-            elif p == cur_p and rank(src) < rank(cur[0]):
-                # Canonical tie-break (same rule as DQueryService /
-                # BruteForceQueryService): smallest current-tree post-order
-                # source, so every driver maintains byte-identical trees.
-                best[qi] = (src, tgt)
+            # Canonical tie-break (the rule DQueryService and
+            # BruteForceQueryService keep): smallest current-tree post-order
+            # source, so every driver maintains byte-identical trees.
+            best[qi] = _better(
+                target_pos[qi], queries[qi].prefer_last, best[qi], (src, tgt), source_rank=self._rank
+            )
 
         for u, v in self._stream.pass_over():
             qi = source_owner.get(u)

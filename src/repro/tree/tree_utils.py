@@ -2,15 +2,15 @@
 
 These helpers implement the "operations on T" of Section 5.3 of the paper:
 finding subtrees hanging from a path, locating the minimal heavy subtree
-``T(v_H)``, testing whether an edge is a back edge, and decomposing an arbitrary
-path of the *new* tree into ancestor–descendant segments of the *old* tree
-(needed both for ``Process-Comp`` and for the fault-tolerant extension of the
-data structure ``D``).
+``T(v_H)``, and decomposing an arbitrary path of the *new* tree into
+ancestor–descendant segments of the *old* tree (needed both for
+``Process-Comp`` and for the fault-tolerant extension of the data structure
+``D``).
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Sequence, Tuple
 
 from repro.exceptions import TreeError
 from repro.tree.dfs_tree import DFSTree
@@ -18,42 +18,28 @@ from repro.tree.dfs_tree import DFSTree
 Vertex = Hashable
 
 
-def is_back_edge(tree: DFSTree, u: Vertex, v: Vertex) -> bool:
-    """True iff ``(u, v)`` joins an ancestor–descendant pair of *tree*."""
-    return tree.is_ancestor(u, v) or tree.is_ancestor(v, u)
-
-
-def hanging_subtrees(
-    tree: DFSTree,
-    path_vertices: Iterable[Vertex],
-    *,
-    exclude: Optional[Iterable[Vertex]] = None,
-) -> List[Vertex]:
+def hanging_subtrees(tree: DFSTree, path_vertices: Sequence[Vertex]) -> List[Vertex]:
     """Roots of the subtrees hanging from *path_vertices*.
 
     A subtree ``T(w)`` *hangs* from a path ``p`` when ``parent(w) ∈ p`` and
-    ``w ∉ p`` (Section 2 of the paper).  *exclude* lists additional vertices
-    whose subtrees must be skipped (e.g. the continuation of the path itself in
-    a larger structure).  Roots are returned in path order, then child order.
+    ``w ∉ p`` (Section 2 of the paper).  Roots are returned in path order, then
+    child order.
     """
     on_path = set(path_vertices)
-    excluded = set(exclude) if exclude is not None else set()
-    roots: List[Vertex] = []
-    for v in path_vertices:
-        for c in tree.children(v):
-            if c in on_path or c in excluded:
-                continue
-            roots.append(c)
-    return roots
+    return [c for v in path_vertices for c in tree.children(v) if c not in on_path]
 
 
 def heavy_vertex(tree: DFSTree, subtree_root: Vertex, threshold: int) -> Vertex:
     """The vertex ``v_H``: the *smallest* subtree of ``T(subtree_root)`` with
     more than *threshold* vertices.
 
-    ``T(subtree_root)`` itself must exceed *threshold*.  Because any two heavy
-    children would together exceed the parent's size, heavy vertices form a
-    single downward chain; ``v_H`` is its deepest vertex.
+    ``T(subtree_root)`` itself must exceed *threshold* (else
+    :class:`TreeError`), and must have at most ``2 * threshold + 1`` vertices,
+    as the planner's ``threshold = ⌊H/2⌋`` guarantees for a piece no larger
+    than the heaviest, ``H``.  Then no two children of a vertex both exceed
+    *threshold* (with their parent they would count ``2 * threshold + 3``), so
+    heavy vertices form a single downward chain; ``v_H`` is its deepest
+    vertex.
     """
     if tree.subtree_size(subtree_root) <= threshold:
         raise TreeError(
@@ -65,9 +51,6 @@ def heavy_vertex(tree: DFSTree, subtree_root: Vertex, threshold: int) -> Vertex:
         heavy_children = [c for c in tree.children(v) if tree.subtree_size(c) > threshold]
         if not heavy_children:
             return v
-        if len(heavy_children) > 1:
-            # Cannot happen for threshold >= size/2; defensive guard.
-            heavy_children.sort(key=tree.subtree_size, reverse=True)
         v = heavy_children[0]
 
 

@@ -2,18 +2,22 @@
 
 import random
 
+import pytest
+
 from repro.baselines.naive_reroot import naive_reroot_subtree
 from repro.constants import VIRTUAL_ROOT
+from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.queries import BruteForceQueryService, DQueryService
 from repro.core.reduction import RerootTask
 from repro.core.reroot_parallel import ParallelRerootEngine
 from repro.core.reroot_sequential import SequentialRerootEngine
 from repro.core.structure_d import StructureD
-from repro.graph.generators import gnp_random_graph
+from repro.graph.generators import barabasi_albert_graph, gnp_random_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
+from repro.workloads.updates import mixed_updates
 
 
 def random_task(graph, tree, rng):
@@ -110,3 +114,22 @@ def test_query_rounds_scale_polylogarithmically_on_paths():
     # Quadrupling n must not quadruple the number of query rounds.
     assert rounds[-1] <= rounds[0] * 4
     assert rounds[-1] < sizes[-1] / 8
+
+
+@pytest.mark.parametrize("engine", ["parallel", "sequential"])
+def test_queries_counter_equals_the_queries_the_service_answered(engine, monkeypatch):
+    """``queries`` counts each edge query once, where the service answers it;
+    the engines add nothing on top, so both engines' totals compare."""
+    answered = []
+    answer_batch = DQueryService.answer_batch
+
+    def counting(self, queries):
+        answered.append(len(queries))
+        return answer_batch(self, queries)
+
+    monkeypatch.setattr(DQueryService, "answer_batch", counting)
+    g = barabasi_albert_graph(300, 3, seed=0)
+    metrics = MetricsRecorder()
+    FullyDynamicDFS(g.copy(), engine=engine, metrics=metrics).apply_all(mixed_updates(g, 40, seed=1))
+    assert sum(answered) > 0
+    assert metrics["queries"] == sum(answered)

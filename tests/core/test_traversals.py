@@ -12,9 +12,11 @@ import pytest
 
 from repro.constants import VIRTUAL_ROOT
 from repro.core import FullyDynamicDFS
+from repro.core.components import PathPiece, TreePiece
 from repro.core.queries import BruteForceQueryService, QueryService
 from repro.core.reduction import RerootTask, reduce_update
 from repro.core.reroot_parallel import ParallelRerootEngine
+from repro.core.traversals import TraversalPlanner
 from repro.core.updates import EdgeInsertion, VertexDeletion
 from repro.exceptions import InvariantViolation
 from repro.graph.generators import (
@@ -212,6 +214,38 @@ def test_invariant_violation_raises_where_detected():
     with pytest.raises(InvariantViolation, match="no edge to the traversed path"):
         engine.reroot_many([RerootTask(subtree_root=0, new_root=11, attach=VIRTUAL_ROOT)])
     assert metrics["traversal_rounds"] == 1
+
+
+def _drive_process_comp(replies):
+    """Run Process-Comp on leftover paths ``0-1`` and ``3-4`` and tree
+    ``T(5)`` after the traversed path ``[2]``, answering its first batches
+    with *replies*; return the batch it asks next."""
+    tree = DFSTree({0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 2})
+    gen = TraversalPlanner(tree)._process_comp(
+        [2], [PathPiece([0, 1]), PathPiece([3, 4])], [TreePiece(5)]
+    )
+    batch = next(gen)
+    for reply in replies:
+        assert len(batch) == len(reply)
+        batch = gen.send(list(reply))
+    return batch
+
+
+@pytest.mark.parametrize(
+    "replies",
+    [([(5, 1)], [(5, 3)], [None]), ([None], [None], [(1, 3)])],
+    ids=["tree_adjacent_to_both_paths", "paths_linked"],
+)
+def test_process_comp_raises_when_two_leftover_paths_share_a_component(replies):
+    """Two leftover paths in one component, joined through a tree or by a
+    direct link, are neither C1 nor C2: Process-Comp raises after its
+    path-to-path batch instead of grouping them."""
+    with pytest.raises(InvariantViolation, match="leftover pieces violate the C1/C2 invariant"):
+        _drive_process_comp(replies)
+    # Control: with the tree adjacent to one path only, Process-Comp goes on
+    # to root the two C2 components (the path, then its tree) on pstar.
+    roots = _drive_process_comp(([(5, 1)], [None], [None]))
+    assert [q.source_kind for q in roots] == ["path", "tree", "path"]
 
 
 # --------------------------------------------------------------------------- #

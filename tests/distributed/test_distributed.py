@@ -12,6 +12,7 @@ from repro.exceptions import DistributedError
 from repro.graph.generators import cycle_with_chords, gnp_random_graph, grid_graph, path_graph, star_graph
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import bfs_tree
+from repro.metrics.counters import MetricsRecorder
 
 
 def test_bandwidth_is_enforced():
@@ -24,11 +25,14 @@ def test_bandwidth_is_enforced():
     # Oversized raw transmissions and nonsensical budgets are rejected.
     with pytest.raises(DistributedError):
         net._charge_round([3])
-    for budget in (0, True, False):
+    for budget in (0, True, False, 2.5):
         with pytest.raises(DistributedError):
             CongestNetwork(g, bandwidth_words=budget)
+        metrics = MetricsRecorder()
         with pytest.raises(DistributedError):
-            DistributedDynamicDFS(g, bandwidth_words=budget)
+            DistributedDynamicDFS(g, bandwidth_words=budget, metrics=metrics)
+        # The budget is checked before the graph copy and the initial DFS.
+        assert "time_initial_dfs" not in metrics.as_dict()
 
 
 def test_bfs_rounds_match_eccentricity_and_messages_match_edges():

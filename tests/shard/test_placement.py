@@ -79,7 +79,7 @@ def test_ring_validation():
     ring.remove_node(0)
     with pytest.raises(ValueError):
         ring.node_for("k")  # empty ring
-    for replicas in (0, True, False):
+    for replicas in (0, True, False, 1.5):
         with pytest.raises(ValueError):
             HashRing(replicas=replicas)
     assert ring.nodes == []

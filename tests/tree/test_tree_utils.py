@@ -10,7 +10,6 @@ from repro.tree.tree_utils import (
     ancestor_descendant_segments,
     hanging_subtrees,
     heavy_vertex,
-    is_back_edge,
     segment_orientation,
 )
 
@@ -35,8 +34,6 @@ def test_hanging_subtrees(caterpillar_tree):
     t = caterpillar_tree
     roots = hanging_subtrees(t, [0, 1, 2, 3])
     assert roots == [10, 11, 12, 13, 14]
-    roots2 = hanging_subtrees(t, [1, 2], exclude=[3])
-    assert roots2 == [11, 12, 13]
 
 
 def test_heavy_vertex_and_chain():
@@ -80,12 +77,6 @@ def test_segment_orientation_and_split(caterpillar_tree):
     # The pieces a path of T* splits into orient top-down.
     segs = ancestor_descendant_segments(t, [11, 1, 0, 14, 3, 2])
     assert [segment_orientation(t, s) for s in segs] == [(0, 11), (2, 14)]
-
-
-def test_is_back_edge(caterpillar_tree):
-    t = caterpillar_tree
-    assert is_back_edge(t, 0, 14)
-    assert not is_back_edge(t, 10, 14)
 
 
 def _is_vertical(tree, vertices):

@@ -28,7 +28,7 @@ from repro.metrics.counters import WELL_KNOWN_COUNTERS, MetricsRecorder
 #: Registered counters tier-1 may leave unrecorded, with the reason.
 ALLOWED_UNRECORDED: Dict[str, str] = {
     "heavy_r_committed": "no witness for the heavy traversal's r-walk (Scenario 3) yet; "
-    "a random search finds about one per 8,000 cases (ROADMAP item 7)",
+    "a random search finds about one per 8,000 cases (ROADMAP item 8)",
 }
 
 
