@@ -101,12 +101,6 @@ class EdgeQuery:
             return base_tree.subtree_vertices(self.source_root)
         return list(self.source_vertices)
 
-    def source_size(self, base_tree: DFSTree) -> int:
-        """Number of vertices in the source piece (its processor budget)."""
-        if self.source_kind == "tree":
-            return base_tree.subtree_size(self.source_root)
-        return len(self.source_vertices)
-
 
 class QueryService:
     """Interface: answer a batch of *independent* :class:`EdgeQuery` objects.

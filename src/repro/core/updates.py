@@ -71,16 +71,6 @@ class VertexDeletion:
 Update = Union[EdgeInsertion, EdgeDeletion, VertexInsertion, VertexDeletion]
 
 
-def is_edge_update(update: Update) -> bool:
-    """True for edge insertions/deletions."""
-    return isinstance(update, (EdgeInsertion, EdgeDeletion))
-
-
-def is_vertex_update(update: Update) -> bool:
-    """True for vertex insertions/deletions."""
-    return isinstance(update, (VertexInsertion, VertexDeletion))
-
-
 def inverse(update: Update) -> Update:
     """The update that undoes *update*.
 

@@ -72,6 +72,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
 from repro.constants import VIRTUAL_ROOT
@@ -88,14 +89,13 @@ from repro.core.updates import (
 from repro.distributed.forest import (
     articulation_points_and_bridges,
     children_index,
-    farthest_vertex,
     parent_tree_subtree,
-    path_midpoint,
     reroot_parent_tree,
+    two_sweep,
 )
 from repro.distributed.network import CongestNetwork, check_bandwidth, recommended_bandwidth
 from repro.graph.graph import UndirectedGraph
-from repro.graph.traversal import bfs_tree, component_of
+from repro.graph.traversal import bfs_tree, component_of, connected_components
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
 
@@ -182,8 +182,10 @@ class CongestBackend(Backend):
     path, whose eccentricity is within a factor 2 of the component's true
     radius (and equals it on trees) —
     strictly shallower than the best *observed* initiator whenever update
-    sites hug the periphery.  ``voluntary_root="initiator"`` keeps the legacy
-    best-observed-initiator root.  The drift signal itself is computed
+    sites hug the periphery.  Both modes remember one root, the best the
+    drift yardstick has seen since the last rebuild:
+    ``voluntary_root="initiator"`` floods from it, and the center mode seeds
+    its sweeps there.  The drift signal itself is computed
     locally without communication: every node stores the graph (updates are
     disseminated in full — the driver already recomputes the
     articulation/bridge summary locally on commit), so each node can evaluate
@@ -222,21 +224,16 @@ class CongestBackend(Backend):
         self._pending_orphans: List[Vertex] = []
         self._as_built_depth = 0
         self._committed_tree: Optional[DFSTree] = None
-        #: Best (minimum-eccentricity) rebuild initiator observed since the
-        #: last rebuild — the root an *initiator-mode* voluntary rebuild
-        #: floods from.
-        self._drift_initiator: Optional[Vertex] = None
-        #: Seed inside the component whose drift account last grew — the
-        #: vertex a *center-mode* voluntary rebuild starts its accounted
-        #: 2-sweep from.
-        self._drift_seed: Optional[Vertex] = None
+        #: Best (minimum-eccentricity) root the drift yardstick settled on
+        #: since the last rebuild: an *initiator-mode* voluntary rebuild
+        #: floods from it, a *center-mode* one starts its accounted 2-sweep
+        #: there.
+        self._drift_root: Optional[Vertex] = None
         self._rebuilt_this_update = False
         self._update_words = 0
         self._rounds_before = 0
         self._messages_before = 0
         self._query_batches_before = 0.0
-        self.articulation: set = set()
-        self.bridges: set = set()
         #: Excess rounds the drifted broadcast forest charged since the last
         #: voluntary rebuild (*waves × drift*; repair mode only — conservative
         #: invalidation rebuilds, and so re-minimises, on every tree death).
@@ -274,23 +271,22 @@ class CongestBackend(Backend):
         waves = 4.0 if self._voluntary_root == "center" else 2.0
         return max(waves * (self._as_built_depth + 1), 1.0)
 
-    def _accounted_center(self, seed: Vertex):
-        """Run the 2-sweep center approximation *through the network* inside
-        *seed*'s component: BFS from *seed* finds a farthest vertex ``u``, BFS
-        from ``u`` finds a farthest vertex ``w``, and the midpoint of the
-        ``u → w`` path is the candidate root.  Both sweeps charge their rounds
-        to the component (``center_sweeps``); the tie-breaks are the
-        deterministic BFS discovery order every node reproduces locally, so no
-        extra coordination rounds are needed.  ``O(ecc)`` rounds per sweep.
-        Returns ``(midpoint, ecc(seed))`` — the seed's eccentricity falls out
-        of the first sweep and saves the caller a recomputation."""
-        _, d1 = self.network.build_bfs_tree(seed)
+    def _accounted_sweep(self, seed: Vertex):
+        """One 2-sweep BFS *through the network*: its rounds are charged to
+        *seed*'s component and counted under ``center_sweeps``.  The sweeps'
+        tie-breaks are the deterministic BFS discovery order every node
+        reproduces locally, so no extra coordination rounds are needed."""
+        swept = self.network.build_bfs_tree(seed)
         self.metrics.inc("center_sweeps")
-        u = farthest_vertex(d1)
-        p2, d2 = self.network.build_bfs_tree(u)
-        self.metrics.inc("center_sweeps")
-        w = farthest_vertex(d2)
-        return path_midpoint(p2, d2, w), max(d1.values(), default=0)
+        return swept
+
+    def _surviving_root(self, component: List[Vertex]) -> Vertex:
+        """The first current broadcast root in *component*'s order, or
+        ``component[0]`` when none survives."""
+        return next(
+            (v for v in component if v in self.bfs_parent and self.bfs_parent[v] is None),
+            component[0],
+        )
 
     def _rebuild_roots(self, first: Vertex) -> List[Vertex]:
         """Roots of the rebuild's broadcast forest: *first* for its own
@@ -302,16 +298,12 @@ class CongestBackend(Backend):
         accounting floods *first* only (the remaining vertices become
         accounting-only singleton roots)."""
         roots = [first]
-        if not self._component_accounting:
-            return roots
-        covered = set(component_of(self.graph, first))
-        current_roots = {v for v, p in self.bfs_parent.items() if p is None}
-        for v in self.graph.vertices():
-            if v not in covered:
-                component = component_of(self.graph, v)
-                root = next((c for c in component if c in current_roots), v)
-                roots.append(root)
-                covered.update(component)
+        if self._component_accounting:
+            roots.extend(
+                self._surviving_root(component)
+                for component in connected_components(self.graph)
+                if first not in component
+            )
         return roots
 
     def rebuild(self, tree: DFSTree, update: Optional[Update]) -> None:
@@ -352,49 +344,43 @@ class CongestBackend(Backend):
         self._cache_broken = False
         self._pending_orphans.clear()
         self._as_built_depth = max(self.bfs_depth.values(), default=0)
+        self._drift_root = None
         if voluntary:
-            self.metrics.observe_max(
-                "voluntary_rebuild_root_depth", self._as_built_depth
-            )
-        self._drift_initiator = None
-        self._drift_seed = None
-        if voluntary:
+            self.metrics.observe_max("voluntary_rebuild_root_depth", self._as_built_depth)
             self.drift_account = 0.0
 
     def _voluntary_rebuild_root(
         self, tree: DFSTree, update: Optional[Update]
     ) -> Optional[Vertex]:
         """Root a voluntary rebuild floods the triggering component from:
-        the shallower of the accounted 2-sweep center (center mode) seeded at
-        the vertex the drift account was last measured against and the drift
-        yardstick's own best root on the current graph, or the best observed
-        initiator (initiator mode).  None when no remembered seed survives —
-        the caller falls back to the update's canonical initiator."""
-        if self._voluntary_root == "center":
-            seed = self._drift_seed
-            if seed is None or not self.graph.has_vertex(seed):
-                seed = self._pick_initiator(tree, update)
-            if not self.graph.has_vertex(seed):
-                return None
-            midpoint, best_ecc = self._accounted_center(seed)
-            best = seed
-            # The update may have moved the shallowest root since the
-            # account was charged: the yardstick re-evaluates its candidates
-            # (the update's initiator, the seed, their 2-sweep center) on the
-            # current graph and records the best as the seed, so the rebuild
-            # reaches the depth the next drift is measured against.
-            component, fresh = self._drift_reference(update)
-            if component is not None and seed in component:
-                best, best_ecc = self._drift_seed, fresh
-            # Flood from whichever of {accounted midpoint, best} is
-            # shallower — evaluated locally, like every depth yardstick.
-            _, mid_depth = bfs_tree(self.graph, midpoint)
-            if max(mid_depth.values(), default=0) <= best_ecc:
-                return midpoint
-            return best
-        if self._drift_initiator is not None and self.graph.has_vertex(self._drift_initiator):
-            return self._drift_initiator
-        return None
+        the remembered root (initiator mode), or (center mode) the shallower
+        of the accounted 2-sweep center seeded at the remembered root and the
+        drift yardstick's own best root on the current graph.  None when no
+        usable root is left — the caller falls back to the update's canonical
+        initiator."""
+        remembered = self._drift_root
+        if remembered is not None and not self.graph.has_vertex(remembered):
+            remembered = None
+        if self._voluntary_root == "initiator":
+            return remembered
+        seed = self._pick_initiator(tree, update) if remembered is None else remembered
+        if not self.graph.has_vertex(seed):
+            return None
+        d1, midpoint = two_sweep(self._accounted_sweep, seed)
+        best, best_ecc = seed, max(d1.values(), default=0)
+        # The update may have moved the shallowest root since the account was
+        # charged: the yardstick re-evaluates its candidates on the current
+        # graph and remembers the best, so the rebuild reaches the depth the
+        # next drift is measured against.
+        component, fresh = self._drift_reference(update)
+        if component is not None and seed in component:
+            best, best_ecc = self._drift_root, fresh
+        # Flood from whichever of {accounted midpoint, best} is shallower —
+        # evaluated locally, like every depth yardstick.
+        _, mid_depth = bfs_tree(self.graph, midpoint)
+        if max(mid_depth.values(), default=0) <= best_ecc:
+            return midpoint
+        return best
 
     def cache_invalid(self, update: Update) -> bool:
         """Post-mutation cache check — and the local-repair entry point.
@@ -418,9 +404,9 @@ class CongestBackend(Backend):
         # severed is not a valid reattachment target for a sibling subtree.
         subtrees = []
         still_orphaned: set = set()
-        shared_children = children_index(self.bfs_parent)
+        children = children_index(self.bfs_parent)
         for root in pending:
-            sub, rel_depth = parent_tree_subtree(self.bfs_parent, root, children=shared_children)
+            sub, rel_depth = parent_tree_subtree(root, children)
             subtrees.append((root, sub, rel_depth))
             still_orphaned.update(sub)
         repaired_depths: List[int] = []
@@ -486,10 +472,8 @@ class CongestBackend(Backend):
         recurring per-wave drift charge: the ``depth_drift`` account tolerates
         up to one modeled rebuild cost of excess before the voluntary rebuild
         corrects it, so riding the drift costs about *twice* the rebuild the
-        repair avoided — rebuilding now is always cheaper.  (This replaces the
-        old hard as-built depth bound, which measured drift against the stale
-        as-built depth and let repairs ride trees a fresh rebuild would
-        beat.)  The gate is disabled together with voluntary rebuilds by
+        repair avoided — rebuilding now is always cheaper.  The gate is
+        disabled together with voluntary rebuilds by
         ``drift_rebuild_cost=inf`` — the pure-repair baseline.
         """
         sub_set = set(sub)
@@ -516,22 +500,10 @@ class CongestBackend(Backend):
         if best is None:
             return False
         _, attach, target = best
-        flipped = reroot_parent_tree(sub, self.bfs_parent, attach)
-        # Depth wave: every subtree node is exactly one deeper than its new
-        # parent, assigned top-down from the reattachment point.  Planned
-        # before committing — the exact re-rooted bottom depth feeds the gate.
-        new_children: Dict[Vertex, List[Vertex]] = {}
-        for v, p in flipped.items():
-            new_children.setdefault(p, []).append(v)
-        new_depth: Dict[Vertex, int] = {attach: self.bfs_depth[target] + 1}
-        frontier = [attach]
-        while frontier:
-            nxt: List[Vertex] = []
-            for v in frontier:
-                for c in new_children.get(v, ()):
-                    new_depth[c] = new_depth[v] + 1
-                    nxt.append(c)
-            frontier = nxt
+        # Planned before committing: the exact re-rooted bottom depth feeds
+        # the gate.
+        flipped, new_rel = reroot_parent_tree(sub, self.bfs_parent, attach)
+        attach_depth = self.bfs_depth[target] + 1
         if self._drift_rebuild_cost != float("inf"):
             # Per-component gate, matching the drift account's yardstick: the
             # repaired tree is compared against the depth the fallback
@@ -539,7 +511,7 @@ class CongestBackend(Backend):
             # component must not mask a component-level repair regression
             # (the drift account would charge it per wave regardless).
             members, fresh_depth = self._component_fallback_depth(root, update)
-            repaired_max = max(new_depth.values())
+            repaired_max = attach_depth + max(new_rel.values())
             rest_max = max(
                 (
                     d
@@ -552,8 +524,7 @@ class CongestBackend(Backend):
                 return False
         self.bfs_parent[attach] = target
         self.bfs_parent.update(flipped)
-        self.bfs_depth.update(new_depth)
-        new_rel = {v: new_depth[v] - new_depth[attach] for v in sub}
+        self.bfs_depth.update((v, attach_depth + d) for v, d in new_rel.items())
         new_parent = {v: (None if v == attach else self.bfs_parent[v]) for v in sub}
         self.network.pipelined_broadcast(new_parent, new_rel, 1)
         return True
@@ -563,8 +534,7 @@ class CongestBackend(Backend):
 
         Deterministic and O(degree): an endpoint of the update, or — for a
         vertex deletion — the first surviving old-tree neighbour in tree
-        order.  The fallback takes the graph's first vertex (insertion order)
-        instead of stringifying the whole vertex set.
+        order.  The fallback is the graph's first vertex (insertion order).
         """
         graph = self.graph
         candidates: List[Vertex] = []
@@ -589,7 +559,7 @@ class CongestBackend(Backend):
 
         The graph changes through :func:`apply_update`; this method keeps
         only the broadcast-tree bookkeeping.  A death of a broadcast-tree edge
-        or node no longer breaks the cache outright: the severed children are
+        or node does not break the cache outright: the severed children are
         recorded as *pending orphans*, and :meth:`cache_invalid` repairs them
         locally when the policy reuses the cache.  Only the death of a
         broadcast root (no surviving tree above its children) still forces the
@@ -658,9 +628,9 @@ class CongestBackend(Backend):
         ``O(n)``-word pipelined broadcast so the next deletion can pick
         initiators locally."""
         self._committed_tree = tree
-        self.articulation, self.bridges = articulation_points_and_bridges(self.graph)
+        articulation, bridges = articulation_points_and_bridges(self.graph)
         if self._rebuilt_this_update and self.graph.num_vertices > 1:
-            summary_words = max(len(self.articulation) + len(self.bridges), 1)
+            summary_words = max(len(articulation) + len(bridges), 1)
             self.network.pipelined_broadcast(
                 self.bfs_parent,
                 self.bfs_depth,
@@ -672,20 +642,16 @@ class CongestBackend(Backend):
         and the depth the *fallback* rebuild would give exactly that
         component — the BFS eccentricity of the update's canonical initiator
         when it lies inside (recovery rebuilds must start at an
-        update-adjacent node), else of the root :meth:`_rebuild_roots` would
-        pick for it (the surviving current root, or the component's first
-        vertex).  The repair gate compares the planned repair against this
+        update-adjacent node), else of the first current broadcast root met
+        in BFS order from *vertex*, or of *vertex* itself when no root
+        survives.  The repair gate compares the planned repair against this
         per-component yardstick, the same scope the ``depth_drift`` account
         measures — a deep unrelated component never masks a regression.
         Evaluated locally from the stored graph; no rounds charged."""
         component = component_of(self.graph, vertex)
         members = set(component)
         initiator = self._pick_initiator(self._committed_tree, update)
-        if initiator in members:
-            root = initiator
-        else:
-            current_roots = {v for v, p in self.bfs_parent.items() if p is None}
-            root = next((c for c in component if c in current_roots), component[0])
+        root = initiator if initiator in members else self._surviving_root(component)
         _, depth = bfs_tree(self.graph, root)
         return members, max(depth.values(), default=0)
 
@@ -693,50 +659,38 @@ class CongestBackend(Backend):
         """The per-component drift yardstick for this update: ``(component,
         fresh_depth)`` where *component* is the updated component's vertex
         list and *fresh_depth* is the depth a voluntary rebuild of that
-        component would achieve right now — the 2-sweep center's eccentricity
-        in center mode, or the best eccentricity among the update's initiator
-        and the remembered best initiator in initiator mode (both remembered
-        so the voluntary rebuild can actually reach this depth).  Evaluated
-        locally from the stored graph — no rounds are charged, the same local
+        component would achieve right now.  The candidates are the update's
+        initiator, then the remembered root (when it lies in the component),
+        then — in center mode — the 2-sweep midpoint, which joins the pool
+        rather than replacing it: on low-diameter graphs an observed
+        initiator can already sit at the center, and the approximation must
+        never make the yardstick (or the rebuild root) worse.  The first
+        minimum-eccentricity candidate wins and is remembered, so the
+        voluntary rebuild can actually reach this depth.  Evaluated locally
+        from the stored graph — no rounds are charged, the same local
         full-graph liberty the articulation/bridge summary already takes.
         Returns ``(None, 0)`` when the update left no valid initiator."""
         initiator = self._pick_initiator(self._committed_tree, update)
         if not self.graph.has_vertex(initiator):
             return None, 0
-        _, d1 = bfs_tree(self.graph, initiator)
-        component = list(d1)
-        members = d1.keys()
-        # (candidate, eccentricity) pairs; the initiator's eccentricity falls
-        # out of the BFS just run.
-        evaluated = [(initiator, max(d1.values(), default=0))]
+        bfs = partial(bfs_tree, self.graph)
+        candidates = [self._drift_root]
         if self._voluntary_root == "center":
-            # The 2-sweep midpoint joins the candidate pool rather than
-            # replacing it: on low-diameter graphs an observed initiator can
-            # already sit at the center, and the approximation must never
-            # make the yardstick (or the rebuild root) worse.  ``d1`` doubles
-            # as the approximation's first sweep.
-            if self._drift_seed in members and self._drift_seed != initiator:
-                _, depth = bfs_tree(self.graph, self._drift_seed)
-                evaluated.append((self._drift_seed, max(depth.values(), default=0)))
-            u = farthest_vertex(d1)
-            p2, d2 = bfs_tree(self.graph, u)
-            center = path_midpoint(p2, d2, farthest_vertex(d2))
-            if all(center != c for c, _ in evaluated):
-                _, depth = bfs_tree(self.graph, center)
-                evaluated.append((center, max(depth.values(), default=0)))
-        elif self._drift_initiator in members and self._drift_initiator != initiator:
-            _, depth = bfs_tree(self.graph, self._drift_initiator)
-            evaluated.append((self._drift_initiator, max(depth.values(), default=0)))
-        best_depth = None
-        best_root = None
-        for candidate, ecc in evaluated:
-            if best_depth is None or ecc < best_depth:
-                best_depth, best_root = ecc, candidate
-        if self._voluntary_root == "center":
-            self._drift_seed = best_root
+            d1, midpoint = two_sweep(bfs, initiator)
+            candidates.append(midpoint)
         else:
-            self._drift_initiator = best_root
-        return component, best_depth
+            _, d1 = bfs(initiator)
+        best_root, best_depth = initiator, max(d1.values(), default=0)
+        evaluated = {initiator}
+        for candidate in candidates:
+            if candidate in d1 and candidate not in evaluated:
+                evaluated.add(candidate)
+                _, depth = bfs(candidate)
+                ecc = max(depth.values(), default=0)
+                if ecc < best_depth:
+                    best_root, best_depth = candidate, ecc
+        self._drift_root = best_root
+        return list(d1), best_depth
 
     def end_update(self, update: Update) -> None:
         """Flush the per-update round/message maxima and add the update's
@@ -885,9 +839,6 @@ class DistributedDynamicDFS(EngineDriver):
             metrics=self.metrics,
             initial_rebuild=False,
         )
-        self._backend.articulation, self._backend.bridges = articulation_points_and_bridges(
-            self._graph
-        )
 
     def rounds(self) -> int:
         """Total CONGEST rounds so far."""
@@ -903,14 +854,3 @@ class DistributedDynamicDFS(EngineDriver):
         least :meth:`rounds` minus idle chunk rounds on connected graphs and
         strictly exceeds :meth:`rounds` once waves span several components."""
         return dict(self.network.component_rounds)
-
-    # ------------------------------------------------------------------ #
-    @property
-    def articulation_points(self):
-        """Articulation points of the current graph (stored at every node)."""
-        return set(self._backend.articulation)
-
-    @property
-    def bridges(self):
-        """Bridges of the current graph (stored at every node)."""
-        return set(self._backend.bridges)

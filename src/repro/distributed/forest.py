@@ -10,12 +10,14 @@ accounts for.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import bfs_tree
 
 Vertex = Hashable
+BFSResult = Tuple[Dict[Vertex, Optional[Vertex]], Dict[Vertex, int]]
 
 
 def forest_roots(parent: Dict[Vertex, Optional[Vertex]]) -> Dict[Vertex, Vertex]:
@@ -39,57 +41,43 @@ def forest_roots(parent: Dict[Vertex, Optional[Vertex]]) -> Dict[Vertex, Vertex]
     return root_of
 
 
-def farthest_vertex(depth: Dict[Vertex, int]) -> Vertex:
-    """First vertex (in iteration = BFS discovery order) at maximum depth.
+def two_sweep(bfs: Callable[[Vertex], BFSResult], seed: Vertex) -> Tuple[Dict[Vertex, int], Vertex]:
+    """The 2-sweep: sweep 1 (``bfs(seed)``) finds a farthest vertex ``u``;
+    sweep 2 (``bfs(u)``) finds a farthest vertex ``w``, and the midpoint of the
+    approximate diameter path ``u → w`` — the vertex ``floor(d(w) / 2)``
+    steps up from ``w`` — is the candidate center.  Returns ``(sweep 1's
+    depths, midpoint)``.
 
-    The deterministic tie-break both sweeps of the 2-sweep center
-    approximation rely on: every node sees the same BFS tree, so every node
-    picks the same farthest vertex without extra communication.
+    *bfs* runs one sweep: the local :func:`~repro.graph.traversal.bfs_tree`
+    every node can evaluate from its stored graph, or the network's accounted
+    :meth:`~repro.distributed.network.CongestNetwork.build_bfs_tree`.  A
+    farthest vertex is the first at maximum depth in BFS discovery order:
+    every node sees the same BFS tree, so every node picks the same one
+    without extra communication.
     """
-    best = None
-    best_depth = -1
-    for v, d in depth.items():
-        if d > best_depth:
-            best, best_depth = v, d
-    return best
-
-
-def path_midpoint(
-    parent: Dict[Vertex, Optional[Vertex]],
-    depth: Dict[Vertex, int],
-    endpoint: Vertex,
-) -> Vertex:
-    """Vertex at depth ``ceil(depth(endpoint) / 2)`` on the root path of
-    *endpoint* — the approximate center a 2-sweep BFS settles on (walk up
-    ``floor(d / 2)`` steps from the far endpoint of the second sweep)."""
-    steps = depth[endpoint] // 2
-    v = endpoint
-    for _ in range(steps):
-        v = parent[v]
-    return v
+    _, d1 = bfs(seed)
+    p2, d2 = bfs(max(d1, key=d1.__getitem__))
+    w = max(d2, key=d2.__getitem__)
+    for _ in range(d2[w] // 2):
+        w = p2[w]
+    return d1, w
 
 
 def two_sweep_center(graph: UndirectedGraph, seed: Vertex) -> Tuple[Vertex, int]:
     """2-sweep BFS center approximation of *seed*'s connected component.
 
-    Sweep 1 (BFS from *seed*) finds a farthest vertex ``u``; sweep 2 (BFS from
-    ``u``) finds a farthest vertex ``w`` and an approximate diameter path
-    ``u → w``; the returned center is the midpoint of that path.  Returns
-    ``(center, eccentricity_of_center)``.  Because every vertex's eccentricity
-    is at most the component diameter ``D ≤ 2·radius``, the center's
-    eccentricity is within a factor 2 of the true radius — and in practice the
-    midpoint lands near the true center (exactly, on paths and trees).
+    Runs :func:`two_sweep` locally and returns ``(center,
+    eccentricity_of_center)``.  Because every vertex's eccentricity is at
+    most the component diameter ``D ≤ 2·radius``, the center's eccentricity
+    is within a factor 2 of the true radius — and in practice the midpoint
+    lands near the true center (exactly, on paths and trees).
 
     This is the *local* (uncharged) evaluation every node can run from its
     stored copy of the graph; the distributed backend charges the two sweeps
     through the network when a voluntary rebuild actually executes them.
     ``O(n + m)`` per call (three BFS traversals of the component).
     """
-    _, d1 = bfs_tree(graph, seed)
-    u = farthest_vertex(d1)
-    p2, d2 = bfs_tree(graph, u)
-    w = farthest_vertex(d2)
-    center = path_midpoint(p2, d2, w)
+    _, center = two_sweep(partial(bfs_tree, graph), seed)
     _, d3 = bfs_tree(graph, center)
     return center, max(d3.values(), default=0)
 
@@ -104,10 +92,7 @@ def children_index(parent: Dict[Vertex, Optional[Vertex]]) -> Dict[Vertex, List[
 
 
 def parent_tree_subtree(
-    parent: Dict[Vertex, Optional[Vertex]],
-    root: Vertex,
-    *,
-    children: Optional[Dict[Vertex, List[Vertex]]] = None,
+    root: Vertex, children: Dict[Vertex, List[Vertex]]
 ) -> Tuple[List[Vertex], Dict[Vertex, int]]:
     """Vertices of the subtree of *root* in a parent-pointer tree, in BFS
     order, together with their depths *relative to root*.
@@ -115,13 +100,10 @@ def parent_tree_subtree(
     Used by the broadcast-tree local repair: when a tree edge dies, the
     orphaned subtree is exactly the parent-pointer subtree of the severed
     child, and the relative depths bound the rounds the intra-subtree
-    convergecast/broadcast of the repair costs.  *root*'s own (dangling)
-    parent pointer is ignored.  Callers extracting several subtrees of the
-    same tree pass a shared :func:`children_index` to avoid re-inverting the
-    whole parent map per subtree.
+    convergecast/broadcast of the repair costs.  *children* is the tree's
+    :func:`children_index`, shared by every subtree extracted from the same
+    tree; *root*'s own (dangling) parent pointer is never read.
     """
-    if children is None:
-        children = children_index(parent)
     order: List[Vertex] = [root]
     rel_depth: Dict[Vertex, int] = {root: 0}
     i = 0
@@ -139,13 +121,14 @@ def reroot_parent_tree(
     subtree: List[Vertex],
     parent: Dict[Vertex, Optional[Vertex]],
     new_root: Vertex,
-) -> Dict[Vertex, Vertex]:
+) -> Tuple[Dict[Vertex, Vertex], Dict[Vertex, int]]:
     """Re-root the parent-pointer tree spanning *subtree* at *new_root*.
 
-    Returns the new parent assignment for every vertex of *subtree* except
-    *new_root* (whose parent the caller sets to the reattachment target).
-    Only the pointers on the old-root-to-*new_root* path actually flip; the
-    caller still owns depth bookkeeping.
+    One BFS from *new_root* returns ``(new_parent, depth)``: the new parent
+    of every vertex of *subtree* except *new_root* (whose parent the caller
+    sets to the reattachment target), and every vertex's depth below
+    *new_root*.  Only the pointers on the old-root-to-*new_root* path
+    actually flip.
     """
     adjacency: Dict[Vertex, List[Vertex]] = {v: [] for v in subtree}
     members = adjacency.keys()
@@ -155,18 +138,18 @@ def reroot_parent_tree(
             adjacency[v].append(p)
             adjacency[p].append(v)
     new_parent: Dict[Vertex, Vertex] = {}
+    depth = {new_root: 0}
     frontier = [new_root]
-    seen = {new_root}
     while frontier:
         nxt: List[Vertex] = []
         for v in frontier:
             for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in depth:
+                    depth[w] = depth[v] + 1
                     new_parent[w] = v
                     nxt.append(w)
         frontier = nxt
-    return new_parent
+    return new_parent, depth
 
 
 def articulation_points_and_bridges(graph: UndirectedGraph) -> Tuple[Set[Vertex], Set[frozenset]]:
@@ -220,36 +203,3 @@ def articulation_points_and_bridges(graph: UndirectedGraph) -> Tuple[Set[Vertex]
             articulation.add(start)
     return articulation, bridges
 
-
-def components_after_vertex_removal(graph: UndirectedGraph, v: Vertex) -> List[List[Vertex]]:
-    """Connected components of ``graph - v`` among the former neighbours of *v*.
-
-    Each returned list contains the neighbours of *v* that end up in the same
-    component; the paper uses this to pick exactly one broadcast initiator per
-    new component after a vertex failure.
-    """
-    neighbors = set(graph.neighbor_list(v))
-    remaining = [w for w in graph.vertices() if w != v]
-    sub = graph.subgraph(remaining)
-    groups: List[List[Vertex]] = []
-    seen: Set[Vertex] = set()
-    for nb in neighbors:
-        if nb in seen:
-            continue
-        comp: List[Vertex] = []
-        frontier = [nb]
-        seen.add(nb)
-        comp_set = {nb}
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in sub.neighbors(x):
-                    if y not in comp_set:
-                        comp_set.add(y)
-                        if y in neighbors:
-                            seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        comp = [w for w in neighbors if w in comp_set]
-        groups.append(comp)
-    return groups

@@ -14,7 +14,7 @@ along each incident edge.  The simulator meters
 * ``component_rounds`` — the **per-component ledger**: for every broadcast,
   convergecast and BFS flood, each broadcast tree (identified by its root) is
   charged the rounds *it* was busy.  This is what makes round accounting
-  meaningful once the graph fragments: a component no longer rides another
+  meaningful once the graph fragments: a component does not ride another
   component's wave for free — its own dissemination work is attributed to it
   (``component_rounds_charged`` meters the total, which equals the global
   ``rounds`` on connected graphs and exceeds it under fragmentation).
@@ -175,20 +175,29 @@ class CongestNetwork:
         return self.build_bfs_forest([root])
 
     # ------------------------------------------------------------------ #
-    def _component_schedules(
+    def _pipelined_wave(
         self,
         bfs_parent: Dict[Vertex, Optional[Vertex]],
         bfs_depth: Dict[Vertex, int],
-    ) -> Tuple[Dict[Vertex, int], Dict[Vertex, Dict[int, int]]]:
-        """Per-component wave schedule of a broadcast forest.
-
-        Returns ``(depth_by_root, edges_at_level_by_root)``: for every tree of
-        the forest (keyed by its root), its depth and its per-level tree-edge
-        counts — the inputs of the pipelined schedule that tree executes.
+        payload_words: int,
+        *,
+        upward: bool,
+    ) -> None:
+        """The pipelined schedule both waves share: *payload_words* split into
+        ``ceil(words / B)`` chunks, every tree of the forest (keyed by its
+        root) running concurrently.  Each round, an edge at level ``l`` of a
+        tree of depth ``depth_c`` sends chunk ``r - l`` going down and chunk
+        ``r - (depth_c - l)`` going up (deeper edges first).  The global round
+        cost is the deepest tree's schedule (``max_depth + chunks - 1``);
+        each component's ledger is charged its own ``depth_c + chunks - 1``.
         """
+        if payload_words <= 0 or len(bfs_parent) <= 1:
+            return
+        chunks = math.ceil(payload_words / self.bandwidth)
+        last_chunk_words = payload_words - (chunks - 1) * self.bandwidth
         root_of = forest_roots(bfs_parent)
         depth_by_root: Dict[Vertex, int] = {}
-        edges_by_root: Dict[Vertex, Dict[int, int]] = {}
+        edges_by_root: Dict[Vertex, Dict[int, int]] = {}  # root -> level -> tree edges
         for v, p in bfs_parent.items():
             root = root_of[v]
             d = bfs_depth[v]
@@ -199,37 +208,13 @@ class CongestNetwork:
                 levels[d] = levels.get(d, 0) + 1
             else:
                 depth_by_root.setdefault(root, 0)
-        return depth_by_root, edges_by_root
-
-    def pipelined_broadcast(
-        self,
-        bfs_parent: Dict[Vertex, Optional[Vertex]],
-        bfs_depth: Dict[Vertex, int],
-        payload_words: int,
-    ) -> None:
-        """Broadcast *payload_words* words from every tree root to every node
-        of its tree.
-
-        The payload is split into ``ceil(words / B)`` chunks, sent down each
-        tree in a pipeline: a node forwards chunk ``i`` to its children one
-        round after receiving it.  All trees of the forest run concurrently;
-        the global round cost is the deepest tree's schedule
-        (``max_depth + chunks - 1``) while each component's ledger is charged
-        its own ``depth_c + chunks - 1``.
-        """
-        if payload_words <= 0 or len(bfs_parent) <= 1:
-            return
-        chunks = math.ceil(payload_words / self.bandwidth)
-        last_chunk_words = payload_words - (chunks - 1) * self.bandwidth
-        depth_by_root, edges_by_root = self._component_schedules(bfs_parent, bfs_depth)
         total_rounds = max(depth_by_root.values()) + chunks - 1
-        # In the pipelined schedule, in round r (1-based) the edges at tree
-        # level l forward chunk r - l (if it exists).
         for r in range(1, total_rounds + 1):
             transmissions: List[int] = []
-            for edges_at_level in edges_by_root.values():
+            for root, edges_at_level in edges_by_root.items():
+                depth = depth_by_root[root]
                 for lvl, count in edges_at_level.items():
-                    chunk_index = r - lvl
+                    chunk_index = r - (depth - lvl if upward else lvl)
                     if 1 <= chunk_index <= chunks:
                         words = self.bandwidth if chunk_index < chunks else last_chunk_words
                         transmissions.extend([words] * count)
@@ -238,6 +223,17 @@ class CongestNetwork:
             if depth > 0:
                 self._charge_component(root, depth + chunks - 1)
         self.metrics.observe_max("broadcast_components", len(depth_by_root))
+
+    def pipelined_broadcast(
+        self,
+        bfs_parent: Dict[Vertex, Optional[Vertex]],
+        bfs_depth: Dict[Vertex, int],
+        payload_words: int,
+    ) -> None:
+        """Broadcast *payload_words* words from every tree root to every node
+        of its tree: a node forwards chunk ``i`` to its children one round
+        after receiving it."""
+        self._pipelined_wave(bfs_parent, bfs_depth, payload_words, upward=False)
 
     def pipelined_convergecast(
         self,
@@ -249,32 +245,11 @@ class CongestNetwork:
         tree root.
 
         Partial aggregates are merged on the way (the combination is by-key
-        minimum/maximum, so the vector size never grows); each tree's schedule
-        is the mirror image of :meth:`pipelined_broadcast`, all trees run
-        concurrently, and the ledger attribution matches the broadcast's.
+        minimum/maximum, so the vector size never grows); the schedule is the
+        mirror image of :meth:`pipelined_broadcast`, with the same ledger
+        attribution.
         """
-        if payload_words <= 0 or len(bfs_parent) <= 1:
-            return
-        chunks = math.ceil(payload_words / self.bandwidth)
-        last_chunk_words = payload_words - (chunks - 1) * self.bandwidth
-        depth_by_root, edges_by_root = self._component_schedules(bfs_parent, bfs_depth)
-        total_rounds = max(depth_by_root.values()) + chunks - 1
-        for r in range(1, total_rounds + 1):
-            transmissions: List[int] = []
-            for root, edges_at_level in edges_by_root.items():
-                depth = depth_by_root[root]
-                for lvl, count in edges_at_level.items():
-                    # Deeper edges transmit earlier; an edge at level l of its
-                    # own tree sends chunk r - (depth_c - l) upward.
-                    chunk_index = r - (depth - lvl)
-                    if 1 <= chunk_index <= chunks:
-                        words = self.bandwidth if chunk_index < chunks else last_chunk_words
-                        transmissions.extend([words] * count)
-            self._charge_round(transmissions)
-        for root, depth in depth_by_root.items():
-            if depth > 0:
-                self._charge_component(root, depth + chunks - 1)
-        self.metrics.observe_max("broadcast_components", len(depth_by_root))
+        self._pipelined_wave(bfs_parent, bfs_depth, payload_words, upward=True)
 
     # ------------------------------------------------------------------ #
     def aggregate_query_round(

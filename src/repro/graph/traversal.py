@@ -67,25 +67,17 @@ def static_dfs_tree(
     return parent
 
 
-def static_dfs_forest(
-    graph: UndirectedGraph,
-    *,
-    roots: Optional[Iterable[Vertex]] = None,
-) -> Dict[Vertex, Optional[Vertex]]:
+def static_dfs_forest(graph: UndirectedGraph) -> Dict[Vertex, Optional[Vertex]]:
     """Compute a DFS forest covering every vertex of *graph*.
 
     The forest is returned as a single parent map in which each component root
     has parent :data:`VIRTUAL_ROOT`, matching the paper's augmentation of the
     graph with a virtual root connected to every vertex (Section 2).  The
-    virtual root itself maps to ``None``.
-
-    *roots* optionally fixes the order in which components are started.
+    virtual root itself maps to ``None``.  Components are started in vertex
+    insertion order.
     """
     parent: Dict[Vertex, Optional[Vertex]] = {VIRTUAL_ROOT: None}
-    start_order: List[Vertex] = list(roots) if roots is not None else []
-    started = set(start_order)
-    start_order.extend(v for v in graph.vertices() if v not in started)
-    for r in start_order:
+    for r in graph.vertices():
         if r in parent:
             continue
         comp_parent = static_dfs_tree(graph, r)
@@ -94,22 +86,6 @@ def static_dfs_forest(
                 continue
             parent[v] = VIRTUAL_ROOT if p is None else p
     return parent
-
-
-def dfs_preorder(graph: UndirectedGraph, root: Vertex) -> List[Vertex]:
-    """Return the vertices of *root*'s component in DFS preorder."""
-    parent = static_dfs_tree(graph, root)
-    children: Dict[Vertex, List[Vertex]] = {v: [] for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
-    order: List[Vertex] = []
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(reversed(children[v]))
-    return order
 
 
 def bfs_tree(

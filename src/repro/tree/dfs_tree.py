@@ -397,11 +397,6 @@ class DFSTree:
                 stack.extend(reversed(self._children_idx[x]))
         return out
 
-    def postorder_sequence(self) -> List[Vertex]:
-        """All vertices sorted by post-order number."""
-        order = sorted(range(len(self._verts)), key=lambda i: self._post[i])
-        return [self._verts[i] for i in order]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"DFSTree(n={len(self._verts)}, roots={self.roots()!r})"
 

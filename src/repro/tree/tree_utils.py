@@ -10,7 +10,7 @@ ancestor–descendant segments of the *old* tree (needed both for
 
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence, Tuple
+from typing import Hashable, Iterable, List, Sequence, Tuple
 
 from repro.exceptions import TreeError
 from repro.tree.dfs_tree import DFSTree
@@ -18,15 +18,16 @@ from repro.tree.dfs_tree import DFSTree
 Vertex = Hashable
 
 
-def hanging_subtrees(tree: DFSTree, path_vertices: Sequence[Vertex]) -> List[Vertex]:
+def hanging_subtrees(tree: DFSTree, path_vertices: Iterable[Vertex]) -> List[Vertex]:
     """Roots of the subtrees hanging from *path_vertices*.
 
     A subtree ``T(w)`` *hangs* from a path ``p`` when ``parent(w) ∈ p`` and
     ``w ∉ p`` (Section 2 of the paper).  Roots are returned in path order, then
-    child order.
+    child order.  *path_vertices* is read once, so any iterable works.
     """
-    on_path = set(path_vertices)
-    return [c for v in path_vertices for c in tree.children(v) if c not in on_path]
+    path = path_vertices if isinstance(path_vertices, (list, tuple)) else list(path_vertices)
+    on_path = set(path)
+    return [c for v in path for c in tree.children(v) if c not in on_path]
 
 
 def heavy_vertex(tree: DFSTree, subtree_root: Vertex, threshold: int) -> Vertex:

@@ -54,8 +54,6 @@ def test_edge_query_validation():
         EdgeQuery("path", (1, 2))
     with pytest.raises(ValueError):
         EdgeQuery("bogus", (1, 2), source_vertices=(3,))
-    q = EdgeQuery.from_vertices([5], [1, 2])
-    assert q.source_size(None) == 1
 
 
 def test_tree_source_queries_match_oracle():

@@ -8,8 +8,6 @@ from repro.core.updates import (
     VertexDeletion,
     VertexInsertion,
     inverse,
-    is_edge_update,
-    is_vertex_update,
 )
 
 
@@ -18,8 +16,6 @@ def test_descriptions_and_kinds():
     assert "delete edge" in EdgeDeletion(1, 2).describe()
     assert "insert vertex" in VertexInsertion(3, (1, 2)).describe()
     assert "delete vertex" in VertexDeletion(3).describe()
-    assert is_edge_update(EdgeInsertion(1, 2)) and not is_vertex_update(EdgeInsertion(1, 2))
-    assert is_vertex_update(VertexDeletion(3)) and not is_edge_update(VertexDeletion(3))
 
 
 def test_vertex_insertion_neighbors_are_normalised_to_tuple():

@@ -5,12 +5,11 @@ import math
 import pytest
 
 from tests.helpers import make_updates
-from repro.distributed.forest import articulation_points_and_bridges, components_after_vertex_removal
+from repro.distributed.forest import articulation_points_and_bridges
 from repro.distributed.network import CongestNetwork, recommended_bandwidth
 from repro.distributed.distributed_dfs import DistributedDynamicDFS
 from repro.exceptions import DistributedError
 from repro.graph.generators import cycle_with_chords, gnp_random_graph, grid_graph, path_graph, star_graph
-from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import bfs_tree
 from repro.metrics.counters import MetricsRecorder
 
@@ -103,10 +102,3 @@ def test_articulation_points_and_bridges_against_networkx():
         points, bridges = articulation_points_and_bridges(g)
         assert points == set(networkx.articulation_points(nxg))
         assert bridges == {frozenset(e) for e in networkx.bridges(nxg)}
-
-
-def test_components_after_vertex_removal():
-    g = UndirectedGraph(edges=[(0, 1), (0, 2), (1, 2), (0, 3), (3, 4)])
-    groups = components_after_vertex_removal(g, 0)
-    normalized = sorted(sorted(grp) for grp in groups)
-    assert normalized == [[1, 2], [3]]

@@ -11,7 +11,6 @@ from repro.graph.traversal import (
     bfs_tree,
     component_of,
     connected_components,
-    dfs_preorder,
     static_dfs_forest,
     static_dfs_tree,
 )
@@ -58,13 +57,6 @@ def test_static_dfs_forest_covers_disconnected_graphs():
     assert is_valid_dfs_forest(g, parent)
     roots = [v for v, p in parent.items() if p == VIRTUAL_ROOT]
     assert len(roots) == 4  # components {0,1}, {2,3}, {4}, {5}
-
-
-def test_dfs_preorder_starts_at_root_and_covers_component():
-    g = gnp_random_graph(25, 0.15, seed=2, connected=True)
-    order = dfs_preorder(g, 3)
-    assert order[0] == 3
-    assert sorted(order) == sorted(g.vertices())
 
 
 def test_bfs_tree_depths_are_shortest_path_distances():

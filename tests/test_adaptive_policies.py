@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import FullyDynamicDFS
 from repro.core.updates import EdgeDeletion
 from repro.distributed.distributed_dfs import DistributedDynamicDFS
 from repro.graph.generators import gnm_random_graph
@@ -212,7 +213,7 @@ def _observed_drift_contribution(backend, graph, update, delta):
     # the 2-sweep midpoint, the update initiator and the remembered best —
     # re-derived here from the seed the backend recorded (its eccentricity is
     # exactly the fresh-rebuild depth end_update measured the drift against).
-    seed = backend._drift_seed
+    seed = backend._drift_root
     if seed is None or not graph.has_vertex(seed):
         return 0
     _, seed_depth = bfs_tree(graph, seed)
@@ -367,6 +368,32 @@ def test_sustained_churn_auto_policy_repair_wins(seed):
                 assert driver.parent_map() == reference, f"{name} diverged at update {step}"
     assert drivers["voluntary"].rounds() <= drivers["conservative"].rounds()
     assert drivers["voluntary"].rounds() <= drivers["pure_repair"].rounds()
+
+
+def test_initiator_mode_voluntary_rebuild_floods_from_remembered_root():
+    """Under ``voluntary_root="initiator"`` a voluntary rebuild roots the
+    triggering component at the remembered best root: that vertex survives
+    the update and roots the rebuilt broadcast forest.  The DFS tree matches
+    a rebuild-every-update driver after every update."""
+    scenario = build_scenario("social_network_churn", n=24, seed=2, updates=40)
+    driver = DistributedDynamicDFS(
+        scenario.graph, rebuild_every=None, local_repair=True,
+        voluntary_root="initiator", metrics=MetricsRecorder("initiator", strict=True),
+    )
+    reference = FullyDynamicDFS(scenario.graph, rebuild_every=1)
+    backend = driver._backend
+    fired = 0
+    for step, update in enumerate(scenario.updates):
+        before = driver.metrics["voluntary_rebuilds"]
+        remembered = backend._drift_root
+        driver.apply(update)
+        reference.apply(update)
+        assert driver.parent_map() == reference.parent_map(), f"diverged at update {step}"
+        if driver.metrics["voluntary_rebuilds"] > before:
+            fired += 1
+            assert driver.graph.has_vertex(remembered), step
+            assert backend.bfs_parent[remembered] is None, step
+    assert fired >= 1
 
 
 def test_two_level_repair_round_accounting():

@@ -38,7 +38,6 @@ def test_basic_indices_on_small_tree():
     # Post-order: 2, 3, 1, 4, 0
     assert t.postorder(2) == 0 and t.postorder(3) == 1 and t.postorder(1) == 2
     assert t.postorder(4) == 3 and t.postorder(0) == 4
-    assert t.postorder_sequence() == [2, 3, 1, 4, 0]
 
 
 def test_ancestry_and_lca():

@@ -32,8 +32,8 @@ def test_is_vertical_path(caterpillar_tree):
 
 def test_hanging_subtrees(caterpillar_tree):
     t = caterpillar_tree
-    roots = hanging_subtrees(t, [0, 1, 2, 3])
-    assert roots == [10, 11, 12, 13, 14]
+    for path in ([0, 1, 2, 3], (0, 1, 2, 3), iter([0, 1, 2, 3])):
+        assert hanging_subtrees(t, path) == [10, 11, 12, 13, 14]
 
 
 def test_heavy_vertex_and_chain():
