@@ -189,9 +189,15 @@ class BruteForceQueryService(QueryService):
 
 class _Segment:
     """One maximal ancestor–descendant run of a target path in ``D``'s base
-    tree, with what every range search against it needs."""
+    tree, with what every range search against it needs: its ends, the
+    bottom's post-order number, and, per preferred end of the target
+    (indexed by ``prefer_last``), the segment as
+    :meth:`~repro.core.structure_d.StructureD.search_subtrees` takes it,
+    with its ends as tree indices."""
 
-    __slots__ = ("vertices", "contains", "top", "bottom", "bottom_post", "bottom_first", "bottom_last")
+    __slots__ = (
+        "vertices", "contains", "top", "bottom", "bottom_post", "bottom_first", "bottom_last", "d_segment"
+    )
 
     def __init__(self, tree: DFSTree, vertices: List[Vertex]) -> None:
         self.vertices = vertices
@@ -203,20 +209,23 @@ class _Segment:
         # segment's bottom exactly when its last (first) vertex is the bottom.
         self.bottom_first = vertices[0] == self.bottom
         self.bottom_last = vertices[-1] == self.bottom
+        ends = (tree._idx[self.top], tree._idx[self.bottom], self.contains)
+        self.d_segment = (ends + (self.bottom_first,), ends + (self.bottom_last,))
 
 
 class _TargetPlan:
     """What the queries on one target need from ``D``'s base tree.
 
     A pure function of the base tree and the target, so
-    :meth:`DQueryService.answer_batch` builds it once per distinct target and
-    every query of the batch on an equal target reuses it: the position map,
-    the target vertices the base tree does not know (inserted since ``D`` was
-    built), and the maximal ancestor–descendant segments of the others — both
-    lists in target order.
+    :meth:`DQueryService.answer_batch` builds it once per distinct target
+    object and every query of the batch on that target reuses it: the
+    position map, the target vertices the base tree does not know (inserted
+    since ``D`` was built), the maximal ancestor–descendant segments of the
+    others — both lists in target order — and, per preferred end (indexed
+    by ``prefer_last``), the segments in preference order.
     """
 
-    __slots__ = ("pos", "unknown", "segments")
+    __slots__ = ("pos", "unknown", "segments", "orders")
 
     def __init__(self, tree: DFSTree, target: Sequence[Vertex]) -> None:
         self.pos = _position_map(target)
@@ -225,6 +234,7 @@ class _TargetPlan:
         for v in target:
             (known if v in tree else self.unknown).append(v)
         self.segments = [_Segment(tree, seg) for seg in ancestor_descendant_segments(tree, known)]
+        self.orders = (self.segments, self.segments[::-1])
 
 
 class _Tally:
@@ -249,18 +259,21 @@ class DQueryService(QueryService):
     setting — Theorem 9); inside a segment each source vertex performs one
     post-order range search.
 
-    Cost of a query round: :meth:`answer_batch` walks each distinct target of
-    the batch once (its position map, its vertices unknown to the base tree
-    and its segments), and each query then pays its source size × range
-    searches, plus its segments.  ``Process-Comp`` sends all of its pieces
-    against one shared target, so a round pays that target once, not once per
-    piece.  The round's subtree pieces of ``D``'s base tree — nearly all of
-    its queries — go to ``D`` together, one segment layer at a time
-    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`, one
-    vectorized search per layer), and one batched re-anchor fixes their
-    source endpoints.  Every other query is answered on its own.  The round's counters
-    are summed as it runs and recorded once, with the totals and maxima that
-    counting query by query would give.
+    Cost of a query round: :meth:`answer_batch` walks each distinct target
+    object of the batch once (its position map, its vertices unknown to the
+    base tree and its segments), and each query then pays its source size ×
+    range searches, plus its segments.  ``Process-Comp`` sends all of its
+    pieces against one shared target, so a round pays that target once, not
+    once per piece.  The round's subtree pieces of ``D``'s base tree —
+    nearly all of its queries — go to ``D`` together: one gather resolves
+    their roots to tree indices and post-order intervals, each segment layer
+    is one vectorized search
+    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`, which takes
+    those intervals and the segments' ends as tree indices), and one batched
+    re-anchor fixes their source endpoints.  Every other query is answered
+    on its own.  The round's counters are summed as it runs and recorded
+    once, with the totals and maxima that counting query by query would
+    give.
 
     Answers are *canonical*: the target endpoint is the target vertex nearest
     the preferred end that has any alive edge to the source piece, and the
@@ -301,18 +314,21 @@ class DQueryService(QueryService):
         if self._metrics is not None:
             self._metrics.inc("query_batches")
             self._metrics.inc("queries", len(queries))
-        plans: Dict[Tuple[Vertex, ...], _TargetPlan] = {}
+        tree = self._tree
+        # Keyed by the target object: the queries hold every target alive for
+        # the call, and queries sharing a target share the object.
+        plans: Dict[int, _TargetPlan] = {}
         tally = _Tally()
         answers: List[Answer] = [None] * len(queries)
-        pieces: List[Tuple[int, EdgeQuery, _TargetPlan, Tuple[int, int]]] = []
+        pieces: List[Tuple[int, EdgeQuery, _TargetPlan]] = []
         try:
             for i, q in enumerate(queries):
-                plan = plans.get(q.target)
+                plan = plans.get(id(q.target))
                 if plan is None:
-                    plan = plans[q.target] = _TargetPlan(self._tree, q.target)
-                interval = self._base_subtree_interval(q, plan)
-                if interval is not None:
-                    pieces.append((i, q, plan, interval))
+                    plan = plans[id(q.target)] = _TargetPlan(tree, q.target)
+                direct = q.source_kind == "tree" and self._source_tree is tree
+                if direct and plan.segments and not plan.unknown:
+                    pieces.append((i, q, plan))
                 else:
                     answers[i] = self._answer_one(q, plan, tally)
             if pieces:
@@ -334,56 +350,50 @@ class DQueryService(QueryService):
             metrics.inc("d_reanchor_probes", tally.reanchor_probes)
 
     # ------------------------------------------------------------------ #
-    def _base_subtree_interval(self, q: EdgeQuery, plan: _TargetPlan) -> Optional[Tuple[int, int]]:
-        """The piece's post-order interval ``[lo, hi]`` in ``D``'s base tree
-        when ``D.search_subtrees`` can answer *q* — a subtree piece of the
-        base tree, a target the base tree fully knows, and no target segment
-        whose bottom lies inside the piece — else ``None``."""
-        tree = self._tree
-        if q.source_kind != "tree" or self._source_tree is not tree:
-            return None
-        if plan.unknown or not plan.segments or q.source_root not in tree:
-            return None
-        lo, hi = self._subtree_interval(q.source_root)
-        if any(lo <= seg.bottom_post <= hi for seg in plan.segments):
-            return None
-        return lo, hi
-
     def _answer_subtree_pieces(
         self,
-        pieces: List[Tuple[int, EdgeQuery, _TargetPlan, Tuple[int, int]]],
+        pieces: List[Tuple[int, EdgeQuery, _TargetPlan]],
         answers: List[Answer],
         tally: _Tally,
     ) -> None:
-        """Answer the round's subtree pieces of ``D``'s base tree together
-        (Theorem 8: one processor per source vertex, one range search each).
+        """Answer the round's subtree pieces whose target ``D``'s base tree
+        fully knows together (Theorem 8: one processor per source vertex,
+        one range search each).
 
-        Segments are taken in preference order, one layer at a time: layer
-        ``j`` asks ``D.search_subtrees`` for every piece still unanswered
-        against its ``j``-th segment, and a piece leaves at its first hit —
-        the same early stop, searches and probes as :meth:`_answer_one`.  One
-        batched re-anchor then fixes every hit's source endpoint.
+        One gather resolves the piece roots to tree indices and post-order
+        intervals ``[lo, hi]``.  A piece whose root the base tree does not
+        know, or that holds a target segment's bottom, is answered on its
+        own.  The others take their segments in preference order, one layer
+        at a time: layer ``j`` asks ``D.search_subtrees`` for every piece
+        still unanswered against its ``j``-th segment, and a piece leaves at
+        its first hit — the same early stop, searches and probes as
+        :meth:`_answer_one`.  One batched re-anchor then fixes every hit's
+        source endpoint.
         """
-        # Per piece: its answer slot, query, interval and segments in
-        # preference order.
+        tree = self._tree
+        arrays = tree.as_arrays()
+        index = tree.indices([q.source_root for _, q, _ in pieces])
+        his = arrays["post"][index]  # index -1 gathers an arbitrary post, never read
+        los = his - arrays["size"][index] + 1
+        # Per piece: its answer slot, query, (root index, lo, hi), segments
+        # in preference order and preferred end.
         pending = []
-        for i, q, plan, interval in pieces:
+        for (i, q, plan), root, lo, hi in zip(pieces, index.tolist(), los.tolist(), his.tolist()):
+            if root < 0 or any(lo <= seg.bottom_post <= hi for seg in plan.segments):
+                answers[i] = self._answer_one(q, plan, tally)
+                continue
             tally.queries += 1
             tally.segments += len(plan.segments)
             tally.max_segments = max(tally.max_segments, len(plan.segments))
-            pending.append((i, q, interval, plan.segments[::-1] if q.prefer_last else plan.segments))
+            pending.append((i, q, (root, lo, hi), plan.orders[q.prefer_last], q.prefer_last))
         hits = []
         layer = 0
         while pending:
-            roots = []
-            segments = []
-            for _, q, (lo, hi), order in pending:
-                seg = order[layer]
-                prefer_bottom = seg.bottom_last if q.prefer_last else seg.bottom_first
-                roots.append(q.source_root)
-                segments.append((seg.top, seg.bottom, seg.contains, prefer_bottom))
-                tally.searches += hi - lo + 1
-            found, probes = self._d.search_subtrees(roots, segments)
+            tally.searches += sum(hi - lo + 1 for _, _, (_, lo, hi), _, _ in pending)
+            found, probes = self._d.search_subtrees(
+                [piece for _, _, piece, _, _ in pending],
+                [order[layer].d_segment[last] for _, _, _, order, last in pending],
+            )
             tally.probes += probes
             layer += 1
             still = []
@@ -397,12 +407,12 @@ class DQueryService(QueryService):
             return
         canonical, probes = self._d.search_min_post_batch(
             [t_star for _, t_star in hits],
-            [lo for (_, _, (lo, _), _), _ in hits],
-            [hi for (_, _, (_, hi), _), _ in hits],
+            [lo for (_, _, (_, lo, _), _, _), _ in hits],
+            [hi for (_, _, (_, _, hi), _, _), _ in hits],
         )
         tally.reanchors += len(hits)
         tally.reanchor_probes += probes
-        for ((i, q, _, _), t_star), source in zip(hits, canonical):
+        for ((i, q, _, _, _), t_star), source in zip(hits, canonical):
             if source is None:
                 raise InvariantViolation(
                     f"re-anchor found no vertex of T({q.source_root!r}) adjacent to {t_star!r}, "

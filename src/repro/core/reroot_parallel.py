@@ -6,7 +6,10 @@ round, the query batches requested by different components are merged and
 submitted together, because components of the unvisited graph are vertex
 disjoint and non-adjacent — exactly the "set of independent queries" the paper
 feeds to the data structure ``D`` in one parallel round / one streaming pass /
-one CONGEST broadcast.
+one CONGEST broadcast.  A component that is one base-tree leaf finishes in
+its active round without a traversal step: its disintegrating traversal is
+``p* = [r_c]`` and asks no query, so the engine hangs ``r_c`` from the
+component's attach vertex and records what that traversal records.
 
 Metered quantities (per ``reroot_many`` call):
 
@@ -70,15 +73,16 @@ class ParallelRerootEngine:
     def reroot_many(self, tasks: Sequence[RerootTask]) -> ParentAssignment:
         """Reroot all *tasks* (disjoint subtrees) and return the new parents of
         every vertex they cover."""
+        tree = self.tree
         result: ParentAssignment = {}
         active: List[Component] = []
         for t in tasks:
-            comp = component_from_subtree(self.tree, t.subtree_root, t.new_root, t.attach)
+            comp = component_from_subtree(tree, t.subtree_root, t.new_root, t.attach)
             active.append(comp)
         if not active:
             return result
 
-        round_guard = 8 * sum(c.size(self.tree) for c in active) + 64
+        round_guard = 8 * sum(c.size(tree) for c in active) + 64
 
         rounds = 0
         while active:
@@ -90,13 +94,30 @@ class ParallelRerootEngine:
 
             finished: List[Tuple[Component, StepResult]] = []
             runners: List[List[object]] = []
+            leaves = 0
             for comp in active:
+                leaf = comp.trees[0].root if comp.path is None and len(comp.trees) == 1 else None
+                if leaf is not None and tree.subtree_size(leaf) == 1:
+                    # A single base-tree leaf: its disintegrating traversal is
+                    # p* = [r_c], leaves nothing over and asks no query, so it
+                    # finishes here with what the planner would record.
+                    if comp.rc != leaf:
+                        raise InvariantViolation(
+                            f"root {comp.rc!r} not found in {comp.describe(tree)}"
+                        )
+                    result[comp.rc] = comp.attach
+                    leaves += 1
+                    continue
                 gen = self.planner.step(comp)
                 try:
                     batch = next(gen)
                     runners.append([comp, gen, batch])
                 except StopIteration as stop:
                     finished.append((comp, stop.value))
+            if leaves:
+                self.metrics.inc("traversal_disintegrating", leaves)
+                self.metrics.inc("process_comp_calls", leaves)
+                self.metrics.inc("vertices_added", leaves)
 
             # Lock-step sub-rounds: merge the current batch of every runner into
             # one independent batch for the service.

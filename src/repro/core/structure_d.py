@@ -468,63 +468,62 @@ class StructureD:
 
     def search_subtrees(
         self,
-        roots: Sequence[Vertex],
-        segments: Sequence[Tuple[Vertex, Vertex, Callable[[Vertex], bool], bool]],
+        pieces: Sequence[Tuple[int, int, int]],
+        segments: Sequence[Tuple[int, int, Callable[[Vertex], bool], bool]],
     ) -> Tuple[List[Optional[Vertex]], int]:
         """One layer of a query round: every vertex of each subtree piece
         searches one segment, as one search over the keys.
 
-        Piece ``i`` is the base-tree subtree ``T(roots[i])`` and
-        ``segments[i]`` is ``(top, bottom, on_segment, prefer_bottom)``, the
-        arguments of :meth:`search_segment`.  Returns ``(found, probes)``:
+        Piece ``i`` is ``pieces[i] = (root, lo, hi)``: the base-tree subtree
+        of the vertex with tree index *root*, whose post-order interval is
+        ``[lo, hi]`` (``lo = post(root) - size(root) + 1``, ``hi =
+        post(root)``).  ``segments[i]`` is ``(top, bottom, on_segment,
+        prefer_bottom)``, the arguments of :meth:`search_segment` with the
+        segment's ends given as tree indices.  Returns ``(found, probes)``:
         per piece, the neighbour on the segment nearest its preferred end
         that any piece vertex reaches (``None`` when none does), and the
         probes all the searches charged — exactly what calling
         :meth:`search_segment` once per piece vertex gives.  The piece makes
-        ``subtree_size(roots[i])`` searches.
+        ``hi - lo + 1`` searches.
 
-        Precondition: no segment's *bottom* lies inside its piece.  A piece
-        ``T(root)`` is the post-order interval ``[post(root) - size(root) +
-        1, post(root)]``, and every piece vertex ``u`` searches the same
-        post-order range: ``[post(lca(root, bottom)), post(top)]`` when *top*
-        is an ancestor of *root*, none otherwise.  A clean row (no overlay
-        touched it) needs no alive or on-segment check — overlays dirty every
-        row they affect, and every base-row entry in the range is an ancestor
-        of ``u`` on the vertical segment — so its answer is the range's first
-        (or last) entry and it charges 1 probe, as the scalar search does.
-        The piece's answer is the hit with the smallest post (nearest the
-        bottom) or the largest, reduced with ``np.minimum.reduceat``.  Dirty
-        rows take :meth:`search_segment`.
+        Precondition: no segment's *bottom* lies inside its piece.  Every
+        piece vertex ``u`` then searches the same post-order range:
+        ``[post(lca(root, bottom)), post(top)]`` when *top* is an ancestor of
+        *root*, none otherwise.  A clean row (no overlay touched it) needs no
+        alive or on-segment check — overlays dirty every row they affect, and
+        every base-row entry in the range is an ancestor of ``u`` on the
+        vertical segment — so its answer is the range's first (or last)
+        entry and it charges 1 probe, as the scalar search does.  The piece's
+        answer is the hit with the smallest post (nearest the bottom) or the
+        largest, reduced with ``np.minimum.reduceat``.  Dirty rows take
+        :meth:`search_segment`.
         """
         tree = self._tree
-        piece_lo: List[int] = []
-        sizes: List[int] = []
-        seg_lo: List[int] = []
-        seg_hi: List[int] = []
-        prefer: List[bool] = []
-        for root, (top, bottom, _, prefer_bottom) in zip(roots, segments):
-            size = tree.subtree_size(root)
-            piece_lo.append(tree.postorder(root) - size + 1)
-            sizes.append(size)
-            prefer.append(prefer_bottom)
-            if tree.is_ancestor(top, root):
-                seg_lo.append(tree.postorder(tree.lca(root, bottom)))
-                seg_hi.append(tree.postorder(top))
+        post = tree._post
+        rows = []  # per piece: lo, hi, its range's ends, prefer_bottom
+        for (root, lo, hi), (top, bottom, _, prefer_bottom) in zip(pieces, segments):
+            if tree._is_ancestor_idx(top, root):
+                rows.append((lo, hi, post[tree._lca_idx(root, bottom)], post[top], prefer_bottom))
             else:  # no ancestor of the piece lies on the segment
-                seg_lo.append(1)
-                seg_hi.append(0)
+                rows.append((lo, hi, 1, 0, prefer_bottom))
+        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
+        sizes = table[:, 1] - table[:, 0] + 1
         dirty_posts, dirty_verts, dirty_mask = self._dirty_rows()
-        probes = sum(sizes)  # 1 per clean row; dirty rows are corrected below
+        probes = int(sizes.sum())  # 1 per clean row; dirty rows are corrected below
         if self._flat_total:
-            best = self._search_clean_rows(piece_lo, sizes, seg_lo, seg_hi, prefer, dirty_mask)
+            best = self._search_clean_rows(table, sizes, dirty_mask)
         else:
-            best = [_MISS] * len(sizes)
+            best = [_MISS] * len(rows)
         if dirty_posts:
-            for i, (top, bottom, on_segment, prefer_bottom) in enumerate(segments):
-                first = bisect_left(dirty_posts, piece_lo[i])
-                last = bisect_right(dirty_posts, piece_lo[i] + sizes[i] - 1)
+            verts = tree._verts
+            for i, ((_, lo, hi), segment) in enumerate(zip(pieces, segments)):
+                top, bottom, on_segment, prefer_bottom = segment
+                first = bisect_left(dirty_posts, lo)
+                last = bisect_right(dirty_posts, hi)
                 for u in dirty_verts[first:last]:
-                    w, p = self.search_segment(u, top, bottom, prefer_bottom, on_segment)
+                    w, p = self.search_segment(
+                        u, verts[top], verts[bottom], prefer_bottom, on_segment
+                    )
                     probes += p - 1
                     if w is not None:
                         w_post = tree.postorder(w)
@@ -532,47 +531,33 @@ class StructureD:
         vertex_of_post = self._vertex_of_post
         found = [
             None if key == _MISS else vertex_of_post[key if prefer_bottom else -key]
-            for key, prefer_bottom in zip(best, prefer)
+            for key, (*_, prefer_bottom) in zip(best, rows)
         ]
         return found, probes
 
     def _search_clean_rows(
-        self,
-        piece_lo: List[int],
-        sizes: List[int],
-        seg_lo: List[int],
-        seg_hi: List[int],
-        prefer: List[bool],
-        dirty_mask: np.ndarray,
+        self, table: np.ndarray, sizes: np.ndarray, dirty_mask: np.ndarray
     ) -> List[int]:
-        """Per piece, the best key over its clean rows: the hit's post when
-        the piece prefers the bottom, minus it otherwise, ``_MISS`` when no
-        clean row hits."""
-        lo_p, sizes_a, lo_a, hi_a, bottom_a = np.array(
-            [piece_lo, sizes, seg_lo, seg_hi, prefer], dtype=np.int64
-        )
-        offsets = np.cumsum(sizes_a) - sizes_a
-        total = int(offsets[-1] + sizes_a[-1])
+        """Per piece (a row ``lo, hi, range lo, range hi, prefer_bottom`` of
+        *table*, of size ``sizes[i]``), the best key over its clean rows: the
+        hit's post when the piece prefers the bottom, minus it otherwise,
+        ``_MISS`` when no clean row hits."""
+        lo_p, _, lo_a, hi_a, bottom_a = table.T
+        offsets = np.cumsum(sizes) - sizes
+        piece = np.repeat(np.arange(len(sizes)), sizes)
         # Row r of piece i is the source vertex with post lo_p[i] + r - offsets[i].
-        row_post = np.arange(total, dtype=np.int64)
-        row_post += np.repeat(lo_p - offsets, sizes_a)
-        piece = np.repeat(np.arange(len(sizes)), sizes_a)
-        rows = np.flatnonzero(~dirty_mask[row_post])
-        keys = np.full(total, _MISS, dtype=np.int64)
-        if len(rows):
-            ps = piece[rows]
-            base = row_post[rows] * self._width
-            lo_k = base + lo_a[ps]
-            hi_k = base + hi_a[ps]
-            bottom_r = bottom_a[ps].astype(bool)
-            flat = self._flat_keys
-            # The first key >= lo (prefer bottom) or the last key <= hi; a
-            # key inside [lo, hi] of the row is a hit.
-            pos = self._first_key_at_least(np.where(bottom_r, lo_k, hi_k + 1))
-            got = flat[np.clip(np.where(bottom_r, pos, pos - 1), 0, self._flat_total - 1)]
-            hit = (got >= lo_k) & (got <= hi_k)
-            post = got[hit] - base[hit]
-            keys[rows[hit]] = np.where(bottom_r[hit], post, -post)
+        row_post = np.arange(len(piece)) + (lo_p - offsets)[piece]
+        base = row_post * self._width
+        bottom = bottom_a.astype(bool)[piece]
+        lo_k = base + lo_a[piece]
+        hi_k = base + hi_a[piece]
+        # The first key >= lo (prefer bottom) or the last key <= hi; a key
+        # inside [lo, hi] of a clean row is a hit.
+        pos = self._first_key_at_least(np.where(bottom, lo_k, hi_k + 1))
+        got = self._flat_keys[np.clip(pos - 1 + bottom, 0, self._flat_total - 1)]
+        hit = (got >= lo_k) & (got <= hi_k) & ~dirty_mask[row_post]
+        post = got - base
+        keys = np.where(hit, np.where(bottom, post, -post), _MISS)
         return np.minimum.reduceat(keys, offsets).tolist()
 
     def _first_key_at_least(self, values: np.ndarray) -> np.ndarray:

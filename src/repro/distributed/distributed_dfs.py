@@ -280,9 +280,17 @@ class CongestBackend(Backend):
         self.metrics.inc("center_sweeps")
         return swept
 
-    def _surviving_root(self, component: List[Vertex]) -> Vertex:
-        """The first current broadcast root in *component*'s order, or
-        ``component[0]`` when none survives."""
+    def _flood_root(self, component: List[Vertex], first: Vertex) -> Vertex:
+        """The root a rebuild started at *first* floods *component* from,
+        with *component* listed as ``connected_components`` lists it (BFS
+        order from its first vertex in graph insertion order): *first* when
+        it lies inside, else the first current broadcast root in that order
+        (so a component's earlier centering is not wiped by rebuilds
+        triggered elsewhere, which would let the drift account refill
+        immediately), else ``component[0]``.  The rebuild and the repair
+        gate's yardstick both pick their roots here."""
+        if first in component:
+            return first
         return next(
             (v for v in component if v in self.bfs_parent and self.bfs_parent[v] is None),
             component[0],
@@ -291,16 +299,13 @@ class CongestBackend(Backend):
     def _rebuild_roots(self, first: Vertex) -> List[Vertex]:
         """Roots of the rebuild's broadcast forest: *first* for its own
         component plus — under per-component accounting — one root per other
-        component: its *current* broadcast root when one survives (so a
-        component's earlier centering is not wiped by rebuilds triggered
-        elsewhere, which would let the drift account refill immediately), the
-        component's first vertex in graph insertion order otherwise.  Legacy
-        accounting floods *first* only (the remaining vertices become
-        accounting-only singleton roots)."""
+        component (see :meth:`_flood_root`).  Legacy accounting floods
+        *first* only (the remaining vertices become accounting-only singleton
+        roots)."""
         roots = [first]
         if self._component_accounting:
             roots.extend(
-                self._surviving_root(component)
+                self._flood_root(component, first)
                 for component in connected_components(self.graph)
                 if first not in component
             )
@@ -640,18 +645,19 @@ class CongestBackend(Backend):
     def _component_fallback_depth(self, vertex: Vertex, update: Update):
         """``(members, depth)``: the vertices of *vertex*'s graph component
         and the depth the *fallback* rebuild would give exactly that
-        component — the BFS eccentricity of the update's canonical initiator
-        when it lies inside (recovery rebuilds must start at an
-        update-adjacent node), else of the first current broadcast root met
-        in BFS order from *vertex*, or of *vertex* itself when no root
-        survives.  The repair gate compares the planned repair against this
-        per-component yardstick, the same scope the ``depth_drift`` account
-        measures — a deep unrelated component never masks a regression.
-        Evaluated locally from the stored graph; no rounds charged."""
-        component = component_of(self.graph, vertex)
-        members = set(component)
+        component — the BFS eccentricity of the root the rebuild floods it
+        from (:meth:`_flood_root` with the update's canonical initiator:
+        recovery rebuilds start at an update-adjacent node).  The repair
+        gate compares the planned repair against this per-component
+        yardstick, the same scope the ``depth_drift`` account measures — a
+        deep unrelated component never masks a regression.  Evaluated
+        locally from the stored graph; no rounds charged."""
+        members = set(component_of(self.graph, vertex))
+        # List the component as connected_components does, so the gate and
+        # the rebuild pick the same root.
+        start = next(v for v in self.graph.vertices() if v in members)
         initiator = self._pick_initiator(self._committed_tree, update)
-        root = initiator if initiator in members else self._surviving_root(component)
+        root = self._flood_root(component_of(self.graph, start), initiator)
         _, depth = bfs_tree(self.graph, root)
         return members, max(depth.values(), default=0)
 

@@ -185,11 +185,13 @@ class CongestNetwork:
     ) -> None:
         """The pipelined schedule both waves share: *payload_words* split into
         ``ceil(words / B)`` chunks, every tree of the forest (keyed by its
-        root) running concurrently.  Each round, an edge at level ``l`` of a
-        tree of depth ``depth_c`` sends chunk ``r - l`` going down and chunk
-        ``r - (depth_c - l)`` going up (deeper edges first).  The global round
-        cost is the deepest tree's schedule (``max_depth + chunks - 1``);
-        each component's ledger is charged its own ``depth_c + chunks - 1``.
+        root) running concurrently.  In round ``r``, an edge at level ``l`` of
+        a tree of depth ``depth_c`` sends chunk ``r - l + 1`` going down
+        (the root's edges first) and chunk ``r - (depth_c - l)`` going up
+        (the deepest edges first), so every edge carries every chunk once.
+        The global round cost is the deepest tree's schedule (``max_depth +
+        chunks - 1``); each component's ledger is charged its own ``depth_c +
+        chunks - 1``.
         """
         if payload_words <= 0 or len(bfs_parent) <= 1:
             return
@@ -214,7 +216,7 @@ class CongestNetwork:
             for root, edges_at_level in edges_by_root.items():
                 depth = depth_by_root[root]
                 for lvl, count in edges_at_level.items():
-                    chunk_index = r - (depth - lvl if upward else lvl)
+                    chunk_index = r - (depth - lvl if upward else lvl - 1)
                     if 1 <= chunk_index <= chunks:
                         words = self.bandwidth if chunk_index < chunks else last_chunk_words
                         transmissions.extend([words] * count)

@@ -80,25 +80,28 @@ def _overlay_every_kind(rng, pairs, new_id):
 
 
 def _random_layer(rng, tree, k):
-    """*k* random ``(root, segment)`` pieces for ``search_subtrees``: the
-    segment is a vertical path ``top..bottom`` with its bottom outside
+    """*k* random ``(piece, segment)`` pairs for ``search_subtrees``: the
+    piece is ``(root index, lo, hi)``, the segment a vertical path
+    ``top..bottom`` (ends as tree indices) with its bottom outside
     ``T(root)``, preferring either end."""
     verts = [v for v in tree.vertices() if v != tree.root]
-    roots, segments = [], []
-    while len(roots) < k:
+    pieces, segments = [], []
+    while len(pieces) < k:
         bottom = rng.choice(verts)
         chain = tree.ancestor_path(bottom, tree.root)  # bottom .. tree root
         path = chain[: rng.randrange(len(chain)) + 1]
         root = rng.choice(verts)
         if tree.is_ancestor(root, bottom):
             continue
-        roots.append(root)
-        segments.append((path[-1], bottom, set(path).__contains__, rng.random() < 0.5))
-    return roots, segments
+        root_i, top_i, bottom_i = tree.indices([root, path[-1], bottom]).tolist()
+        pieces.append((root_i, *_interval(tree, root)))
+        segments.append((top_i, bottom_i, set(path).__contains__, rng.random() < 0.5))
+    return pieces, segments
 
 
-def _mixes_dirty_and_clean(tree, d, roots):
-    rows = [u for r in roots for u in tree.subtree_vertices(r) if u != tree.root]
+def _mixes_dirty_and_clean(tree, d, pieces):
+    ids = list(tree.vertices())
+    rows = [u for p in pieces for u in tree.subtree_vertices(ids[p[0]]) if u != tree.root]
     dirty = sum(u in d._dirty for u in rows)
     return 0 < dirty < len(rows)
 
@@ -298,9 +301,11 @@ def test_both_graph_stores_build_the_same_d():
                 us, los, his
             )
             for _ in range(4):
-                roots, segments = _random_layer(rng, tree, 5)
-                assert da.search_subtrees(roots, segments) == dd.search_subtrees(roots, segments)
-                top, bottom, on_segment, prefer_bottom = segments[0]
+                pieces, segments = _random_layer(rng, tree, 5)
+                assert da.search_subtrees(pieces, segments) == dd.search_subtrees(pieces, segments)
+                top_i, bottom_i, on_segment, prefer_bottom = segments[0]
+                ids = list(tree.vertices())
+                top, bottom = ids[top_i], ids[bottom_i]
                 for u in verts:
                     assert da.search_segment(u, top, bottom, prefer_bottom, on_segment) == dd.search_segment(
                         u, top, bottom, prefer_bottom, on_segment
@@ -326,8 +331,8 @@ def test_non_int_vertices_take_the_python_path():
     assert d.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(d, us, los, his)
     _overlay_every_kind(rng, [(ah, d), (h, ref)], "new")
     for _ in range(10):
-        roots, segments = _random_layer(rng, tree, 5)
-        assert d.search_subtrees(roots, segments) == search_subtrees_reference(d, roots, segments)
+        pieces, segments = _random_layer(rng, tree, 5)
+        assert d.search_subtrees(pieces, segments) == search_subtrees_reference(d, pieces, segments)
     _same_rounds(d, ref, h, _composite_queries(rng, tree, 30))
 
 
@@ -374,10 +379,10 @@ def test_differential_fuzz_scalar_and_batch():
             if overlaid and g.num_vertices >= 2:
                 _overlay_every_kind(rng, [(ag, d), (g, ref)], n + rng.randrange(3))
             for _ in range(4):
-                roots, segments = _random_layer(rng, tree, rng.randrange(1, 8))
-                got = d.search_subtrees(roots, segments)
-                assert got == search_subtrees_reference(d, roots, segments), trial
-                mixed += _mixes_dirty_and_clean(tree, d, roots)
+                pieces, segments = _random_layer(rng, tree, rng.randrange(1, 8))
+                got = d.search_subtrees(pieces, segments)
+                assert got == search_subtrees_reference(d, pieces, segments), trial
+                mixed += _mixes_dirty_and_clean(tree, d, pieces)
                 hits += sum(w is not None for w in got[0])
                 ends.update(seg[3] for seg in segments)
             answers = _same_rounds(d, ref, g, _composite_queries(rng, tree, 12))
@@ -468,8 +473,8 @@ def test_a_recycled_graph_slot_keeps_serving_the_base_rows():
         assert da.min_post_alive_neighbor(u, lo, hi)[0] == _brute_min_post(ag, tree, u, lo, hi)
     assert da.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(da, us, los, his)
     for _ in range(10):
-        roots, segments = _random_layer(rng, tree, 5)
-        assert da.search_subtrees(roots, segments) == search_subtrees_reference(da, roots, segments)
+        pieces, segments = _random_layer(rng, tree, 5)
+        assert da.search_subtrees(pieces, segments) == search_subtrees_reference(da, pieces, segments)
 
 
 def test_a_recycled_graph_slot_under_overlays_through_the_driver():

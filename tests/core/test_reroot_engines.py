@@ -6,16 +6,22 @@ import pytest
 
 from repro.baselines.naive_reroot import naive_reroot_subtree
 from repro.constants import VIRTUAL_ROOT
+from repro.core import reroot_parallel
+from repro.core.components import Component, TreePiece
 from repro.core.dynamic_dfs import FullyDynamicDFS
 from repro.core.queries import BruteForceQueryService, DQueryService
 from repro.core.reduction import RerootTask
 from repro.core.reroot_parallel import ParallelRerootEngine
 from repro.core.reroot_sequential import SequentialRerootEngine
 from repro.core.structure_d import StructureD
-from repro.graph.generators import barabasi_albert_graph, gnp_random_graph
+from repro.core.traversals import TraversalPlanner
+from repro.distributed.distributed_dfs import DistributedDynamicDFS
+from repro.exceptions import InvariantViolation
+from repro.graph.generators import barabasi_albert_graph, gnp_random_graph, star_graph
 from repro.graph.traversal import static_dfs_forest
 from repro.graph.validation import check_dfs_tree
 from repro.metrics.counters import MetricsRecorder
+from repro.streaming.semi_streaming_dfs import SemiStreamingDynamicDFS
 from repro.tree.dfs_tree import DFSTree
 from repro.workloads.updates import mixed_updates
 
@@ -133,3 +139,104 @@ def test_queries_counter_equals_the_queries_the_service_answered(engine, monkeyp
     FullyDynamicDFS(g.copy(), engine=engine, metrics=metrics).apply_all(mixed_updates(g, 40, seed=1))
     assert sum(answered) > 0
     assert metrics["queries"] == sum(answered)
+
+
+# --------------------------------------------------------------------------- #
+# Single-leaf components finish in their active round
+# --------------------------------------------------------------------------- #
+def _star(n):
+    g = star_graph(n)
+    return g, DFSTree(static_dfs_forest(g), root=VIRTUAL_ROOT)
+
+
+def test_single_leaf_components_finish_without_a_traversal_step(monkeypatch):
+    """Rerooting a star at a leaf walks ``[1, 0]`` in round 1 and leaves
+    every other leaf a single-leaf component: round 2 holds only those, so
+    it counts as a traversal round, asks no query and runs no planner step,
+    and each leaf records one disintegrating traversal, one Process-Comp call
+    and one added vertex, hanging from the centre."""
+    n = 9
+    g, tree = _star(n)
+    stepped = []
+    step = TraversalPlanner.step
+
+    def spy(self, comp):
+        stepped.append(comp.rc)
+        return step(self, comp)
+
+    monkeypatch.setattr(TraversalPlanner, "step", spy)
+    metrics = MetricsRecorder()
+    engine = ParallelRerootEngine(tree, BruteForceQueryService(g, tree, metrics=metrics), metrics=metrics)
+    task = RerootTask(subtree_root=0, new_root=1, attach=VIRTUAL_ROOT)
+    assignment = engine.reroot_many([task])
+    assert assignment == {1: VIRTUAL_ROOT, 0: 1, **{v: 0 for v in range(2, n)}}
+    check_assignment(g, tree, task, assignment)
+    assert stepped == [1]
+    counts = {k: metrics[k] for k in ("traversal_rounds", "query_rounds", "queries", "max_active_components")}
+    assert counts == {"traversal_rounds": 2, "query_rounds": 1, "queries": n - 2, "max_active_components": n - 2}
+    for key in ("traversal_disintegrating", "process_comp_calls"):
+        assert metrics[key] == 1 + (n - 2), key
+    assert metrics["vertices_added"] == n
+
+
+def test_the_planner_traversal_of_a_single_leaf_records_what_the_engine_does():
+    """The planner's own traversal of a single-leaf component — what the
+    engine skips — asks one empty batch, walks ``p* = [r_c]``, leaves no
+    component and records one disintegrating traversal and one Process-Comp
+    call: what the engine records for it without the step."""
+    _, tree = _star(5)
+    metrics = MetricsRecorder()
+    gen = TraversalPlanner(tree, metrics=metrics).step(Component(trees=[TreePiece(3)], rc=3, attach=0))
+    assert next(gen) == []
+    with pytest.raises(StopIteration) as stop:
+        gen.send([])
+    result = stop.value.value
+    assert (result.pstar, result.new_components, result.traversal) == ([3], [], "disintegrating")
+    assert metrics.as_dict() == {"traversal_disintegrating": 1, "process_comp_calls": 1}
+
+
+def test_a_single_leaf_component_rooted_elsewhere_raises(monkeypatch):
+    """A single-leaf component whose ``r_c`` is not its vertex is not C1:
+    the engine raises instead of attaching the wrong vertex."""
+    g, tree = _star(5)
+    monkeypatch.setattr(
+        reroot_parallel,
+        "component_from_subtree",
+        lambda tree, root, rc, attach: Component(trees=[TreePiece(root)], rc=rc, attach=attach),
+    )
+    engine = ParallelRerootEngine(tree, BruteForceQueryService(g, tree))
+    with pytest.raises(InvariantViolation, match="root 2 not found in"):
+        engine.reroot_many([RerootTask(subtree_root=3, new_root=2, attach=0)])
+
+
+#: Counters of one fixed stream, as every driver that runs the parallel
+#: engine recorded them before single-leaf components skipped the planner and
+#: ``D``'s query rounds read piece intervals from tree indices.
+_RECORDED_ROUND_COUNTERS = {
+    "traversal_rounds": 155,
+    "traversal_disintegrating": 1270,
+    "process_comp_calls": 1371,
+    "vertices_added": 3028,
+    "query_rounds": 223,
+    "queries": 3137,
+}
+
+
+@pytest.mark.parametrize(
+    "make, recorded",
+    [
+        (lambda g, m: FullyDynamicDFS(g, rebuild_every=1, metrics=m), {"d_vertex_queries": 12630, "d_probes": 12641}),
+        (lambda g, m: FullyDynamicDFS(g, metrics=m), {"d_vertex_queries": 12630, "d_probes": 12661}),
+        (lambda g, m: SemiStreamingDynamicDFS(g, metrics=m), {"stream_passes": 233}),
+        (lambda g, m: DistributedDynamicDFS(g, rebuild_every=None, metrics=m), {"congest_rounds": 1672}),
+    ],
+    ids=["d_every_1", "d_auto", "stream", "congest"],
+)
+def test_drivers_keep_their_recorded_rerooting_counters(make, recorded):
+    g = barabasi_albert_graph(200, 3, seed=5)
+    metrics = MetricsRecorder()
+    driver = make(g, metrics)
+    driver.apply_all(mixed_updates(g, 60, seed=6))
+    assert driver.is_valid()
+    expected = {**_RECORDED_ROUND_COUNTERS, **recorded}
+    assert {key: metrics[key] for key in expected} == expected

@@ -58,6 +58,22 @@ def test_pipelined_broadcast_round_formula():
     assert net.rounds - before == 9 + 4 - 1
 
 
+@pytest.mark.parametrize("words", [1, 4])
+@pytest.mark.parametrize("n", [2, 3, 5, 9])
+def test_broadcast_and_convergecast_send_every_chunk_over_every_edge(n, words):
+    """Over the same forest, a broadcast and a convergecast of the same
+    payload each carry every chunk once over every tree edge, in ``depth +
+    chunks - 1`` rounds."""
+    g = path_graph(n)
+    net = CongestNetwork(g, bandwidth_words=1)  # one chunk per word
+    parent, depth = net.build_bfs_tree(0)
+    for wave in (net.pipelined_broadcast, net.pipelined_convergecast):
+        rounds, messages = net.rounds, net.messages
+        wave(parent, depth, payload_words=words)
+        assert net.rounds - rounds == (n - 1) + words - 1
+        assert net.messages - messages == (n - 1) * words, wave.__name__
+
+
 def test_recommended_bandwidth():
     g = path_graph(16)
     diameter, bandwidth = recommended_bandwidth(g, 0)

@@ -217,19 +217,23 @@ def assert_snapshot_matches_oracle(snap, avs, bvs) -> None:
 # --------------------------------------------------------------------------- #
 # Scalar-loop references for the batched reads of D
 # --------------------------------------------------------------------------- #
-def search_subtrees_reference(d: StructureD, roots, segments):
-    """``d.search_subtrees(roots, segments)`` as a loop of scalar searches:
-    every vertex of each piece ``T(root)`` calls ``d.search_segment``, and
-    the piece keeps the hit nearest its preferred end.  Returns ``(found,
-    probes)``."""
+def search_subtrees_reference(d: StructureD, pieces, segments):
+    """``d.search_subtrees(pieces, segments)`` as a loop of scalar searches:
+    every vertex of each piece (its root given as a tree index, with the
+    root's post-order interval) calls ``d.search_segment`` on the segment's
+    ends as ids, and the piece keeps the hit nearest its preferred end.
+    Returns ``(found, probes)``."""
     tree = d.base_tree
+    ids = list(tree.vertices())  # tree index -> vertex id
     found = []
     probes = 0
-    for root, (top, bottom, on_segment, prefer_bottom) in zip(roots, segments):
+    for (root, lo, hi), (top, bottom, on_segment, prefer_bottom) in zip(pieces, segments):
+        root = ids[root]
+        assert (lo, hi) == (tree.postorder(root) - tree.subtree_size(root) + 1, tree.postorder(root))
         best = None
         best_post = 0
         for u in tree.subtree_vertices(root):
-            w, p = d.search_segment(u, top, bottom, prefer_bottom, on_segment)
+            w, p = d.search_segment(u, ids[top], ids[bottom], prefer_bottom, on_segment)
             probes += p
             if w is None:
                 continue
@@ -257,8 +261,8 @@ class ScalarLoopD(StructureD):
     """``D`` whose batched reads are the scalar-loop references, so a query
     service over it counts what one scalar search per piece vertex counts."""
 
-    def search_subtrees(self, roots, segments):
-        return search_subtrees_reference(self, roots, segments)
+    def search_subtrees(self, pieces, segments):
+        return search_subtrees_reference(self, pieces, segments)
 
     def search_min_post_batch(self, us, los, his):
         return min_post_batch_reference(self, us, los, his)

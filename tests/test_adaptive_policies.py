@@ -27,13 +27,13 @@ from hypothesis import strategies as st
 
 from repro.core import FullyDynamicDFS
 from repro.core.updates import EdgeDeletion
-from repro.distributed.distributed_dfs import DistributedDynamicDFS
-from repro.graph.generators import gnm_random_graph
+from repro.distributed.distributed_dfs import CongestBackend, DistributedDynamicDFS
+from repro.graph.generators import gnm_random_graph, path_graph
 from repro.graph.graph import UndirectedGraph
-from repro.graph.traversal import bfs_tree, component_of
+from repro.graph.traversal import bfs_tree, component_of, connected_components
 from repro.metrics.counters import MetricsRecorder
 from repro.workloads.scenarios import build_scenario
-from repro.workloads.updates import edge_churn
+from repro.workloads.updates import edge_churn, mixed_updates
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -193,6 +193,46 @@ def test_disconnected_subtree_falls_back_to_rebuild():
     assert d.metrics["bfs_repairs"] == 0
     assert d.is_valid()
     _certify_broadcast_tree(d._backend, d.graph)
+
+
+def test_repair_gate_measures_the_root_the_fallback_rebuild_floods_from(monkeypatch):
+    """At every gate call, the repair gate's yardstick is the eccentricity
+    of the root the fallback rebuild floods the orphan's component from: the
+    update's initiator when it lies inside, else the first current broadcast
+    root in ``connected_components`` order, else that order's first vertex.
+    The stream (a path with chords at one end) meets a component holding two
+    broadcast roots, where the first root in BFS order from the orphan is a
+    shallower one."""
+    graph = path_graph(40)
+    for u, v in [(0, 2), (0, 3), (1, 4), (2, 5), (0, 5), (3, 6)]:
+        graph.add_edge(u, v)
+    calls = []
+    gate = CongestBackend._component_fallback_depth
+
+    def first_root(backend, vertices):
+        parent = backend.bfs_parent
+        return next((v for v in vertices if v in parent and parent[v] is None), vertices[0])
+
+    def spy(backend, vertex, update):
+        members, depth = gate(backend, vertex, update)
+        initiator = backend._pick_initiator(backend._committed_tree, update)
+        component = next(c for c in connected_components(backend.graph) if vertex in c)
+        assert set(component) == members
+        rebuild_root = initiator if initiator in members else first_root(backend, component)
+        bfs_order_root = initiator if initiator in members else first_root(
+            backend, component_of(backend.graph, vertex)
+        )
+        calls.append(
+            (depth, *(max(bfs_tree(backend.graph, r)[1].values()) for r in (rebuild_root, bfs_order_root)))
+        )
+        return members, depth
+
+    monkeypatch.setattr(CongestBackend, "_component_fallback_depth", spy)
+    driver = DistributedDynamicDFS(graph, rebuild_every=None, voluntary_root="initiator")
+    driver.apply_all(mixed_updates(graph, 80, seed=13))
+    assert calls
+    assert all(depth == rebuild_ecc for depth, rebuild_ecc, _ in calls), calls
+    assert any(rebuild_ecc != bfs_order_ecc for _, rebuild_ecc, bfs_order_ecc in calls), calls
 
 
 # --------------------------------------------------------------------------- #
