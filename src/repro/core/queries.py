@@ -22,13 +22,16 @@ path" (Section 2 of the paper).  The engines express those queries as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import InvariantViolation
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.tree_utils import ancestor_descendant_segments, segment_orientation
+from repro.tree.tree_utils import ancestor_descendant_segments, segment_orientation, vertical_runs
 
 Vertex = Hashable
 Answer = Optional[Tuple[Vertex, Vertex]]  # (source endpoint, target/path endpoint)
@@ -188,29 +191,36 @@ class BruteForceQueryService(QueryService):
 
 
 class _Segment:
-    """One maximal ancestor–descendant run of a target path in ``D``'s base
-    tree, with what every range search against it needs: its ends, the
-    bottom's post-order number, and, per preferred end of the target
-    (indexed by ``prefer_last``), the segment as
-    :meth:`~repro.core.structure_d.StructureD.search_subtrees` takes it,
-    with its ends as tree indices."""
+    """One maximal ancestor–descendant run ``known[start:stop]`` of a target
+    path in ``D``'s base tree, with what every range search against it
+    needs: its ends as tree indices, the bottom's post-order number and, per
+    preferred end of the target (indexed by ``prefer_last``), whether the
+    search prefers the bottom.  Its vertex list and membership test are
+    built on first use, by the scalar path only."""
 
-    __slots__ = (
-        "vertices", "contains", "top", "bottom", "bottom_post", "bottom_first", "bottom_last", "d_segment"
-    )
+    __slots__ = ("_known", "_span", "_contains", "top", "bottom", "bottom_post", "prefer_bottom")
 
-    def __init__(self, tree: DFSTree, vertices: List[Vertex]) -> None:
-        self.vertices = vertices
-        self.contains = set(vertices).__contains__
-        self.top, self.bottom = segment_orientation(tree, vertices)
-        self.bottom_post = tree.postorder(self.bottom)
+    def __init__(self, tree: DFSTree, known: Sequence[Vertex], index: List[int], start: int, stop: int) -> None:
+        self._known, self._span, self._contains = known, (start, stop), None
+        first, last = index[start], index[stop - 1]
+        level = tree._level
+        self.top, self.bottom = (first, last) if level[first] <= level[last] else (last, first)
+        self.bottom_post = tree._post[self.bottom]
         # Positions on the target path are monotone inside a segment, so a
         # query preferring the target's last (first) vertex prefers the
         # segment's bottom exactly when its last (first) vertex is the bottom.
-        self.bottom_first = vertices[0] == self.bottom
-        self.bottom_last = vertices[-1] == self.bottom
-        ends = (tree._idx[self.top], tree._idx[self.bottom], self.contains)
-        self.d_segment = (ends + (self.bottom_first,), ends + (self.bottom_last,))
+        self.prefer_bottom = (first == self.bottom, last == self.bottom)
+
+    @property
+    def vertices(self) -> Sequence[Vertex]:
+        start, stop = self._span
+        return self._known[start:stop]
+
+    @property
+    def contains(self) -> Callable[[Vertex], bool]:
+        if self._contains is None:
+            self._contains = set(self.vertices).__contains__
+        return self._contains
 
 
 class _TargetPlan:
@@ -219,22 +229,32 @@ class _TargetPlan:
     A pure function of the base tree and the target, so
     :meth:`DQueryService.answer_batch` builds it once per distinct target
     object and every query of the batch on that target reuses it: the
-    position map, the target vertices the base tree does not know (inserted
-    since ``D`` was built), the maximal ancestor–descendant segments of the
-    others — both lists in target order — and, per preferred end (indexed
-    by ``prefer_last``), the segments in preference order.
+    target vertices the base tree does not know (inserted since ``D`` was
+    built), the maximal ancestor–descendant segments of the others — both
+    lists in target order — and, per preferred end (indexed by
+    ``prefer_last``), the segments in preference order.  Each target vertex
+    is resolved once, through the tree's id table; the position map is
+    built on first use, by the scalar path only.
     """
 
-    __slots__ = ("pos", "unknown", "segments", "orders")
+    __slots__ = ("target", "unknown", "segments", "orders", "_pos")
 
     def __init__(self, tree: DFSTree, target: Sequence[Vertex]) -> None:
-        self.pos = _position_map(target)
-        known: List[Vertex] = []
-        self.unknown: List[Vertex] = []
-        for v in target:
-            (known if v in tree else self.unknown).append(v)
-        self.segments = [_Segment(tree, seg) for seg in ancestor_descendant_segments(tree, known)]
+        self.target, self._pos = target, None
+        index = list(map(tree._idx.get, target, repeat(-1)))
+        known, self.unknown = target, []
+        if -1 in index:
+            known = [v for v, i in zip(target, index) if i >= 0]
+            self.unknown = [v for v, i in zip(target, index) if i < 0]
+            index = [i for i in index if i >= 0]
+        self.segments = [_Segment(tree, known, index, *run) for run in vertical_runs(tree, index)]
         self.orders = (self.segments, self.segments[::-1])
+
+    @property
+    def pos(self) -> Dict[Vertex, int]:
+        if self._pos is None:
+            self._pos = _position_map(self.target)
+        return self._pos
 
 
 class _Tally:
@@ -260,20 +280,23 @@ class DQueryService(QueryService):
     post-order range search.
 
     Cost of a query round: :meth:`answer_batch` walks each distinct target
-    object of the batch once (its position map, its vertices unknown to the
-    base tree and its segments), and each query then pays its source size ×
-    range searches, plus its segments.  ``Process-Comp`` sends all of its
-    pieces against one shared target, so a round pays that target once, not
-    once per piece.  The round's subtree pieces of ``D``'s base tree —
-    nearly all of its queries — go to ``D`` together: one gather resolves
-    their roots to tree indices and post-order intervals, each segment layer
-    is one vectorized search
-    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`, which takes
-    those intervals and the segments' ends as tree indices), and one batched
-    re-anchor fixes their source endpoints.  Every other query is answered
-    on its own.  The round's counters are summed as it runs and recorded
-    once, with the totals and maxima that counting query by query would
-    give.
+    object of the batch once (one id look-up per vertex, and its segments
+    split on the tree's parent-index list), and each query then pays its
+    source size × range searches, plus its segments.  ``Process-Comp`` sends
+    all of its pieces against one shared target, so a round pays that target
+    once, not once per piece.  The round's subtree pieces of ``D``'s base
+    tree — nearly all of its queries — go to ``D`` together.  Each piece
+    costs a few list reads: its root's index, its post-order interval and,
+    per layer, its search range, read from the tree's ``post``, ``size``,
+    ``tin`` and ``tout`` lists.  Each segment layer is one array conversion
+    and a fixed handful of array calls
+    (:meth:`~repro.core.structure_d.StructureD.search_subtrees`), one
+    re-anchor search over the hits' post-order numbers fixes their source
+    endpoints, and the answers become vertex ids once, at the end.  Every
+    other query is answered on its own; only that scalar path builds a
+    target's position map and its segments' vertex sets.  The round's
+    counters are summed as it runs and recorded once, with the totals and
+    maxima that counting query by query would give.
 
     Answers are *canonical*: the target endpoint is the target vertex nearest
     the preferred end that has any alive edge to the source piece, and the
@@ -360,59 +383,71 @@ class DQueryService(QueryService):
         fully knows together (Theorem 8: one processor per source vertex,
         one range search each).
 
-        One gather resolves the piece roots to tree indices and post-order
-        intervals ``[lo, hi]``.  A piece whose root the base tree does not
-        know, or that holds a target segment's bottom, is answered on its
-        own.  The others take their segments in preference order, one layer
-        at a time: layer ``j`` asks ``D.search_subtrees`` for every piece
-        still unanswered against its ``j``-th segment, and a piece leaves at
-        its first hit — the same early stop, searches and probes as
-        :meth:`_answer_one`.  One batched re-anchor then fixes every hit's
-        source endpoint.
+        Each piece root is resolved once, and its post-order interval
+        ``[lo, hi]`` read from the tree's lists.  A piece whose root the base
+        tree does not know, or that holds a target segment's bottom, is
+        answered on its own.  The others take their segments in preference
+        order, one layer at a time: layer ``j`` asks ``D.search_subtrees``
+        for every piece still unanswered against its ``j``-th segment, and a
+        piece leaves at its first hit — the same early stop, searches and
+        probes as :meth:`_answer_one`.  One batched re-anchor on the hits'
+        post-order numbers then fixes every hit's source endpoint; the
+        target endpoints become vertex ids once, at the end.
         """
         tree = self._tree
-        arrays = tree.as_arrays()
-        index = tree.indices([q.source_root for _, q, _ in pieces])
-        his = arrays["post"][index]  # index -1 gathers an arbitrary post, never read
-        los = his - arrays["size"][index] + 1
-        # Per piece: its answer slot, query, (root index, lo, hi), segments
-        # in preference order and preferred end.
+        get = tree._idx.get
+        post, size, tin, tout = tree._post, tree._size, tree._tin, tree._tout
+        # Per piece: its answer slot, query, root index, lo, hi, segments in
+        # preference order and preferred end.
         pending = []
-        for (i, q, plan), root, lo, hi in zip(pieces, index.tolist(), los.tolist(), his.tolist()):
-            if root < 0 or any(lo <= seg.bottom_post <= hi for seg in plan.segments):
+        for i, q, plan in pieces:
+            root = get(q.source_root)
+            if root is not None:
+                hi = post[root]
+                lo = hi - size[root] + 1
+            if root is None or any(lo <= seg.bottom_post <= hi for seg in plan.segments):
                 answers[i] = self._answer_one(q, plan, tally)
                 continue
             tally.queries += 1
             tally.segments += len(plan.segments)
             tally.max_segments = max(tally.max_segments, len(plan.segments))
-            pending.append((i, q, (root, lo, hi), plan.orders[q.prefer_last], q.prefer_last))
+            pending.append((i, q, root, lo, hi, plan.orders[q.prefer_last], q.prefer_last))
         hits = []
+        reanchor: List[int] = []  # per hit: its target's post, lo, hi
         layer = 0
         while pending:
-            tally.searches += sum(hi - lo + 1 for _, _, (_, lo, hi), _, _ in pending)
-            found, probes = self._d.search_subtrees(
-                [piece for _, _, piece, _, _ in pending],
-                [order[layer].d_segment[last] for _, _, _, order, last in pending],
-            )
+            # One layer as the flat columns search_subtrees takes: every
+            # piece vertex searches [post(lca(root, bottom)), post(top)]
+            # when top is an ancestor of the root, nothing otherwise.
+            layer_cols: List[int] = []
+            for _, _, root, lo, hi, order, last in pending:
+                seg = order[layer]
+                top, bottom = seg.top, seg.bottom
+                if tin[top] <= tin[root] and tout[root] <= tout[top]:
+                    range_lo, range_hi = post[tree._lca_idx(root, bottom)], post[top]
+                else:
+                    range_lo, range_hi = 1, 0
+                layer_cols += (lo, hi, range_lo, range_hi, top, bottom, seg.prefer_bottom[last])
+                tally.searches += hi - lo + 1
+            found, probes = self._d.search_subtrees(layer_cols)
             tally.probes += probes
             layer += 1
             still = []
-            for item, t_star in zip(pending, found):
-                if t_star is not None:
-                    hits.append((item, t_star))
-                elif layer < len(item[3]):
+            for item, t_post in zip(pending, found):
+                if t_post >= 0:
+                    hits.append(item)
+                    reanchor += (t_post, item[3], item[4])
+                elif layer < len(item[5]):
                     still.append(item)
             pending = still
         if not hits:
             return
-        canonical, probes = self._d.search_min_post_batch(
-            [t_star for _, t_star in hits],
-            [lo for (_, _, (_, lo, _), _, _), _ in hits],
-            [hi for (_, _, (_, _, hi), _, _), _ in hits],
-        )
+        t_posts, los, his = np.array(reanchor, dtype=np.int64).reshape(-1, 3).T
+        t_stars = self._d.vertex_of_post[t_posts].tolist()
+        canonical, probes = self._d.search_min_post_batch(t_stars, t_posts, los, his)
         tally.reanchors += len(hits)
         tally.reanchor_probes += probes
-        for ((i, q, _, _, _), t_star), source in zip(hits, canonical):
+        for (i, q, *_), t_star, source in zip(hits, t_stars, canonical):
             if source is None:
                 raise InvariantViolation(
                     f"re-anchor found no vertex of T({q.source_root!r}) adjacent to {t_star!r}, "
@@ -570,8 +605,9 @@ class DQueryService(QueryService):
     ) -> Answer:
         search = self._d.search_segment
         prefer_last = q.prefer_last
-        top, bottom, on_segment = seg.top, seg.bottom, seg.contains
-        prefer_bottom = seg.bottom_last if prefer_last else seg.bottom_first
+        verts = self._tree._verts
+        top, bottom, on_segment = verts[seg.top], verts[seg.bottom], seg.contains
+        prefer_bottom = seg.prefer_bottom[prefer_last]
 
         best: Answer = None
         probes = 0

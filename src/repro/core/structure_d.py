@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -102,10 +102,10 @@ class StructureD:
         self._deleted_vertices: Set[Vertex] = set()
         self._next_virtual_post = tree.num_vertices  # inserted vertices go last
         # Vertices whose rows the overlays changed; the batched reads send
-        # them to the scalar search.  ``_dirty_rows_cache`` (see
-        # :meth:`_dirty_rows`) is dropped whenever ``_dirty`` changes.
+        # them to the scalar search.  ``_dirty_mask_cache`` (see
+        # :meth:`_dirty_mask`) is dropped whenever ``_dirty`` changes.
         self._dirty: Set[Vertex] = set()
-        self._dirty_rows_cache: Optional[Tuple[List[int], List[Vertex], np.ndarray]] = None
+        self._dirty_mask_cache: Optional[np.ndarray] = None
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -127,9 +127,13 @@ class StructureD:
             dst_post = dst_post[sel]
         # Composite key: rows are contiguous blocks in post order, sorted by
         # neighbour post-order inside each block, so one sort of the keys
-        # lays out every row.
+        # lays out every row.  A last key above every row (``_MISS``) lets a
+        # search past the end, or at position -1, read a key no range holds.
         self._width = width = max(k, 1)
-        self._flat_keys = np.sort(src_post * width + dst_post)
+        self._flat_keys = keys = np.empty(len(src_post) + 1, dtype=np.int64)
+        np.add(src_post * width, dst_post, out=keys[:-1])
+        keys[:-1].sort()
+        keys[-1] = _MISS
         counts = np.bincount(src_post, minlength=k)
         indptr = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
@@ -149,8 +153,9 @@ class StructureD:
         return dict(zip(tree._verts, tree._post))
 
     @cached_property
-    def _vertex_of_post(self) -> np.ndarray:
-        """Base-tree vertex with each post-order number (object array)."""
+    def vertex_of_post(self) -> np.ndarray:
+        """Base-tree vertex with each post-order number (object array, built
+        on first use; callers must not write to it)."""
         arrays = self._tree.as_arrays()
         out = np.empty(self._tree.num_vertices, dtype=object)
         out[arrays["post"]] = arrays["vertices"]
@@ -171,7 +176,7 @@ class StructureD:
                 return None
             p = tree._post[i]
             posts = self._flat_keys[self._flat_indptr[p] : self._flat_indptr[p + 1]] - p * self._width
-            row = self._rows[u] = (posts.tolist(), self._vertex_of_post[posts].tolist())
+            row = self._rows[u] = (posts.tolist(), self.vertex_of_post[posts].tolist())
         return row
 
     def _base_row_neighbors(self, v: Vertex):
@@ -298,7 +303,7 @@ class StructureD:
         self._deleted_edges.clear()
         self._deleted_vertices.clear()
         self._dirty.clear()
-        self._dirty_rows_cache = None
+        self._dirty_mask_cache = None
         # Drop the rows of vertices that only exist through overlays.
         tree = self._tree
         for v in [v for v in self._rows if v not in tree]:
@@ -317,20 +322,17 @@ class StructureD:
 
     def _mark_dirty(self, vertices: Iterable[Vertex]) -> None:
         self._dirty.update(vertices)
-        self._dirty_rows_cache = None
+        self._dirty_mask_cache = None
 
-    def _dirty_rows(self) -> Tuple[List[int], List[Vertex], np.ndarray]:
-        """The dirty rows of base-tree vertices, as ``(posts, vertices,
-        mask)``: their post-order numbers ascending, the vertices aligned
-        with them, and a boolean table over post-order numbers.  Built once
-        per overlay change."""
-        if self._dirty_rows_cache is None:
+    def _dirty_mask(self) -> np.ndarray:
+        """The dirty rows of base-tree vertices, as a boolean table over
+        post-order numbers.  Built once per overlay change."""
+        if self._dirty_mask_cache is None:
             tree = self._tree
-            rows = sorted((tree.postorder(v), v) for v in self._dirty if v in tree)
             mask = np.zeros(tree.num_vertices, dtype=bool)
-            mask[[p for p, _ in rows]] = True
-            self._dirty_rows_cache = ([p for p, _ in rows], [v for _, v in rows], mask)
-        return self._dirty_rows_cache
+            mask[[tree.postorder(v) for v in self._dirty if v in tree]] = True
+            self._dirty_mask_cache = mask
+        return self._dirty_mask_cache
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -466,99 +468,68 @@ class StructureD:
                 best_level = w_level
         return best, max(probes, 1)
 
-    def search_subtrees(
-        self,
-        pieces: Sequence[Tuple[int, int, int]],
-        segments: Sequence[Tuple[int, int, Callable[[Vertex], bool], bool]],
-    ) -> Tuple[List[Optional[Vertex]], int]:
+    def search_subtrees(self, pieces: Sequence[int]) -> Tuple[List[int], int]:
         """One layer of a query round: every vertex of each subtree piece
         searches one segment, as one search over the keys.
 
-        Piece ``i`` is ``pieces[i] = (root, lo, hi)``: the base-tree subtree
-        of the vertex with tree index *root*, whose post-order interval is
-        ``[lo, hi]`` (``lo = post(root) - size(root) + 1``, ``hi =
-        post(root)``).  ``segments[i]`` is ``(top, bottom, on_segment,
-        prefer_bottom)``, the arguments of :meth:`search_segment` with the
-        segment's ends given as tree indices.  Returns ``(found, probes)``:
-        per piece, the neighbour on the segment nearest its preferred end
-        that any piece vertex reaches (``None`` when none does), and the
-        probes all the searches charged — exactly what calling
-        :meth:`search_segment` once per piece vertex gives.  The piece makes
-        ``hi - lo + 1`` searches.
-
-        Precondition: no segment's *bottom* lies inside its piece.  Every
-        piece vertex ``u`` then searches the same post-order range:
+        *pieces* holds seven ints per piece, flat: ``lo, hi, range_lo,
+        range_hi, top, bottom, prefer_bottom``.  The piece is the base-tree
+        subtree with post-order interval ``[lo, hi]`` (``lo = post(root) -
+        size(root) + 1``, ``hi = post(root)``); the segment runs from tree
+        index *top* down to tree index *bottom*, and the search prefers its
+        bottom when *prefer_bottom* is 1.  Precondition: *bottom* lies
+        outside the piece, so every piece vertex ``u`` searches the same
+        post-order range ``[range_lo, range_hi]`` =
         ``[post(lca(root, bottom)), post(top)]`` when *top* is an ancestor of
-        *root*, none otherwise.  A clean row (no overlay touched it) needs no
-        alive or on-segment check — overlays dirty every row they affect, and
-        every base-row entry in the range is an ancestor of ``u`` on the
-        vertical segment — so its answer is the range's first (or last)
-        entry and it charges 1 probe, as the scalar search does.  The piece's
-        answer is the hit with the smallest post (nearest the bottom) or the
-        largest, reduced with ``np.minimum.reduceat``.  Dirty rows take
-        :meth:`search_segment`.
-        """
-        tree = self._tree
-        post = tree._post
-        rows = []  # per piece: lo, hi, its range's ends, prefer_bottom
-        for (root, lo, hi), (top, bottom, _, prefer_bottom) in zip(pieces, segments):
-            if tree._is_ancestor_idx(top, root):
-                rows.append((lo, hi, post[tree._lca_idx(root, bottom)], post[top], prefer_bottom))
-            else:  # no ancestor of the piece lies on the segment
-                rows.append((lo, hi, 1, 0, prefer_bottom))
-        table = np.array(rows, dtype=np.int64).reshape(-1, 5)
-        sizes = table[:, 1] - table[:, 0] + 1
-        dirty_posts, dirty_verts, dirty_mask = self._dirty_rows()
-        probes = int(sizes.sum())  # 1 per clean row; dirty rows are corrected below
-        if self._flat_total:
-            best = self._search_clean_rows(table, sizes, dirty_mask)
-        else:
-            best = [_MISS] * len(rows)
-        if dirty_posts:
-            verts = tree._verts
-            for i, ((_, lo, hi), segment) in enumerate(zip(pieces, segments)):
-                top, bottom, on_segment, prefer_bottom = segment
-                first = bisect_left(dirty_posts, lo)
-                last = bisect_right(dirty_posts, hi)
-                for u in dirty_verts[first:last]:
-                    w, p = self.search_segment(
-                        u, verts[top], verts[bottom], prefer_bottom, on_segment
-                    )
-                    probes += p - 1
-                    if w is not None:
-                        w_post = tree.postorder(w)
-                        best[i] = min(best[i], w_post if prefer_bottom else -w_post)
-        vertex_of_post = self._vertex_of_post
-        found = [
-            None if key == _MISS else vertex_of_post[key if prefer_bottom else -key]
-            for key, (*_, prefer_bottom) in zip(best, rows)
-        ]
-        return found, probes
+        the root, an empty one (``range_lo > range_hi``) otherwise.
 
-    def _search_clean_rows(
-        self, table: np.ndarray, sizes: np.ndarray, dirty_mask: np.ndarray
-    ) -> List[int]:
-        """Per piece (a row ``lo, hi, range lo, range hi, prefer_bottom`` of
-        *table*, of size ``sizes[i]``), the best key over its clean rows: the
-        hit's post when the piece prefers the bottom, minus it otherwise,
-        ``_MISS`` when no clean row hits."""
-        lo_p, _, lo_a, hi_a, bottom_a = table.T
-        offsets = np.cumsum(sizes) - sizes
-        piece = np.repeat(np.arange(len(sizes)), sizes)
-        # Row r of piece i is the source vertex with post lo_p[i] + r - offsets[i].
-        row_post = np.arange(len(piece)) + (lo_p - offsets)[piece]
-        base = row_post * self._width
-        bottom = bottom_a.astype(bool)[piece]
-        lo_k = base + lo_a[piece]
-        hi_k = base + hi_a[piece]
-        # The first key >= lo (prefer bottom) or the last key <= hi; a key
-        # inside [lo, hi] of a clean row is a hit.
-        pos = self._first_key_at_least(np.where(bottom, lo_k, hi_k + 1))
-        got = self._flat_keys[np.clip(pos - 1 + bottom, 0, self._flat_total - 1)]
-        hit = (got >= lo_k) & (got <= hi_k) & ~dirty_mask[row_post]
-        post = got - base
+        Returns ``(found, probes)``: per piece, the post-order number of the
+        neighbour on the segment nearest its preferred end that any piece
+        vertex reaches (``-1`` when none does), and the probes all the
+        searches charged — exactly what calling :meth:`search_segment` once
+        per piece vertex gives.  The piece makes ``hi - lo + 1`` searches.
+
+        A clean row (no overlay touched it) needs no alive or on-segment
+        check — overlays dirty every row they affect, and every base-row
+        entry in the range is an ancestor of ``u`` on the vertical segment —
+        so its answer is the range's first (or last) entry and it charges 1
+        probe, as the scalar search does.  Pieces expand into one row per
+        vertex only when one has more than one; the piece's answer is then
+        the hit with the smallest post (nearest the bottom) or the largest,
+        reduced with ``np.minimum.reduceat``.  Dirty rows take
+        :meth:`search_segment`, whose default on-segment test (the tree's
+        ancestor intervals) is membership of the vertical segment.
+        """
+        table = np.array(pieces, dtype=np.int64).reshape(-1, 7)
+        sizes = table[:, 1] - table[:, 0] + 1
+        probes = rows = int(sizes.sum())  # 1 per clean row; dirty rows are corrected below
+        per_row, row, offsets = table, table[:, 0], None
+        if rows > len(table):  # a piece with more than one row: one row per piece vertex
+            offsets = np.cumsum(sizes) - sizes
+            per_row = np.repeat(table, sizes, axis=0)
+            # Row r of piece i is the vertex with post lo[i] + r - offsets[i].
+            row = per_row[:, 0] + np.arange(rows) - np.repeat(offsets, sizes)
+        _, _, range_lo, range_hi, _, _, bottom = per_row.T
+        dirty = self._dirty_mask()[row] if self._dirty else np.zeros(rows, dtype=bool)
+        # The first key >= range_lo (prefer bottom) or the last key <=
+        # range_hi; a key inside the range of a clean row is a hit.
+        base = row * self._width
+        pos = self._first_key_at_least(base + np.where(bottom, range_lo, range_hi + 1))
+        post = self._flat_keys[pos - 1 + bottom] - base
+        hit = (post >= range_lo) & (post <= range_hi) & ~dirty
         keys = np.where(hit, np.where(bottom, post, -post), _MISS)
-        return np.minimum.reduceat(keys, offsets).tolist()
+        verts = self._tree._verts
+        for r in np.flatnonzero(dirty).tolist():
+            *_, top, bottom_i, prefer = per_row[r].tolist()
+            u = self.vertex_of_post[row[r]]
+            w, p = self.search_segment(u, verts[top], verts[bottom_i], bool(prefer), None)
+            probes += p - 1
+            if w is not None:
+                keys[r] = self._tree.postorder(w) if prefer else -self._tree.postorder(w)
+        if offsets is not None:
+            keys = np.minimum.reduceat(keys, offsets)
+        # A key is the hit's post, negated where the piece prefers the top.
+        return np.where(keys == _MISS, -1, np.abs(keys)).tolist(), probes
 
     def _first_key_at_least(self, values: np.ndarray) -> np.ndarray:
         """Flat position of the first key ``>= values[i]``, for all ``i``
@@ -620,64 +591,52 @@ class StructureD:
 
         Returns ``(answers, total_probes)`` — exactly the results of calling
         the scalar method once per triple.  Counts the call under
-        ``d_batch_queries``; :meth:`search_min_post_batch` is the same
-        search uncounted.
+        ``d_batch_queries``, resolves the ids to their rows with one
+        :meth:`DFSTree.indices <repro.tree.dfs_tree.DFSTree.indices>` gather
+        and searches through :meth:`search_min_post_batch`.
         """
         if self._metrics is not None:
             self._metrics.inc("d_batch_queries")
-        return self.search_min_post_batch(us, los, his)
-
-    def search_min_post_batch(
-        self, us: Sequence[Vertex], los: Sequence[int], his: Sequence[int]
-    ) -> Tuple[List[Optional[Vertex]], int]:
-        """Uncounted core of :meth:`min_post_alive_neighbor_batch` (the query
-        service re-anchors a whole query round through this one): one
-        search over the keys for every row no overlay has touched.
-
-        The first entry of a clean row with post-order number in ``[lo,
-        hi]`` is alive by definition, so the search plus one gather resolves
-        the whole clean subset (probes: 1 per hit, 0 per miss — the scalar
-        accounting).  Dirty or unindexed rows take
-        :meth:`min_post_alive_neighbor`.
-        """
-        n = len(us)
-        if n == 0:
-            return [], 0
-        # A query's row is clean when the base tree indexes it and no overlay
-        # dirtied it; ids only an overlay inserted are not in the tree.
         tree = self._tree
         ti = tree.indices(us)
-        clean = ti >= 0
-        rows = tree.as_arrays()["post"][ti]  # ti == -1 gathers an arbitrary post
+        rows = np.where(ti >= 0, tree.as_arrays()["post"][ti], -1)  # ti == -1 gathers a post, never read
+        return self.search_min_post_batch(us, rows, los, his)
+
+    def search_min_post_batch(
+        self, us: Sequence[Vertex], rows: Sequence[int], los: Sequence[int], his: Sequence[int]
+    ) -> Tuple[List[Optional[Vertex]], int]:
+        """Uncounted core of :meth:`min_post_alive_neighbor_batch`, and the
+        re-anchor of a whole query round, which hands over its hits'
+        post-order numbers directly: query ``i`` asks for the
+        :meth:`min_post_alive_neighbor` answer of ``us[i]`` on ``[los[i],
+        his[i]]``, and ``rows[i]`` is the base-tree post-order number of
+        ``us[i]`` (``-1`` when the base tree does not index it).
+
+        One search over the keys serves every row no overlay has touched:
+        the first entry of a clean row with post-order number in ``[lo,
+        hi]`` is alive by definition, so the search plus one gather through
+        :attr:`vertex_of_post` resolves the whole clean subset (probes: 1 per
+        hit, 0 per miss — the scalar accounting).  Dirty or unindexed rows
+        take :meth:`min_post_alive_neighbor`.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        scalar = rows < 0
         if self._dirty:
-            clean &= ~self._dirty_rows()[2][rows]
-        out_arr = np.full(n, None, dtype=object)
-        probes = 0
-        all_clean = bool(clean.all())
-        idx = None if all_clean else np.flatnonzero(clean)
-        if self._flat_total and (all_clean or len(idx)):
-            los_c = np.asarray(los, dtype=np.int64)
-            his_c = np.asarray(his, dtype=np.int64)
-            if idx is not None:
-                los_c = los_c[idx]
-                his_c = his_c[idx]
-                rows = rows[idx]
-            # Every post lies in [0, width), so clipping keeps the answers
-            # and keeps each key range inside the query's row.
-            base = rows * self._width
-            lo_k = base + np.maximum(los_c, 0)
-            hi_k = base + np.minimum(his_c, self._width - 1)
-            flat = self._flat_keys
-            got = flat[np.minimum(self._first_key_at_least(lo_k), self._flat_total - 1)]
-            valid = (got >= lo_k) & (got <= hi_k)
-            probes += int(valid.sum())
-            hits = valid if idx is None else idx[valid]
-            out_arr[hits] = self._vertex_of_post[got[valid] - base[valid]]
-        out = out_arr.tolist()
-        if not all_clean:
-            for i in np.flatnonzero(~clean).tolist():
-                out[i], p = self.min_post_alive_neighbor(us[i], los[i], his[i])
-                probes += p
+            scalar |= self._dirty_mask()[rows]  # a row of -1 is scalar already
+        # Every post lies in [0, width), so clipping keeps the answers and
+        # keeps each key range inside the query's row.
+        base = rows * self._width
+        lo_k = base + np.maximum(los, 0)
+        hi_k = base + np.minimum(his, self._width - 1)
+        got = self._flat_keys[self._first_key_at_least(lo_k)]
+        hits = np.flatnonzero((got >= lo_k) & (got <= hi_k) & ~scalar)
+        probes = len(hits)
+        out = np.full(len(rows), None, dtype=object)
+        out[hits] = self.vertex_of_post[got[hits] - base[hits]]
+        out = out.tolist()
+        for i in np.flatnonzero(scalar).tolist():
+            out[i], p = self.min_post_alive_neighbor(us[i], los[i], his[i])
+            probes += p
         return out, probes
 
     def neighbors_of(self, u: Vertex) -> List[Vertex]:

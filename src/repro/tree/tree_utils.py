@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable, List, Sequence, Tuple
 
-from repro.exceptions import TreeError
+from repro.exceptions import TreeError, VertexNotFound
 from repro.tree.dfs_tree import DFSTree
 
 Vertex = Hashable
@@ -64,31 +64,39 @@ def ancestor_descendant_segments(
     a constant number of ancestor–descendant paths of the old tree ``T``, glued
     by back edges (e.g. ``path(r_c, x) ∪ (x, y) ∪ path(y, r')``).  Queries on the
     data structure ``D`` only understand ancestor–descendant paths of ``T``, so
-    this helper recovers the decomposition: it scans the sequence and starts a
-    new segment whenever the next vertex is not a tree neighbour of the current
-    one or the vertical direction flips.
+    this helper recovers the decomposition (see :func:`vertical_runs`).
     """
-    segs: List[List[Vertex]] = []
-    if not vertices:
-        return segs
-    cur: List[Vertex] = [vertices[0]]
+    try:
+        index = [tree._idx[v] for v in vertices]
+    except KeyError as exc:
+        raise VertexNotFound(exc.args[0]) from None
+    return [list(vertices[start:stop]) for start, stop in vertical_runs(tree, index)]
+
+
+def vertical_runs(tree: DFSTree, index: Sequence[int]) -> List[Tuple[int, int]]:
+    """The maximal ancestor–descendant runs of a sequence of tree indices,
+    as ``(start, stop)`` slices of *index*.
+
+    A run ends where the next vertex is not a tree neighbour of the current
+    one or the vertical direction flips; the test reads the tree's parent
+    index list.
+    """
+    parent = tree._parent_idx
+    runs: List[Tuple[int, int]] = []
+    start = 0
     direction = 0
-    for a, b in zip(vertices, vertices[1:]):
-        if tree.parent(b) == a:
-            step = 1
-        elif tree.parent(a) == b:
-            step = -1
-        else:
-            step = 0  # non-tree jump
+    for i in range(1, len(index)):
+        a, b = index[i - 1], index[i]
+        step = 1 if parent[b] == a else -1 if parent[a] == b else 0
         if step == 0 or (direction != 0 and step != direction):
-            segs.append(cur)
-            cur = [b]
+            runs.append((start, i))
+            start = i
             direction = 0
         else:
-            cur.append(b)
             direction = step
-    segs.append(cur)
-    return segs
+    if index:
+        runs.append((start, len(index)))
+    return runs
 
 
 def segment_orientation(tree: DFSTree, segment: Sequence[Vertex]) -> Tuple[Vertex, Vertex]:

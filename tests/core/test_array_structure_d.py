@@ -28,6 +28,7 @@ from repro.graph.traversal import static_dfs_forest, static_dfs_tree
 from repro.metrics.counters import MetricsRecorder
 from repro.service import TreeSnapshot
 from repro.tree.dfs_tree import DFSTree
+from repro.tree.tree_utils import ancestor_descendant_segments
 from tests.helpers import (
     ScalarLoopD,
     assert_snapshot_matches_oracle,
@@ -79,29 +80,37 @@ def _overlay_every_kind(rng, pairs, new_id):
             apply_update(graph, update, d)
 
 
-def _random_layer(rng, tree, k):
-    """*k* random ``(piece, segment)`` pairs for ``search_subtrees``: the
-    piece is ``(root index, lo, hi)``, the segment a vertical path
-    ``top..bottom`` (ends as tree indices) with its bottom outside
-    ``T(root)``, preferring either end."""
+def _random_layer(rng, tree, k, *, leaves=False):
+    """*k* random pieces for ``search_subtrees``, seven flat ints each: the
+    piece's post-order interval, its search range, a vertical path
+    ``top..bottom`` (ends as tree indices) with its bottom outside the piece,
+    and the preferred end.  With *leaves* every piece is one leaf (one
+    row)."""
     verts = [v for v in tree.vertices() if v != tree.root]
-    pieces, segments = [], []
-    while len(pieces) < k:
+    roots = [v for v in verts if tree.subtree_size(v) == 1] if leaves else verts
+    pieces = []
+    while len(pieces) < 7 * k:
         bottom = rng.choice(verts)
         chain = tree.ancestor_path(bottom, tree.root)  # bottom .. tree root
-        path = chain[: rng.randrange(len(chain)) + 1]
-        root = rng.choice(verts)
+        top = chain[rng.randrange(len(chain))]
+        root = rng.choice(roots)
         if tree.is_ancestor(root, bottom):
             continue
-        root_i, top_i, bottom_i = tree.indices([root, path[-1], bottom]).tolist()
-        pieces.append((root_i, *_interval(tree, root)))
-        segments.append((top_i, bottom_i, set(path).__contains__, rng.random() < 0.5))
-    return pieces, segments
+        search = (tree.postorder(tree.lca(root, bottom)), tree.postorder(top))
+        if not tree.is_ancestor(top, root):
+            search = (1, 0)
+        lo, hi = _interval(tree, root)
+        pieces += [lo, hi, *search, *tree.indices([top, bottom]).tolist(), int(rng.random() < 0.5)]
+    return pieces
 
 
-def _mixes_dirty_and_clean(tree, d, pieces):
-    ids = list(tree.vertices())
-    rows = [u for p in pieces for u in tree.subtree_vertices(ids[p[0]]) if u != tree.root]
+def _piece_rows(d, pieces):
+    """The vertices of every piece of a flat ``search_subtrees`` layer."""
+    return [d.vertex_of_post[p] for k in range(0, len(pieces), 7) for p in range(pieces[k], pieces[k + 1] + 1)]
+
+
+def _mixes_dirty_and_clean(d, pieces):
+    rows = _piece_rows(d, pieces)
     dirty = sum(u in d._dirty for u in rows)
     return 0 < dirty < len(rows)
 
@@ -301,11 +310,11 @@ def test_both_graph_stores_build_the_same_d():
                 us, los, his
             )
             for _ in range(4):
-                pieces, segments = _random_layer(rng, tree, 5)
-                assert da.search_subtrees(pieces, segments) == dd.search_subtrees(pieces, segments)
-                top_i, bottom_i, on_segment, prefer_bottom = segments[0]
+                pieces = _random_layer(rng, tree, 5)
+                assert da.search_subtrees(pieces) == dd.search_subtrees(pieces)
                 ids = list(tree.vertices())
-                top, bottom = ids[top_i], ids[bottom_i]
+                top, bottom, prefer_bottom = ids[pieces[4]], ids[pieces[5]], bool(pieces[6])
+                on_segment = set(tree.ancestor_path(bottom, top)).__contains__
                 for u in verts:
                     assert da.search_segment(u, top, bottom, prefer_bottom, on_segment) == dd.search_segment(
                         u, top, bottom, prefer_bottom, on_segment
@@ -331,8 +340,8 @@ def test_non_int_vertices_take_the_python_path():
     assert d.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(d, us, los, his)
     _overlay_every_kind(rng, [(ah, d), (h, ref)], "new")
     for _ in range(10):
-        pieces, segments = _random_layer(rng, tree, 5)
-        assert d.search_subtrees(pieces, segments) == search_subtrees_reference(d, pieces, segments)
+        pieces = _random_layer(rng, tree, 5)
+        assert d.search_subtrees(pieces) == search_subtrees_reference(d, pieces)
     _same_rounds(d, ref, h, _composite_queries(rng, tree, 30))
 
 
@@ -352,16 +361,20 @@ def test_differential_fuzz_scalar_and_batch():
     """The batched re-anchor, ``search_subtrees`` and the query rounds it
     serves: answers and probes equal the scalar-loop references', rounds
     answer as the brute-force oracle and count as the scalar loops, before
-    and after overlays of every kind, with calls that mix dirty and clean
-    rows."""
+    and after overlays of every kind.  The layers cover pieces that are all
+    one row and pieces of one and of many rows together, calls that mix
+    dirty and clean rows, and ``D``s with no edges; the rounds cover targets
+    of several segments and re-anchors on a dirty target row."""
     rng = random.Random(77)
-    mixed = hits = 0
+    mixed = hits = one_row = many_rows = dirty_targets = edgeless = multi_segment = 0
     ends = set()
-    for trial in range(40):
+    for trial in range(48):
         n = rng.randrange(2, 30)
-        g, ag, tree = _pair(n=n, p=rng.uniform(0.05, 0.6), seed=rng.randrange(10**6))
+        p = 0.0 if trial % 8 == 0 else rng.uniform(0.05, 0.6)
+        g, ag, tree = _pair(n=n, p=p, seed=rng.randrange(10**6))
         d = StructureD(ag, tree)
         ref = ScalarLoopD(g, tree)
+        edgeless += not d._flat_total
         verts = list(g.vertices())
         for v in rng.sample(verts, rng.randrange(0, min(4, len(verts)) + 1)):
             apply_update(ag, VertexDeletion(v), d)
@@ -378,16 +391,23 @@ def test_differential_fuzz_scalar_and_batch():
         for overlaid in (False, True):
             if overlaid and g.num_vertices >= 2:
                 _overlay_every_kind(rng, [(ag, d), (g, ref)], n + rng.randrange(3))
-            for _ in range(4):
-                pieces, segments = _random_layer(rng, tree, rng.randrange(1, 8))
-                got = d.search_subtrees(pieces, segments)
-                assert got == search_subtrees_reference(d, pieces, segments), trial
-                mixed += _mixes_dirty_and_clean(tree, d, pieces)
-                hits += sum(w is not None for w in got[0])
-                ends.update(seg[3] for seg in segments)
-            answers = _same_rounds(d, ref, g, _composite_queries(rng, tree, 12))
+            for layer in range(6):
+                pieces = _random_layer(rng, tree, rng.randrange(1, 8), leaves=layer % 2 == 0)
+                got = d.search_subtrees(pieces)
+                assert got == search_subtrees_reference(d, pieces), trial
+                sizes = [pieces[k + 1] - pieces[k] + 1 for k in range(0, len(pieces), 7)]
+                one_row += max(sizes) == 1
+                many_rows += min(sizes) == 1 < max(sizes)
+                mixed += _mixes_dirty_and_clean(d, pieces)
+                hits += sum(w >= 0 for w in got[0])
+                ends.update(pieces[6::7])
+            queries = _composite_queries(rng, tree, 12)
+            answers = _same_rounds(d, ref, g, queries)
             hits += sum(a is not None for a in answers)
-    assert mixed > 100 and hits > 1000 and ends == {True, False}
+            dirty_targets += sum(a is not None and a[1] in d._dirty for a in answers)
+            multi_segment += sum(len(ancestor_descendant_segments(tree, q.target)) > 1 for q in queries)
+    assert edgeless >= 6 and one_row > 100 and many_rows > 50 and multi_segment > 500
+    assert mixed > 100 and hits > 1000 and dirty_targets > 20 and ends == {0, 1}, (mixed, hits, dirty_targets)
 
 
 def test_overlay_inserted_id_beyond_int64_is_excluded():
@@ -473,8 +493,8 @@ def test_a_recycled_graph_slot_keeps_serving_the_base_rows():
         assert da.min_post_alive_neighbor(u, lo, hi)[0] == _brute_min_post(ag, tree, u, lo, hi)
     assert da.min_post_alive_neighbor_batch(us, los, his) == min_post_batch_reference(da, us, los, his)
     for _ in range(10):
-        pieces, segments = _random_layer(rng, tree, 5)
-        assert da.search_subtrees(pieces, segments) == search_subtrees_reference(da, pieces, segments)
+        pieces = _random_layer(rng, tree, 5)
+        assert da.search_subtrees(pieces) == search_subtrees_reference(da, pieces)
 
 
 def test_a_recycled_graph_slot_under_overlays_through_the_driver():

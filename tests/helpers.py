@@ -217,36 +217,45 @@ def assert_snapshot_matches_oracle(snap, avs, bvs) -> None:
 # --------------------------------------------------------------------------- #
 # Scalar-loop references for the batched reads of D
 # --------------------------------------------------------------------------- #
-def search_subtrees_reference(d: StructureD, pieces, segments):
-    """``d.search_subtrees(pieces, segments)`` as a loop of scalar searches:
-    every vertex of each piece (its root given as a tree index, with the
-    root's post-order interval) calls ``d.search_segment`` on the segment's
-    ends as ids, and the piece keeps the hit nearest its preferred end.
-    Returns ``(found, probes)``."""
+def search_subtrees_reference(d: StructureD, pieces):
+    """``d.search_subtrees(pieces)`` as a loop of scalar searches: every
+    vertex of each piece (seven flat ints: its post-order interval, its
+    search range, the segment's ends as tree indices and the preferred end)
+    calls ``d.search_segment`` on the segment's ends as ids, and the piece
+    keeps the hit nearest its preferred end.  Asserts that the piece's
+    interval is a subtree's and its range the one the segment gives.
+    Returns ``(found, probes)``, hits as post-order numbers (``-1`` for
+    none)."""
     tree = d.base_tree
     ids = list(tree.vertices())  # tree index -> vertex id
+    of_post = {tree.postorder(v): v for v in ids}
     found = []
     probes = 0
-    for (root, lo, hi), (top, bottom, on_segment, prefer_bottom) in zip(pieces, segments):
-        root = ids[root]
-        assert (lo, hi) == (tree.postorder(root) - tree.subtree_size(root) + 1, tree.postorder(root))
-        best = None
-        best_post = 0
+    for k in range(0, len(pieces), 7):
+        lo, hi, range_lo, range_hi, top, bottom, prefer_bottom = (int(x) for x in pieces[k : k + 7])
+        root, top, bottom = of_post[hi], ids[top], ids[bottom]
+        assert lo == tree.postorder(root) - tree.subtree_size(root) + 1
+        assert not tree.is_ancestor(root, bottom)
+        if tree.is_ancestor(top, root):
+            assert (range_lo, range_hi) == (tree.postorder(tree.lca(root, bottom)), tree.postorder(top))
+        else:
+            assert range_lo > range_hi
+        best = -1
         for u in tree.subtree_vertices(root):
-            w, p = d.search_segment(u, ids[top], ids[bottom], prefer_bottom, on_segment)
+            w, p = d.search_segment(u, top, bottom, bool(prefer_bottom), None)
             probes += p
             if w is None:
                 continue
             # A segment is a vertical path: deeper means a smaller post.
             w_post = d.postorder(w)
-            if best is None or (w_post < best_post if prefer_bottom else w_post > best_post):
-                best, best_post = w, w_post
+            if best < 0 or (w_post < best if prefer_bottom else w_post > best):
+                best = w_post
         found.append(best)
     return found, probes
 
 
 def min_post_batch_reference(d: StructureD, us, los, his):
-    """``d.search_min_post_batch(us, los, his)`` as a loop of
+    """``d.min_post_alive_neighbor_batch(us, los, his)`` as a loop of
     ``d.min_post_alive_neighbor`` calls.  Returns ``(answers, probes)``."""
     best = []
     probes = 0
@@ -259,10 +268,14 @@ def min_post_batch_reference(d: StructureD, us, los, his):
 
 class ScalarLoopD(StructureD):
     """``D`` whose batched reads are the scalar-loop references, so a query
-    service over it counts what one scalar search per piece vertex counts."""
+    service over it counts what one scalar search per piece vertex counts.
+    Its re-anchor asserts that each row is its id's base-tree post-order
+    number (``-1`` for an id the base tree does not index)."""
 
-    def search_subtrees(self, pieces, segments):
-        return search_subtrees_reference(self, pieces, segments)
+    def search_subtrees(self, pieces):
+        return search_subtrees_reference(self, pieces)
 
-    def search_min_post_batch(self, us, los, his):
+    def search_min_post_batch(self, us, rows, los, his):
+        tree = self.base_tree
+        assert [int(r) for r in rows] == [tree.postorder(u) if u in tree else -1 for u in us]
         return min_post_batch_reference(self, us, los, his)

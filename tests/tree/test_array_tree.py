@@ -120,9 +120,16 @@ def test_indices_equal_the_dict_on_every_kind_of_id():
         "beyond_int64": DFSTree({0: None, 1: 0, 5: 1, 2**70: 0}),
         "sparse": DFSTree({0: None, 5: 0, 10**6: 0}),
         "objects": DFSTree({"a": None, "b": "a", ("t", 1): "b", 5: "a"}),
+        # ids 0..19, an inserted vertex numbered from 10^9, the virtual root
+        "inserted": DFSTree(
+            {VIRTUAL_ROOT: None, **{i: i - 1 if i else VIRTUAL_ROOT for i in range(20)}, 10**9 + 7: 3}
+        ),
     }
     queries = [
         [VIRTUAL_ROOT, 0, 5, 29],  # the virtual-root tuple among ints
+        [VIRTUAL_ROOT, 3, 10**9 + 7],  # all three kinds of id
+        [0, 10**9 + 7, 5, 19, 20, -1],  # ints inside and outside a table
+        np.asarray([19, 10**9 + 7, 0, 10**9 + 8]),
         [0, 5, 7, 2, 1],  # ints inside every table, some unknown
         [0, 5, 7, 29, 31],  # ints, some beyond a table
         [10**6, 10**9, 5],  # sparse ids above any table bound
@@ -141,7 +148,8 @@ def test_indices_equal_the_dict_on_every_kind_of_id():
             got = tree.indices(vs)
             assert got.dtype == np.int64
             assert got.tolist() == [tree._idx.get(v, -1) for v in vs], (name, vs)
-    # The dense table serves int trees; the others fall back to the dict.
-    assert len(dense._id_table) and len(trees["signed"]._id_table)
-    for name in ("beyond_int64", "sparse", "objects"):
-        assert not len(trees[name]._id_table), name
+    # The dense table serves int trees, over the ids that fit it (the sparse
+    # tree's covers 0 and 5); object ids fall back to the dict.
+    for name in ("dense", "signed", "beyond_int64", "sparse", "inserted"):
+        assert len(trees[name]._id_table), name
+    assert not len(trees["objects"]._id_table)
