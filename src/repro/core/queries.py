@@ -31,7 +31,7 @@ from repro.exceptions import InvariantViolation
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.tree_utils import ancestor_descendant_segments, segment_orientation, vertical_runs
+from repro.tree.tree_utils import ancestor_descendant_segments, run_orientation, segment_orientation, vertical_runs
 
 Vertex = Hashable
 Answer = Optional[Tuple[Vertex, Vertex]]  # (source endpoint, target/path endpoint)
@@ -191,36 +191,22 @@ class BruteForceQueryService(QueryService):
 
 
 class _Segment:
-    """One maximal ancestor–descendant run ``known[start:stop]`` of a target
-    path in ``D``'s base tree, with what every range search against it
-    needs: its ends as tree indices, the bottom's post-order number and, per
-    preferred end of the target (indexed by ``prefer_last``), whether the
-    search prefers the bottom.  Its vertex list and membership test are
-    built on first use, by the scalar path only."""
+    """One maximal ancestor–descendant run of a target path in ``D``'s base
+    tree, with what every range search against it needs: its vertices, its
+    ends as tree indices, the bottom's post-order number and, per preferred
+    end of the target (indexed by ``prefer_last``), whether the search
+    prefers the bottom."""
 
-    __slots__ = ("_known", "_span", "_contains", "top", "bottom", "bottom_post", "prefer_bottom")
+    __slots__ = ("vertices", "top", "bottom", "bottom_post", "prefer_bottom")
 
-    def __init__(self, tree: DFSTree, known: Sequence[Vertex], index: List[int], start: int, stop: int) -> None:
-        self._known, self._span, self._contains = known, (start, stop), None
-        first, last = index[start], index[stop - 1]
-        level = tree._level
-        self.top, self.bottom = (first, last) if level[first] <= level[last] else (last, first)
+    def __init__(self, tree: DFSTree, vertices: Sequence[Vertex], first: int, last: int) -> None:
+        self.vertices = vertices
+        self.top, self.bottom = run_orientation(tree, first, last)
         self.bottom_post = tree._post[self.bottom]
         # Positions on the target path are monotone inside a segment, so a
         # query preferring the target's last (first) vertex prefers the
         # segment's bottom exactly when its last (first) vertex is the bottom.
         self.prefer_bottom = (first == self.bottom, last == self.bottom)
-
-    @property
-    def vertices(self) -> Sequence[Vertex]:
-        start, stop = self._span
-        return self._known[start:stop]
-
-    @property
-    def contains(self) -> Callable[[Vertex], bool]:
-        if self._contains is None:
-            self._contains = set(self.vertices).__contains__
-        return self._contains
 
 
 class _TargetPlan:
@@ -229,32 +215,28 @@ class _TargetPlan:
     A pure function of the base tree and the target, so
     :meth:`DQueryService.answer_batch` builds it once per distinct target
     object and every query of the batch on that target reuses it: the
-    target vertices the base tree does not know (inserted since ``D`` was
-    built), the maximal ancestor–descendant segments of the others — both
-    lists in target order — and, per preferred end (indexed by
-    ``prefer_last``), the segments in preference order.  Each target vertex
-    is resolved once, through the tree's id table; the position map is
-    built on first use, by the scalar path only.
+    position map, the target vertices the base tree does not know (inserted
+    since ``D`` was built), the maximal ancestor–descendant segments of the
+    others — both lists in target order — and, per preferred end (indexed
+    by ``prefer_last``), the segments in preference order.  Each target
+    vertex is resolved once, through the tree's id dict.
     """
 
-    __slots__ = ("target", "unknown", "segments", "orders", "_pos")
+    __slots__ = ("pos", "unknown", "segments", "orders")
 
     def __init__(self, tree: DFSTree, target: Sequence[Vertex]) -> None:
-        self.target, self._pos = target, None
+        self.pos = _position_map(target)
         index = list(map(tree._idx.get, target, repeat(-1)))
         known, self.unknown = target, []
         if -1 in index:
             known = [v for v, i in zip(target, index) if i >= 0]
             self.unknown = [v for v, i in zip(target, index) if i < 0]
             index = [i for i in index if i >= 0]
-        self.segments = [_Segment(tree, known, index, *run) for run in vertical_runs(tree, index)]
+        self.segments = [
+            _Segment(tree, known[start:stop], index[start], index[stop - 1])
+            for start, stop in vertical_runs(tree, index)
+        ]
         self.orders = (self.segments, self.segments[::-1])
-
-    @property
-    def pos(self) -> Dict[Vertex, int]:
-        if self._pos is None:
-            self._pos = _position_map(self.target)
-        return self._pos
 
 
 class _Tally:
@@ -293,10 +275,9 @@ class DQueryService(QueryService):
     (:meth:`~repro.core.structure_d.StructureD.search_subtrees`), one
     re-anchor search over the hits' post-order numbers fixes their source
     endpoints, and the answers become vertex ids once, at the end.  Every
-    other query is answered on its own; only that scalar path builds a
-    target's position map and its segments' vertex sets.  The round's
-    counters are summed as it runs and recorded once, with the totals and
-    maxima that counting query by query would give.
+    other query is answered on its own.  The round's counters are summed as
+    it runs and recorded once, with the totals and maxima that counting
+    query by query would give.
 
     Answers are *canonical*: the target endpoint is the target vertex nearest
     the preferred end that has any alive edge to the source piece, and the
@@ -396,7 +377,7 @@ class DQueryService(QueryService):
         """
         tree = self._tree
         get = tree._idx.get
-        post, size, tin, tout = tree._post, tree._size, tree._tin, tree._tout
+        post, size = tree._post, tree._size
         # Per piece: its answer slot, query, root index, lo, hi, segments in
         # preference order and preferred end.
         pending = []
@@ -423,7 +404,7 @@ class DQueryService(QueryService):
             for _, _, root, lo, hi, order, last in pending:
                 seg = order[layer]
                 top, bottom = seg.top, seg.bottom
-                if tin[top] <= tin[root] and tout[root] <= tout[top]:
+                if tree._is_ancestor_idx(top, root):
                     range_lo, range_hi = post[tree._lca_idx(root, bottom)], post[top]
                 else:
                     range_lo, range_hi = 1, 0
@@ -606,7 +587,7 @@ class DQueryService(QueryService):
         search = self._d.search_segment
         prefer_last = q.prefer_last
         verts = self._tree._verts
-        top, bottom, on_segment = verts[seg.top], verts[seg.bottom], seg.contains
+        top, bottom = verts[seg.top], verts[seg.bottom]
         prefer_bottom = seg.prefer_bottom[prefer_last]
 
         best: Answer = None
@@ -616,7 +597,7 @@ class DQueryService(QueryService):
         # base-tree ancestor of the source vertex — the only possibility for
         # subtree sources in the fully dynamic setting).
         for u in source_list:
-            w, p = search(u, top, bottom, prefer_bottom, on_segment)
+            w, p = search(u, top, bottom, prefer_bottom, None)
             probes += p
             if w is not None:
                 best = _better(pos, prefer_last, best, (u, w))

@@ -494,21 +494,18 @@ class StructureD:
         entry in the range is an ancestor of ``u`` on the vertical segment —
         so its answer is the range's first (or last) entry and it charges 1
         probe, as the scalar search does.  Pieces expand into one row per
-        vertex only when one has more than one; the piece's answer is then
-        the hit with the smallest post (nearest the bottom) or the largest,
-        reduced with ``np.minimum.reduceat``.  Dirty rows take
-        :meth:`search_segment`, whose default on-segment test (the tree's
-        ancestor intervals) is membership of the vertical segment.
+        vertex; the piece's answer is the hit with the smallest post (nearest
+        the bottom) or the largest, reduced with ``np.minimum.reduceat``.
+        Dirty rows take :meth:`search_segment`, whose default on-segment test
+        (the tree's ancestor intervals) is membership of the vertical segment.
         """
         table = np.array(pieces, dtype=np.int64).reshape(-1, 7)
         sizes = table[:, 1] - table[:, 0] + 1
+        offsets = np.cumsum(sizes) - sizes
         probes = rows = int(sizes.sum())  # 1 per clean row; dirty rows are corrected below
-        per_row, row, offsets = table, table[:, 0], None
-        if rows > len(table):  # a piece with more than one row: one row per piece vertex
-            offsets = np.cumsum(sizes) - sizes
-            per_row = np.repeat(table, sizes, axis=0)
-            # Row r of piece i is the vertex with post lo[i] + r - offsets[i].
-            row = per_row[:, 0] + np.arange(rows) - np.repeat(offsets, sizes)
+        per_row = np.repeat(table, sizes, axis=0)
+        # Row r of piece i is the vertex with post lo[i] + r - offsets[i].
+        row = per_row[:, 0] + np.arange(rows) - np.repeat(offsets, sizes)
         _, _, range_lo, range_hi, _, _, bottom = per_row.T
         dirty = self._dirty_mask()[row] if self._dirty else np.zeros(rows, dtype=bool)
         # The first key >= range_lo (prefer bottom) or the last key <=
@@ -526,8 +523,7 @@ class StructureD:
             probes += p - 1
             if w is not None:
                 keys[r] = self._tree.postorder(w) if prefer else -self._tree.postorder(w)
-        if offsets is not None:
-            keys = np.minimum.reduceat(keys, offsets)
+        keys = np.minimum.reduceat(keys, offsets)
         # A key is the hit's post, negated where the piece prefers the top.
         return np.where(keys == _MISS, -1, np.abs(keys)).tolist(), probes
 

@@ -257,13 +257,12 @@ class DFSTree:
         """int64 tree indices of the vertex ids *vs*, ``-1`` for an id not in
         the tree; equal to ``[self._idx.get(v, -1) for v in vs]``.
 
-        When *vs* is an array of ints and the tree has a dense ``id ->
+        When every id in *vs* is an int inside the tree's dense ``id ->
         index`` table (see :func:`_dense_ids`; built on the first call and
-        kept, so every reader of the tree shares it), the ids inside the table
-        are one gather and only the ids outside it take a dict look-up each.
-        Anything else (object, float or mixed ids) takes one dict look-up per
-        id.  Two threads calling first may both build the table; the tables
-        are identical and the last one assigned is kept.
+        kept, so every reader of the tree shares it), the answer is one
+        gather.  Anything else (object, float or out-of-table ids) takes one
+        dict look-up per id.  Two threads calling first may both build the
+        table; the tables are identical and the last one assigned is kept.
         """
         table = self._id_table
         if table is None:
@@ -275,14 +274,9 @@ class DFSTree:
             except ValueError:  # ragged ids, e.g. the virtual-root tuple among ints
                 arr = None
             if arr is not None and arr.shape == (n,) and arr.dtype.kind in "iub":
-                arr = arr.astype(np.int64, copy=False)  # uint64 beyond int64 wraps negative
-                inside = arr.view(np.uint64) < len(table)  # so does a negative id
-                if inside.all():
+                arr = arr.astype(np.int64, copy=False)
+                if not n or (int(arr.min()) >= 0 and int(arr.max()) < len(table)):
                     return table[arr]
-                out = table[np.where(inside, arr, 0)]
-                for i in np.flatnonzero(~inside).tolist():
-                    out[i] = self._idx.get(vs[i], -1)
-                return out
         return np.fromiter(map(self._idx.get, vs, repeat(-1)), dtype=np.int64, count=n)
 
     def parent_map(self) -> Dict[Vertex, Optional[Vertex]]:
@@ -412,13 +406,11 @@ def _dense_ids(verts: List[Vertex], roots: List[int]) -> np.ndarray:
     (``-1`` where no vertex has the id).
 
     Empty, so that every look-up takes the dict path, unless every vertex id
-    is an ``int`` or a ``bool`` (a non-int first root, such as the virtual
-    root, is masked out): a float or other object id may equal an int the
-    table would call absent.  The table covers the ids in ``[0, 8 n + 64]``;
-    negative ids and larger ones, such as an inserted vertex numbered from
-    10^9, stay out of it, and a query id outside the table takes the dict
-    path.  Bools are ints here (``hash(True) == hash(1)``); floats and other
-    objects must not truncate into the table.
+    is an int (a non-int first root, such as the virtual root, is masked
+    out), the ids fit int64, and the non-negative ones fit a table of at most
+    ``8 n + 64`` entries.  Negative ids stay out of the table, so a negative
+    query id takes the dict path too.  Bools are ints here (``hash(True) ==
+    hash(1)``); floats and other objects must not truncate into the table.
     """
     empty = np.empty(0, dtype=np.int64)
     n = len(verts)
@@ -428,17 +420,19 @@ def _dense_ids(verts: List[Vertex], roots: List[int]) -> np.ndarray:
     if not isinstance(verts[roots[0]], int):
         ids = list(verts)
         ids[roots[0]] = -1
-    if not set(map(type, ids)) <= {int, bool}:
+    if not all(isinstance(v, int) for v in ids):
         return empty
-    cap = 8 * n + 64
     try:
         arr = np.array(ids, dtype=np.int64)
     except OverflowError:  # an id beyond int64
-        arr = np.array([v if -1 <= v <= cap else -1 for v in ids], dtype=np.int64)
-    mask = (arr >= 0) & (arr <= cap)
+        return empty
+    mask = arr >= 0
     if not bool(mask.any()):
         return empty
     pos = arr[mask]
-    table = np.full(int(pos.max()) + 1, -1, dtype=np.int64)
+    top = int(pos.max())
+    if top > 8 * n + 64:
+        return empty
+    table = np.full(top + 1, -1, dtype=np.int64)
     table[pos] = np.flatnonzero(mask)
     return table

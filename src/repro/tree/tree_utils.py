@@ -101,7 +101,11 @@ def vertical_runs(tree: DFSTree, index: Sequence[int]) -> List[Tuple[int, int]]:
 
 def segment_orientation(tree: DFSTree, segment: Sequence[Vertex]) -> Tuple[Vertex, Vertex]:
     """Return ``(top, bottom)`` endpoints of a vertical *segment* of *tree*."""
-    first, last = segment[0], segment[-1]
-    if tree.level(first) <= tree.level(last):
-        return first, last
-    return last, first
+    top, bottom = run_orientation(tree, tree._i(segment[0]), tree._i(segment[-1]))
+    return tree._verts[top], tree._verts[bottom]
+
+
+def run_orientation(tree: DFSTree, first: int, last: int) -> Tuple[int, int]:
+    """:func:`segment_orientation` on tree indices: ``(top, bottom)`` of the
+    vertical run whose ends are *first* and *last*."""
+    return (first, last) if tree._level[first] <= tree._level[last] else (last, first)

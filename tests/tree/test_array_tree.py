@@ -148,8 +148,7 @@ def test_indices_equal_the_dict_on_every_kind_of_id():
             got = tree.indices(vs)
             assert got.dtype == np.int64
             assert got.tolist() == [tree._idx.get(v, -1) for v in vs], (name, vs)
-    # The dense table serves int trees, over the ids that fit it (the sparse
-    # tree's covers 0 and 5); object ids fall back to the dict.
-    for name in ("dense", "signed", "beyond_int64", "sparse", "inserted"):
-        assert len(trees[name]._id_table), name
-    assert not len(trees["objects"]._id_table)
+    # The dense table serves int trees; the others fall back to the dict.
+    assert len(dense._id_table) and len(trees["signed"]._id_table)
+    for name in ("beyond_int64", "sparse", "objects", "inserted"):
+        assert not len(trees[name]._id_table), name
