@@ -22,6 +22,7 @@ from repro.metrics.counters import MetricsRecorder
 from repro.pram.machine import PRAM
 from repro.pram.sort import parallel_merge_sort
 from repro.tree.dfs_tree import DFSTree
+from repro.tree.tree_utils import hanging_subtrees
 
 
 def _build(n, seed=0):
@@ -47,13 +48,15 @@ def test_build_cost_and_query_probes(benchmark):
         parallel_merge_sort(pram, graph.neighbor_list(hub), key=tree.postorder)
         sort_depth.append(pram.depth)
 
-        # One batch of independent subtree queries against the root path.
+        # One batch of independent subtree queries against the root path of
+        # the deepest vertex: one per subtree hanging from it.
         service = DQueryService(d, metrics=metrics)
         root = tree.children(VIRTUAL_ROOT)[0]
-        target = tuple(tree.subtree_vertices(root)[:10])
+        deepest = max(tree.subtree_vertices(root), key=tree.level)
+        target = tuple(reversed(tree.ancestor_path(deepest, root)))
         queries = [
-            EdgeQuery.from_tree(child, target, prefer_last=True)
-            for child in tree.children(root)
+            EdgeQuery.from_tree(h, target, prefer_last=True)
+            for h in hanging_subtrees(tree, target)
         ]
         before = metrics.as_dict()
         service.answer_batch(queries)

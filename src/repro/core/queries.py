@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,13 +31,10 @@ from repro.exceptions import InvariantViolation
 from repro.graph.graph import UndirectedGraph
 from repro.metrics.counters import MetricsRecorder
 from repro.tree.dfs_tree import DFSTree
-from repro.tree.tree_utils import ancestor_descendant_segments, run_orientation, segment_orientation, vertical_runs
+from repro.tree.tree_utils import run_orientation, vertical_runs
 
 Vertex = Hashable
 Answer = Optional[Tuple[Vertex, Vertex]]  # (source endpoint, target/path endpoint)
-#: A source piece as ``(top, bottom)`` vertical runs of ``D``'s base tree,
-#: with its membership test.
-SourceRuns = Tuple[List[Tuple[Vertex, Vertex]], Callable[[Vertex], bool]]
 
 
 @dataclass
@@ -49,13 +46,11 @@ class EdgeQuery:
     source_kind:
         ``"tree"`` — the piece is the full subtree of the base tree rooted at
         ``source_root``; ``"path"`` — the piece is the ancestor–descendant path
-        ``source_vertices`` of the base tree; ``"vertices"`` — an explicit
-        (small) vertex set.
+        ``source_vertices`` of the base tree (a single vertex included).
     source_root:
         Root of the subtree piece (``source_kind == "tree"``).
     source_vertices:
-        Vertices of the path / explicit piece (ordered along the path for
-        ``"path"``).
+        Vertices of the path piece, ordered along the path.
     target:
         Ordered vertex list of the target path.  For queries against the newly
         traversed path of ``T*`` the order is shallow → deep in ``T*``; for
@@ -73,12 +68,12 @@ class EdgeQuery:
     source_vertices: Tuple[Vertex, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.source_kind not in ("tree", "path", "vertices"):
+        if self.source_kind not in ("tree", "path"):
             raise ValueError(f"unknown source kind {self.source_kind!r}")
         if self.source_kind == "tree" and self.source_root is None:
             raise ValueError("tree queries need source_root")
-        if self.source_kind in ("path", "vertices") and not self.source_vertices:
-            raise ValueError(f"{self.source_kind} queries need source_vertices")
+        if self.source_kind == "path" and not self.source_vertices:
+            raise ValueError("path queries need source_vertices")
         self.target = tuple(self.target)
         self.source_vertices = tuple(self.source_vertices)
 
@@ -90,13 +85,8 @@ class EdgeQuery:
 
     @classmethod
     def from_path(cls, path_vertices: Sequence[Vertex], target: Sequence[Vertex], *, prefer_last: bool = True) -> "EdgeQuery":
-        """Query from an ancestor–descendant path piece."""
+        """Query from an ancestor–descendant path piece (or a single vertex)."""
         return cls("path", tuple(target), prefer_last, source_vertices=tuple(path_vertices))
-
-    @classmethod
-    def from_vertices(cls, vertices: Sequence[Vertex], target: Sequence[Vertex], *, prefer_last: bool = True) -> "EdgeQuery":
-        """Query from an explicit vertex set (used for single vertices)."""
-        return cls("vertices", tuple(target), prefer_last, source_vertices=tuple(vertices))
 
     def source_vertex_list(self, base_tree: DFSTree) -> List[Vertex]:
         """Materialise the source piece as a vertex list."""
@@ -190,6 +180,28 @@ class BruteForceQueryService(QueryService):
         return best
 
 
+def _vertical_split(
+    tree: DFSTree, vertices: Sequence[Vertex]
+) -> Tuple[List[Tuple[Sequence[Vertex], int, int]], List[Vertex]]:
+    """Split *vertices* into the maximal ancestor–descendant runs of *tree*
+    that the vertices it knows form, and the vertices it does not know.
+
+    Each run is ``(its vertices, first, last)``, with its end vertices as
+    tree indices; runs and unknown vertices keep the input order.  Each
+    vertex is resolved once, through the tree's id dict, and the runs are
+    split on its parent-index list (:func:`vertical_runs`).  Target plans
+    and the sources of :meth:`DQueryService._answer_one` split this way.
+    """
+    index = list(map(tree._idx.get, vertices, repeat(-1)))
+    known, unknown = vertices, []
+    if -1 in index:
+        known = [v for v, i in zip(vertices, index) if i >= 0]
+        unknown = [v for v, i in zip(vertices, index) if i < 0]
+        index = [i for i in index if i >= 0]
+    runs = [(known[start:stop], index[start], index[stop - 1]) for start, stop in vertical_runs(tree, index)]
+    return runs, unknown
+
+
 class _Segment:
     """One maximal ancestor–descendant run of a target path in ``D``'s base
     tree, with what every range search against it needs: its vertices, its
@@ -218,24 +230,16 @@ class _TargetPlan:
     position map, the target vertices the base tree does not know (inserted
     since ``D`` was built), the maximal ancestor–descendant segments of the
     others — both lists in target order — and, per preferred end (indexed
-    by ``prefer_last``), the segments in preference order.  Each target
-    vertex is resolved once, through the tree's id dict.
+    by ``prefer_last``), the segments in preference order.  The target is
+    split once (:func:`_vertical_split`).
     """
 
     __slots__ = ("pos", "unknown", "segments", "orders")
 
     def __init__(self, tree: DFSTree, target: Sequence[Vertex]) -> None:
         self.pos = _position_map(target)
-        index = list(map(tree._idx.get, target, repeat(-1)))
-        known, self.unknown = target, []
-        if -1 in index:
-            known = [v for v, i in zip(target, index) if i >= 0]
-            self.unknown = [v for v, i in zip(target, index) if i < 0]
-            index = [i for i in index if i >= 0]
-        self.segments = [
-            _Segment(tree, known[start:stop], index[start], index[stop - 1])
-            for start, stop in vertical_runs(tree, index)
-        ]
+        runs, self.unknown = _vertical_split(tree, target)
+        self.segments = [_Segment(tree, *run) for run in runs]
         self.orders = (self.segments, self.segments[::-1])
 
 
@@ -266,18 +270,24 @@ class DQueryService(QueryService):
     split on the tree's parent-index list), and each query then pays its
     source size × range searches, plus its segments.  ``Process-Comp`` sends
     all of its pieces against one shared target, so a round pays that target
-    once, not once per piece.  The round's subtree pieces of ``D``'s base
-    tree — nearly all of its queries — go to ``D`` together.  Each piece
-    costs a few list reads: its root's index, its post-order interval and,
-    per layer, its search range, read from the tree's ``post``, ``size``,
-    ``tin`` and ``tout`` lists.  Each segment layer is one array conversion
-    and a fixed handful of array calls
+    once, not once per piece.  Each query takes one of two routes, chosen
+    once in :meth:`answer_batch`.  Subtree pieces of ``D``'s base tree whose
+    target the base tree fully knows — 96–97% of the repository benchmark's
+    queries — go to ``D`` together (:meth:`_answer_subtree_pieces`).  Each
+    such piece costs a few list reads: its root's index, its post-order
+    interval and, per layer, its search range, read from the tree's
+    ``post``, ``size``, ``tin`` and ``tout`` lists.  Each segment layer is
+    one array conversion and a fixed handful of array calls
     (:meth:`~repro.core.structure_d.StructureD.search_subtrees`), one
     re-anchor search over the hits' post-order numbers fixes their source
     endpoints, and the answers become vertex ids once, at the end.  Every
-    other query is answered on its own.  The round's counters are summed as
-    it runs and recorded once, with the totals and maxima that counting
-    query by query would give.
+    other query — a path piece (a single vertex included), a piece of a tree
+    other than ``D``'s base tree, a target holding vertices inserted since
+    ``D`` was built — is answered on its own (:meth:`_answer_one`), and also
+    pays the role-reversed sweep over the vertices of the segments it probes
+    and an ``O(deg)`` re-anchor scan.  The round's counters are summed as it
+    runs and recorded once, with the totals and maxima that counting query
+    by query would give.
 
     Answers are *canonical*: the target endpoint is the target vertex nearest
     the preferred end that has any alive edge to the source piece, and the
@@ -309,10 +319,6 @@ class DQueryService(QueryService):
         # (Theorem 9).
         self._source_tree = source_tree if source_tree is not None else structure.base_tree
         self._metrics = metrics
-
-    @property
-    def structure(self) -> "StructureD":
-        return self._d
 
     def answer_batch(self, queries: Sequence[EdgeQuery]) -> List[Answer]:
         if self._metrics is not None:
@@ -360,35 +366,35 @@ class DQueryService(QueryService):
         answers: List[Answer],
         tally: _Tally,
     ) -> None:
-        """Answer the round's subtree pieces whose target ``D``'s base tree
-        fully knows together (Theorem 8: one processor per source vertex,
-        one range search each).
+        """Answer the round's subtree pieces of ``D``'s base tree whose
+        target the base tree fully knows, together (Theorem 8: one processor
+        per source vertex, one range search each).
 
-        Each piece root is resolved once, and its post-order interval
-        ``[lo, hi]`` read from the tree's lists.  A piece whose root the base
-        tree does not know, or that holds a target segment's bottom, is
-        answered on its own.  The others take their segments in preference
-        order, one layer at a time: layer ``j`` asks ``D.search_subtrees``
-        for every piece still unanswered against its ``j``-th segment, and a
-        piece leaves at its first hit — the same early stop, searches and
-        probes as :meth:`_answer_one`.  One batched re-anchor on the hits'
-        post-order numbers then fixes every hit's source endpoint; the
-        target endpoints become vertex ids once, at the end.
+        Each piece root is resolved once (an unknown root raises
+        :class:`~repro.exceptions.VertexNotFound`), and its post-order
+        interval ``[lo, hi]`` read from the tree's lists.  Every caller asks
+        about an unvisited piece against a path outside it, so a piece that
+        holds a vertex of its own target raises :class:`InvariantViolation`.
+        The pieces take their segments in preference order, one layer at a
+        time: layer ``j`` asks ``D.search_subtrees`` for every piece still
+        unanswered against its ``j``-th segment, and a piece leaves at its
+        first hit — the same early stop, searches and probes as
+        :meth:`_answer_one`.  One batched re-anchor on the hits' post-order
+        numbers then fixes every hit's source endpoint; the target endpoints
+        become vertex ids once, at the end.
         """
         tree = self._tree
-        get = tree._idx.get
         post, size = tree._post, tree._size
         # Per piece: its answer slot, query, root index, lo, hi, segments in
         # preference order and preferred end.
         pending = []
         for i, q, plan in pieces:
-            root = get(q.source_root)
-            if root is not None:
-                hi = post[root]
-                lo = hi - size[root] + 1
-            if root is None or any(lo <= seg.bottom_post <= hi for seg in plan.segments):
-                answers[i] = self._answer_one(q, plan, tally)
-                continue
+            root = tree._i(q.source_root)
+            hi = post[root]
+            lo = hi - size[root] + 1
+            # A segment meets T(root) exactly when its bottom lies in it.
+            if any(lo <= seg.bottom_post <= hi for seg in plan.segments):
+                raise InvariantViolation(f"T({q.source_root!r}) holds a vertex of its own target")
             tally.queries += 1
             tally.segments += len(plan.segments)
             tally.max_segments = max(tally.max_segments, len(plan.segments))
@@ -436,51 +442,56 @@ class DQueryService(QueryService):
                 )
             answers[i] = (source, t_star)
 
-    def _subtree_interval(self, root: Vertex) -> Tuple[int, int]:
-        """``T(root)``'s post-order interval ``[lo, hi]`` in the base tree."""
-        tree = self._tree
-        hi = tree.postorder(root)
-        return hi - tree.subtree_size(root) + 1, hi
-
     def _answer_one(self, q: EdgeQuery, plan: _TargetPlan, tally: _Tally) -> Answer:
+        """Answer a query :meth:`answer_batch` does not batch: a path piece
+        (a single vertex included), a piece of a tree other than ``D``'s base
+        tree, or a target holding vertices inserted since ``D`` was built.
+
+        The source is split into vertical runs of the base tree once, as
+        targets are (:func:`_vertical_split`), and one set of its vertices
+        serves the role-reversed sweep, the scan of unknown target vertices
+        and the re-anchor.
+        """
         source_list = q.source_vertex_list(self._source_tree)
+        on_source = set(source_list)
         segments = max(len(plan.segments), 1)
         tally.queries += 1
         tally.segments += segments
         tally.max_segments = max(tally.max_segments, segments)
-
-        # The role-reversed sweep (see _probe_segment) searches the source
-        # piece as vertical runs of the base tree; decompose it once per query.
-        reverse = None
-        if plan.segments and (q.source_kind != "tree" or self._source_tree is not self._tree):
-            reverse = self._source_runs(source_list)
 
         # Segments are contiguous runs of the target path, so their position
         # intervals are disjoint and ordered: probe them starting from the
         # preferred end and stop at the first hit — no later segment can hold
         # a better position.
         best: Answer = None
-        for seg in reversed(plan.segments) if q.prefer_last else plan.segments:
-            best = self._probe_segment(q, seg, plan.pos, source_list, reverse, tally)
-            if best is not None:
-                break
+        if plan.segments:
+            tree = self._tree
+            verts = tree._verts
+            src_runs = []
+            for _, first, last in _vertical_split(tree, source_list)[0]:
+                top, bottom = run_orientation(tree, first, last)
+                src_runs.append((verts[top], verts[bottom]))
+            for seg in plan.orders[q.prefer_last]:
+                best = self._probe_segment(q, seg, plan.pos, source_list, src_runs, on_source, tally)
+                if best is not None:
+                    break
 
         # Target vertices that the base tree does not know about (vertices
         # inserted since D was built) are handled by scanning their overlay
         # adjacency — there are at most k of them.
-        if plan.unknown:
-            unknown_hit = self._probe_unknown_targets(q, plan.unknown, source_list)
-            best = _better(plan.pos, q.prefer_last, best, unknown_hit)
+        for t in reversed(plan.unknown) if q.prefer_last else plan.unknown:
+            hit = next((w for w in self._d.neighbors_of(t) if w in on_source), None)
+            if hit is not None:
+                best = _better(plan.pos, q.prefer_last, best, (hit, t))
+                break
         if best is None:
             return None
-        return self._canonical_answer(q, best, source_list, tally)
+        return self._canonical_answer(best[1], on_source, tally)
 
-    def _canonical_answer(
-        self, q: EdgeQuery, best: Answer, source_list: List[Vertex], tally: _Tally
-    ) -> Answer:
-        """Fix the source endpoint to the piece vertex with the smallest
-        post-order number (in the *current* tree) having an alive edge to the
-        chosen target vertex.
+    def _canonical_answer(self, t_star: Vertex, on_source: Set[Vertex], tally: _Tally) -> Answer:
+        """``(source, t_star)``: the source is the piece vertex with the
+        smallest post-order number (in the *current* tree) having an alive
+        edge to the chosen target vertex *t_star*.
 
         The probes above guarantee the best *target* endpoint, but which source
         vertex reported it depends on which direction (direct, reversed,
@@ -491,52 +502,26 @@ class DQueryService(QueryService):
         :class:`~repro.core.dynamic_dfs.FullyDynamicDFS` (and the streaming /
         distributed adapters) reproduce the per-update-rebuild trees exactly.
 
-        Cost: for subtree pieces of ``D``'s own base tree the piece occupies a
-        contiguous post-order interval, so the re-anchor is a single binary
-        search in the target's sorted list (``O(log deg)``); other piece kinds
-        fall back to scanning the target's adjacency (``O(deg)``), never the
-        piece.  Probes are counted under ``d_reanchor_probes``.
+        Cost: one scan of *t_star*'s alive adjacency (``O(deg)``), never the
+        piece; probes are counted under ``d_reanchor_probes``.  The batched
+        route re-anchors on the pieces' post-order intervals instead.
         """
-        found_u, t_star = best
-        tree = self._tree
         src_tree = self._source_tree
-        probes = 0
         canonical: Optional[Vertex] = None
-        if (
-            q.source_kind == "tree"
-            and src_tree is tree
-            and q.source_root in tree
-        ):
-            # Postorder-interval index: T(root) occupies exactly the interval
-            # [post(root) - size(root) + 1, post(root)] of the base tree.
-            lo, hi = self._subtree_interval(q.source_root)
-            canonical, probes = self._d.min_post_alive_neighbor(t_star, lo, hi)
-        else:
-            if q.source_kind == "tree" and q.source_root in src_tree:
-                root = q.source_root
-
-                def member(w: Vertex) -> bool:
-                    return w in src_tree and src_tree.is_ancestor(root, w)
-
-            else:
-                src_set = set(source_list)
-
-                def member(w: Vertex) -> bool:
-                    return w in src_set
-
-            best_rank: Optional[int] = None
-            for w in self._d.neighbors_of(t_star):
-                probes += 1
-                if not member(w) or w not in src_tree:
-                    continue
+        best_rank = probes = 0
+        for w in self._d.neighbors_of(t_star):
+            probes += 1
+            if w in on_source:
                 r = src_tree.postorder(w)
-                if best_rank is None or r < best_rank:
+                if canonical is None or r < best_rank:
                     canonical, best_rank = w, r
         tally.reanchors += 1
         tally.reanchor_probes += max(probes, 1)
-        if canonical is not None:
-            return (canonical, t_star)
-        return best
+        if canonical is None:
+            raise InvariantViolation(
+                f"re-anchor found no piece vertex adjacent to {t_star!r}, which a search reached"
+            )
+        return (canonical, t_star)
 
     def canonical_sources(
         self, items: Sequence[Tuple[Vertex, Vertex]]
@@ -546,34 +531,28 @@ class DQueryService(QueryService):
         For each ``(t_star, source_root)`` pair, returns the vertex of the
         piece ``T(source_root)`` with the smallest base-tree post-order number
         among those with an alive edge to ``t_star`` (``None`` when the piece
-        has no alive edge to it) — the same re-anchor
-        :meth:`_canonical_answer` computes one query at a time, as one call
-        to :meth:`StructureD.min_post_alive_neighbor_batch
+        has no alive edge to it) — the re-anchor :meth:`answer_batch` runs
+        for its batched subtree pieces, as one call to
+        :meth:`StructureD.min_post_alive_neighbor_batch
         <repro.core.structure_d.StructureD.min_post_alive_neighbor_batch>`.
-        Nothing in the library calls it: :meth:`answer_batch` re-anchors its
-        subtree pieces through the uncounted core of that method.  Probes are
-        counted once per batch under ``d_reanchor_probes`` (``max(total
-        probes, 1)``); answers do not depend on the graph store.
+        Nothing in the library calls it: :meth:`answer_batch` re-anchors
+        through the uncounted core of that method.  Probes are counted once
+        per batch under ``d_reanchor_probes`` (``max(total probes, 1)``);
+        answers do not depend on the graph store.
         """
+        tree = self._tree
         us: List[Vertex] = []
         los: List[int] = []
         his: List[int] = []
         for t_star, root in items:
-            lo, hi = self._subtree_interval(root)
+            hi = tree.postorder(root)
             us.append(t_star)
-            los.append(lo)
+            los.append(hi - tree.subtree_size(root) + 1)
             his.append(hi)
         best, probes = self._d.min_post_alive_neighbor_batch(us, los, his)
         if self._metrics is not None and items:
             self._metrics.inc("d_reanchor_probes", max(probes, 1))
         return best
-
-    def _source_runs(self, source_list: List[Vertex]) -> SourceRuns:
-        """The source piece as vertical runs of the base tree."""
-        tree = self._tree
-        src_known = [v for v in source_list if v in tree]
-        runs = [segment_orientation(tree, run) for run in ancestor_descendant_segments(tree, src_known)]
-        return runs, set(source_list).__contains__
 
     def _probe_segment(
         self,
@@ -581,7 +560,8 @@ class DQueryService(QueryService):
         seg: _Segment,
         pos: Dict[Vertex, int],
         source_list: List[Vertex],
-        reverse: Optional[SourceRuns],
+        src_runs: List[Tuple[Vertex, Vertex]],
+        on_source: Set[Vertex],
         tally: _Tally,
     ) -> Answer:
         search = self._d.search_segment
@@ -605,34 +585,23 @@ class DQueryService(QueryService):
 
         # Reversed direction: every segment vertex searches for a neighbour on
         # the source piece.  Needed when the source may contain base-tree
-        # *ancestors* of target vertices: always for path-piece sources, and for
-        # every source kind in the fault-tolerant / amortized-overlay setting,
-        # where pieces are subtrees/paths of the current tree T*_{i-1} rather
-        # than of D's base tree (Theorem 9).  The source is decomposed into
-        # vertical runs of the base tree so each probe stays a range search.
-        if reverse is not None:
-            src_runs, on_source = reverse
-            for t in reversed(seg.vertices) if prefer_last else seg.vertices:
-                hit = None
-                for s_top, s_bottom in src_runs:
-                    hit, p = search(t, s_top, s_bottom, True, on_source)
-                    searches += 1
-                    probes += p
-                    if hit is not None:
-                        break
+        # *ancestors* of target vertices: path pieces, and every piece in the
+        # fault-tolerant / amortized-overlay setting, where pieces are
+        # subtrees/paths of the current tree T*_{i-1} rather than of D's base
+        # tree (Theorem 9).  The source is decomposed into vertical runs of the
+        # base tree so each probe stays a range search.
+        member = on_source.__contains__
+        for t in reversed(seg.vertices) if prefer_last else seg.vertices:
+            hit = None
+            for s_top, s_bottom in src_runs:
+                hit, p = search(t, s_top, s_bottom, True, member)
+                searches += 1
+                probes += p
                 if hit is not None:
-                    best = _better(pos, prefer_last, best, (hit, t))
                     break
+            if hit is not None:
+                best = _better(pos, prefer_last, best, (hit, t))
+                break
         tally.searches += searches
         tally.probes += probes
         return best
-
-    def _probe_unknown_targets(
-        self, q: EdgeQuery, unknown: List[Vertex], source_list: List[Vertex]
-    ) -> Answer:
-        source_set = set(source_list)
-        for t in reversed(unknown) if q.prefer_last else unknown:
-            for w in self._d.neighbors_of(t):
-                if w in source_set:
-                    return (w, t)
-        return None

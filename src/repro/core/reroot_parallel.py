@@ -109,11 +109,9 @@ class ParallelRerootEngine:
                     leaves += 1
                     continue
                 gen = self.planner.step(comp)
-                try:
-                    batch = next(gen)
-                    runners.append([comp, gen, batch])
-                except StopIteration as stop:
-                    finished.append((comp, stop.value))
+                # Every traversal ends in Process-Comp, whose last step yields
+                # a batch (an empty one too), so no first step finishes one.
+                runners.append([comp, gen, next(gen)])
             if leaves:
                 self.metrics.inc("traversal_disintegrating", leaves)
                 self.metrics.inc("process_comp_calls", leaves)

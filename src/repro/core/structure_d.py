@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -411,6 +412,8 @@ class StructureD:
         best_level = None
         probes = 0
 
+        # Overlay edges (few per vertex; linear scan as in Theorem 9).
+        scan = self._extra_edges.get(u, ())
         row = self._row(u)
         if row is not None:
             posts, nbrs = row
@@ -434,38 +437,20 @@ class StructureD:
                             break
             else:
                 # u was inserted after the base tree was built (Theorem 9
-                # overlay): its sorted list is small (k updates) or freshly
-                # sorted; scan it and keep the candidate nearest the preferred
-                # end of the segment.
-                for w in nbrs:
-                    probes += 1
-                    if not self._edge_alive(u, w) or not on_segment(w):
-                        continue
-                    w_level = self._segment_depth(w)
-                    if best is None:
-                        best, best_level = w, w_level
-                    elif (prefer_bottom and w_level > best_level) or (
-                        not prefer_bottom and w_level < best_level
-                    ):
-                        best, best_level = w, w_level
+                # overlay): its own row is small (k updates) or freshly
+                # sorted, so it is scanned with the overlay edges.
+                scan = chain(nbrs, scan)
 
-        # Overlay edges (few per vertex; linear scan as in Theorem 9).
-        for w in self._extra_edges.get(u, ()):  # pragma: no branch
+        # Keep the scanned candidate nearest the preferred end of the segment.
+        for w in scan:
             probes += 1
-            if not self._edge_alive(u, w):
+            if not self._edge_alive(u, w) or not on_segment(w):
                 continue
-            if not on_segment(w):
-                continue
-            if best is None:
-                best = w
-                best_level = self._segment_depth(w)
-                continue
-            if best_level is None:
-                best_level = self._segment_depth(best)
             w_level = self._segment_depth(w)
-            if (prefer_bottom and w_level > best_level) or (not prefer_bottom and w_level < best_level):
-                best = w
-                best_level = w_level
+            if best is not None and best_level is None:
+                best_level = self._segment_depth(best)
+            if best is None or (w_level > best_level if prefer_bottom else w_level < best_level):
+                best, best_level = w, w_level
         return best, max(probes, 1)
 
     def search_subtrees(self, pieces: Sequence[int]) -> Tuple[List[int], int]:
@@ -551,9 +536,10 @@ class StructureD:
 
         Because a subtree of the base tree occupies a contiguous post-order
         interval, this answers "the piece vertex adjacent to *u* that comes
-        first in post order" with one binary search plus a short scan — the
-        postorder-interval index behind canonical source re-anchoring
-        (:meth:`repro.core.queries.DQueryService._canonical_answer`).
+        first in post order" with one binary search plus a short scan.  It
+        serves the rows :meth:`search_min_post_batch` cannot read from the
+        keys (dirty or unindexed rows), and so the re-anchor of a query
+        round's batched subtree pieces.
         """
         probes = 0
         best: Optional[Vertex] = None
@@ -645,21 +631,3 @@ class StructureD:
             if self._edge_alive(u, w):
                 out.append(w)
         return out
-
-    def has_alive_edge(self, u: Vertex, w: Vertex) -> bool:
-        """True iff the edge ``(u, w)`` exists after applying the overlays."""
-        if not self._edge_alive(u, w):
-            return False
-        if w in self._extra_edges.get(u, ()):
-            return True
-        row = self._row(u)
-        if row is None or w not in self._post:
-            return False
-        posts, nbrs = row
-        p = self._post[w]
-        i = bisect_left(posts, p)
-        while i < len(posts) and posts[i] == p:
-            if nbrs[i] == w:
-                return True
-            i += 1
-        return False

@@ -423,9 +423,7 @@ class TraversalPlanner:
         # query per vertex of T(v_L)).
         upper_path = tuple(root_path[pos_root[y_d] :])
         tvl_vertices = tree.subtree_vertices(v_l_child)
-        answers = yield [
-            EdgeQuery.from_vertices((v,), upper_path, prefer_last=True) for v in tvl_vertices
-        ]
+        answers = yield [EdgeQuery.from_path((v,), upper_path, prefer_last=True) for v in tvl_vertices]
         xp_yp: Answer = None
         best_lca_level = -1
         for v, ans in zip(tvl_vertices, answers):

@@ -11,6 +11,7 @@ from repro.core.overlay import apply_update
 from repro.core.queries import BruteForceQueryService, DQueryService, EdgeQuery
 from repro.core.structure_d import StructureD
 from repro.core.updates import EdgeDeletion, EdgeInsertion, VertexInsertion
+from repro.exceptions import InvariantViolation
 from repro.graph.generators import gnp_random_graph
 from repro.graph.graph import UndirectedGraph
 from repro.graph.traversal import static_dfs_tree
@@ -120,7 +121,7 @@ def test_single_vertex_source():
         target = [w for w in random_vertical_path(tree, rng) if w != v]
         if not target:
             continue
-        queries.append(EdgeQuery.from_vertices((v,), tuple(target), prefer_last=rng.random() < 0.5))
+        queries.append(EdgeQuery.from_path((v,), tuple(target), prefer_last=rng.random() < 0.5))
     assert_same_answers(queries, fast, brute)
 
 
@@ -135,6 +136,15 @@ def test_metrics_counting():
     assert metrics["queries"] == 2
 
 
+def test_a_subtree_piece_holding_its_own_target_raises():
+    # Every caller asks about an unvisited piece against a path outside it;
+    # T(1) of the path 0..4 holds its target (2, 3), so D refuses the query.
+    g = UndirectedGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
+    service = DQueryService(StructureD(g, DFSTree(static_dfs_tree(g, 0), root=0)))
+    with pytest.raises(InvariantViolation, match="its own target"):
+        service.answer(EdgeQuery.from_tree(1, (2, 3)))
+
+
 def test_unknown_targets_answer_from_the_preferred_end():
     # Two vertices inserted after D was built: the base tree knows neither,
     # so both are answered from the overlay scan, nearest the preferred end.
@@ -145,7 +155,7 @@ def test_unknown_targets_answer_from_the_preferred_end():
     current = DFSTree(static_dfs_tree(g, 0), root=0)
     service = DQueryService(d, source_tree=current)
     for prefer_last, expected in ((True, (3, "b")), (False, (3, "a"))):
-        q = EdgeQuery.from_vertices((3,), ("a", "b"), prefer_last=prefer_last)
+        q = EdgeQuery.from_path((3,), ("a", "b"), prefer_last=prefer_last)
         assert service.answer(q) == expected
         assert BruteForceQueryService(g, current).answer(q) == expected
 
@@ -207,7 +217,7 @@ def shared_target_batch(tree, starts):
                 bottom = max(piece, key=tree.level)
                 queries.append(EdgeQuery.from_path(tree.ancestor_path(bottom, h), shared, prefer_last=prefer_last))
             else:
-                queries.append(EdgeQuery.from_vertices(piece[-1:], shared, prefer_last=prefer_last))
+                queries.append(EdgeQuery.from_path(piece[-1:], shared, prefer_last=prefer_last))
     return queries
 
 
@@ -234,7 +244,8 @@ def test_shared_target_batch_equals_one_query_at_a_time(backend, overlay):
     g, tree, queries, batched, counts = batch_and_counts(backend, overlay, False)
     _, _, _, single, single_counts = batch_and_counts(backend, overlay, True)
 
-    assert {q.source_kind for q in queries} == {"tree", "path", "vertices"}
+    assert {q.source_kind for q in queries} == {"tree", "path"}
+    assert any(len(q.source_vertices) == 1 for q in queries)  # single-vertex pieces
     assert {q.prefer_last for q in queries} == {True, False}
     assert len({id(q.target) for q in queries}) == 4  # two targets, each as two tuples
     assert batched == single

@@ -88,10 +88,10 @@ def test_overlay_edge_insert_and_delete():
     assert d.neighbor_on_segment(u, w, w, prefer_bottom=True) is None
     d.note_edge_inserted(u, w)
     assert d.neighbor_on_segment(u, w, w, prefer_bottom=True) == w
-    assert d.has_alive_edge(u, w)
+    assert w in d.neighbors_of(u)
     d.note_edge_deleted(u, w)
     assert d.neighbor_on_segment(u, w, w, prefer_bottom=True) is None
-    assert not d.has_alive_edge(u, w)
+    assert w not in d.neighbors_of(u)
     assert d.overlay_size() >= 1
     d.reset_overlays()
     assert d.overlay_size() == 0
@@ -120,7 +120,7 @@ def test_overlay_vertex_insertion_and_deletion():
     assert "new" in d.neighbors_of(2)
     d.note_vertex_deleted("new")
     assert d.neighbor_on_segment(2, *(["new"] * 2), prefer_bottom=True) is None
-    assert "new" not in [w for w in d.neighbors_of(2) if d.has_alive_edge(2, w)]
+    assert "new" not in d.neighbors_of(2)
 
 
 def test_deleted_vertex_masks_all_edges():

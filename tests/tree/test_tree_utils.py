@@ -10,7 +10,7 @@ from repro.tree.tree_utils import (
     ancestor_descendant_segments,
     hanging_subtrees,
     heavy_vertex,
-    segment_orientation,
+    run_orientation,
 )
 
 
@@ -70,13 +70,18 @@ def test_ancestor_descendant_segments(caterpillar_tree):
     assert segs2 == [[1, 2, 3], [2]]
 
 
-def test_segment_orientation_and_split(caterpillar_tree):
+def test_run_orientation_and_split(caterpillar_tree):
     t = caterpillar_tree
-    assert segment_orientation(t, [3, 2, 1]) == (1, 3)
-    assert segment_orientation(t, [1, 2, 3]) == (1, 3)
+
+    def orient(segment):
+        top, bottom = run_orientation(t, t._i(segment[0]), t._i(segment[-1]))
+        return t._verts[top], t._verts[bottom]
+
+    assert orient([3, 2, 1]) == (1, 3)
+    assert orient([1, 2, 3]) == (1, 3)
     # The pieces a path of T* splits into orient top-down.
     segs = ancestor_descendant_segments(t, [11, 1, 0, 14, 3, 2])
-    assert [segment_orientation(t, s) for s in segs] == [(0, 11), (2, 14)]
+    assert [orient(s) for s in segs] == [(0, 11), (2, 14)]
 
 
 def _is_vertical(tree, vertices):
